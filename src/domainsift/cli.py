@@ -12,10 +12,10 @@ Exit codes: 0 success, 1 data/runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,7 @@ from .config import (
     load_config,
     member_params_from_config,
 )
-from .ensemble import MEMBER_KINDS, MajorityVoteEnsemble
+from .ensemble import MajorityVoteEnsemble
 from .features import FEATURE_NAMES, extract_features, read_feature_csv, write_feature_csv
 from .model_io import ModelIOError, load_model, save_model
 
@@ -120,7 +120,6 @@ def _prepare(args, mode_default="sld"):
         "mode": _resolve(args, "mode", mode_default),
         "seed": _resolve(args, "seed", DEFAULT_SEED),
         "max_rows": _resolve(args, "max_rows", None),
-        "threads": _resolve(args, "threads", 1),
     }
     if hasattr(args, "test_fraction"):
         resolved["test_fraction"] = _resolve(args, "test_fraction", 0.3)
@@ -130,6 +129,18 @@ def _prepare(args, mode_default="sld"):
         resolved["k"] = _resolve(args, "k", 2)
     log.info("resolved options: %s", resolved)
     return resolved
+
+
+def _prepare_with_model(args):
+    """Load the ``--model`` ensemble and resolve options; the mode follows the model's."""
+    model = load_model(args.model, expected_kind="ensemble")
+    trained_mode = model.metadata_.get("mode")
+    opt = _prepare(args, mode_default=trained_mode or "sld")
+    if trained_mode and corpus.resolve_mode(opt["mode"]) != corpus.resolve_mode(trained_mode):
+        raise ValueError(
+            f"mode {opt['mode']!r} does not match {args.model}, trained in {trained_mode!r} mode"
+        )
+    return opt, model
 
 
 def _out_dir(path):
@@ -198,13 +209,12 @@ def cmd_train(args):
 
 
 def _member_rows(model, X, y):
-    predictors = [(name, lambda Z, n=name: model.member_predict(n, Z)) for name in MEMBER_KINDS]
-    predictors.append(("ensemble", model.predict))
-    return evaluate.evaluate_all(predictors, X, y)
+    labels, votes, names = model.predict_with_votes(X)
+    return evaluate.score_predictions([*zip(names, votes.T), ("ensemble", labels)], y)
 
 
 def cmd_evaluate(args):
-    opt = _prepare(args, mode_default="sld")
+    opt, model = _prepare_with_model(args) if args.model else (_prepare(args), None)
     data = _load_data(args.in_path, opt["mode"], opt["max_rows"])
     _require_labels(data, args.in_path)
 
@@ -223,9 +233,7 @@ def cmd_evaluate(args):
     train_idx, test_idx = evaluate.stratified_split(
         data.y, test_fraction=opt["test_fraction"], seed=opt["seed"]
     )
-    if args.model:
-        model = load_model(args.model, expected_kind="ensemble")
-    else:
+    if model is None:
         model = _build_ensemble(opt, args).fit(data.X[train_idx], data.y[train_idx])
     rows = _member_rows(model, data.X[test_idx], data.y[test_idx])
     if args.out:
@@ -236,28 +244,12 @@ def cmd_evaluate(args):
 
 
 def _cross_validate_members(args, opt, data):
-    n_folds = opt["cv"]
-    per_name = {name: [] for name in (*MEMBER_KINDS, "ensemble")}
-    for train_idx, test_idx in evaluate.stratified_kfold(data.y, n_folds, seed=opt["seed"]):
+    per_name = {}
+    for train_idx, test_idx in evaluate.stratified_kfold(data.y, opt["cv"], seed=opt["seed"]):
         model = _build_ensemble(opt, args).fit(data.X[train_idx], data.y[train_idx])
-        for name, cm, m in _member_rows(model, data.X[test_idx], data.y[test_idx]):
-            per_name[name].append(m)
-    results = []
-    for name, fold_metrics in per_name.items():
-        table = np.array(
-            [[m.accuracy, m.precision, m.recall, m.f_score] for m in fold_metrics]
-        )
-        results.append(
-            (
-                name,
-                evaluate.CVResult(
-                    fold_metrics=fold_metrics,
-                    mean=evaluate.Metrics(*(float(v) for v in table.mean(axis=0))),
-                    std=evaluate.Metrics(*(float(v) for v in table.std(axis=0))),
-                ),
-            )
-        )
-    return results
+        for name, _, m in _member_rows(model, data.X[test_idx], data.y[test_idx]):
+            per_name.setdefault(name, []).append(m)
+    return [(name, evaluate.summarize_folds(folds)) for name, folds in per_name.items()]
 
 
 def cmd_cluster(args):
@@ -287,35 +279,19 @@ def cmd_cluster(args):
     return 0
 
 
-def _vote_matrix_chunked(model, X, threads):
-    if threads <= 1 or X.shape[0] < 4096:
-        return model.vote_matrix(X)
-    bounds = np.linspace(0, X.shape[0], threads * 4 + 1, dtype=np.int64)
-    chunks = [X[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1) if bounds[i] < bounds[i + 1]]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(model.vote_matrix, chunks))
-    return np.concatenate(parts, axis=0)
-
-
 def cmd_predict(args):
-    # slds, not full names: trained models saw sld features
-    opt = _prepare(args, mode_default="sld")
-    model = load_model(args.model, expected_kind="ensemble")
+    opt, model = _prepare_with_model(args)
     data = _load_data(args.in_path, opt["mode"], opt["max_rows"], allow_features=False)
-    votes = _vote_matrix_chunked(model, data.X, opt["threads"])
-    labels = (2 * votes.sum(axis=1) > votes.shape[1]).astype(np.int64)
-    names = model.member_names()
+    labels, votes, names = model.predict_with_votes(data.X)
 
     out = _out_dir(args.out)
     with open(os.path.join(out, "predictions.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("host,domain,prediction," + ",".join(f"vote_{n}" for n in names) + "\n")
-        for i, rec in enumerate(data.records):
-            vote_cells = ",".join(str(int(v)) for v in votes[i])
-            fh.write(f"{rec.raw_host},{rec.domain_part},{int(labels[i])},{vote_cells}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["host", "domain", "prediction", *(f"vote_{n}" for n in names)])
+        for rec, label, row_votes in zip(data.records, labels, votes):
+            writer.writerow([rec.raw_host, rec.domain_part, int(label), *map(int, row_votes)])
     with open(os.path.join(out, "flagged.txt"), "w", encoding="utf-8") as fh:
-        for i, rec in enumerate(data.records):
-            if labels[i] == 1:
-                fh.write(rec.raw_host + "\n")
+        fh.writelines(rec.raw_host + "\n" for rec, label in zip(data.records, labels) if label)
     for j, name in enumerate(FEATURE_NAMES):
         hist = analytics.histogram_pdf(data.X[:, j], labels, feature_name=name)
         with open(os.path.join(out, f"hist_{name}.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -384,7 +360,6 @@ def _add_common(sp, *, out_required=True, out_help="output path"):
     sp.add_argument("--mode", choices=("full", "sld"), help="domain normalization mode")
     sp.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
     sp.add_argument("--max-rows", dest="max_rows", type=int, help="cap on corpus rows read")
-    sp.add_argument("--threads", type=int, help="worker thread cap (default 1)")
     sp.add_argument("--config", help="key=value config file with option defaults")
 
 

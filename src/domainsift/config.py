@@ -15,7 +15,6 @@ CONFIG_SCHEMA = {
     "cv": int,
     "k": int,
     "max_rows": int,
-    "threads": int,
     # decision tree
     "tree_max_depth": int,
     "tree_min_leaf": int,

@@ -73,6 +73,11 @@ def default_members(seed=0, member_params=None):
     ]
 
 
+def majority(votes):
+    """1 where more than half of a row's member votes are 1 (3 of 5), else 0."""
+    return (2 * votes.sum(axis=1) > votes.shape[1]).astype(np.int64)
+
+
 class MajorityVoteEnsemble(ParamsMixin):
     """Five classifiers voting; 3 or more positive votes predict DGA.
 
@@ -126,24 +131,27 @@ class MajorityVoteEnsemble(ParamsMixin):
         return self
 
     def vote_matrix(self, X):
-        """Per-member 0/1 predictions, one column per member in member order."""
+        """Per-member 0/1 predictions, one column per member in member order.
+
+        A member's prediction depends on its input row alone, so each distinct
+        row is scored once and the votes are mapped back to every copy of it.
+        """
         check_is_fitted(self, "members_")
         X = check_matrix(X, n_features=self.n_features_in_)
-        Xs = self.standardizer_.transform(X)
-        votes = np.empty((X.shape[0], len(self.members_)), dtype=np.int64)
+        U, inverse = np.unique(X, axis=0, return_inverse=True)
+        Us = self.standardizer_.transform(U)
+        votes = np.empty((U.shape[0], len(self.members_)), dtype=np.int64)
         for col, member in enumerate(self.members_):
-            votes[:, col] = member.estimator.predict(Xs if member.uses_standardizer else X)
-        return votes
+            votes[:, col] = member.estimator.predict(Us if member.uses_standardizer else U)
+        return votes[inverse.reshape(-1)]  # numpy 2.0.0 returns inverse as a column
 
     def predict(self, X):
-        votes = self.vote_matrix(X)
-        return (2 * votes.sum(axis=1) > len(self.members_)).astype(np.int64)
+        return majority(self.vote_matrix(X))
 
     def predict_with_votes(self, X):
         """Labels plus the vote breakdown: (labels, votes, member_names)."""
         votes = self.vote_matrix(X)
-        labels = (2 * votes.sum(axis=1) > len(self.members_)).astype(np.int64)
-        return labels, votes, [m.name for m in self.members_]
+        return majority(votes), votes, self.member_names()
 
     def member_names(self):
         check_is_fitted(self, "members_")

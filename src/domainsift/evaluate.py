@@ -152,9 +152,14 @@ def evaluate_all(predictors, X, y):
     """
     X = check_matrix(X)
     y = check_labels(y, n_samples=X.shape[0])
+    return score_predictions([(name, _predict_with(p, X)) for name, p in predictors], y)
+
+
+def score_predictions(named_predictions, y):
+    """[(name, ConfusionMatrix, Metrics)] for (name, predictions) pairs against ``y``."""
     rows = []
-    for name, predictor in predictors:
-        cm = confusion(_predict_with(predictor, X), y)
+    for name, predictions in named_predictions:
+        cm = confusion(predictions, y)
         rows.append((name, cm, metrics(cm)))
     return rows
 
@@ -166,6 +171,16 @@ class CVResult:
     std: Metrics
 
 
+def summarize_folds(fold_metrics):
+    """CVResult with the per-metric mean and population std over the folds."""
+    table = np.array([[m.accuracy, m.precision, m.recall, m.f_score] for m in fold_metrics])
+    return CVResult(
+        fold_metrics=fold_metrics,
+        mean=Metrics(*(float(v) for v in table.mean(axis=0))),
+        std=Metrics(*(float(v) for v in table.std(axis=0))),
+    )
+
+
 def cross_validate(estimator, X, y, n_folds=5, seed=42):
     """Stratified k-fold cross-validation of an unfitted estimator."""
     X = check_matrix(X)
@@ -175,16 +190,7 @@ def cross_validate(estimator, X, y, n_folds=5, seed=42):
         model = clone(estimator).fit(X[train_idx], y[train_idx])
         cm = confusion(model.predict(X[test_idx]), y[test_idx])
         fold_metrics.append(metrics(cm))
-    table = np.array(
-        [[m.accuracy, m.precision, m.recall, m.f_score] for m in fold_metrics]
-    )
-    means = table.mean(axis=0)
-    stds = table.std(axis=0)
-    return CVResult(
-        fold_metrics=fold_metrics,
-        mean=Metrics(*(float(v) for v in means)),
-        std=Metrics(*(float(v) for v in stds)),
-    )
+    return summarize_folds(fold_metrics)
 
 
 def format_report(rows):

@@ -28,6 +28,9 @@ from .base import (
 
 _EPS = 1e-12
 
+# cells of the query-by-training distance block kNN holds at once (32 MB of float64)
+KNN_BLOCK_CELLS = 4_000_000
+
 
 def _validate_fit(estimator, X, y, require_both_classes=False):
     X, y = check_X_y(X, y)
@@ -298,9 +301,8 @@ class KNNClassifier(ParamsMixin):
     for even k) falls back to class 0. Expects standardized features.
     """
 
-    def __init__(self, k=5, chunk_size=None):
+    def __init__(self, k=5):
         self.k = k
-        self.chunk_size = chunk_size
 
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y)
@@ -316,12 +318,10 @@ class KNNClassifier(ParamsMixin):
 
     def predict(self, X):
         X = _validate_predict(self, X)
-        chunk = self.chunk_size or max(1, int(4e6) // self.X_.shape[0])
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for start in range(0, X.shape[0], chunk):
-            block = X[start : start + chunk]
-            out[start : start + len(block)] = self._predict_block(block)
-        return out
+        rows = max(1, KNN_BLOCK_CELLS // self.X_.shape[0])
+        return np.concatenate(
+            [self._predict_block(X[i : i + rows]) for i in range(0, X.shape[0], rows)]
+        )
 
     def _predict_block(self, X):
         # squared distances are monotone in distance; avoids the sqrt

@@ -26,7 +26,8 @@ from .learners import (
 )
 from .preprocessing import Standardizer
 
-MODEL_FORMAT_VERSION = 1
+# version 1 files hold a kNN block-size parameter that KNNClassifier no longer takes
+MODEL_FORMAT_VERSION = 2
 MODEL_EXTENSION = ".dsmodel"
 
 KIND_REGISTRY = {
@@ -131,7 +132,7 @@ def load_model(path, expected_kind=None):
             f"this build reads version {MODEL_FORMAT_VERSION}"
         )
     kind = document.get("kind")
-    if kind not in KIND_REGISTRY:
+    if not isinstance(kind, str) or kind not in KIND_REGISTRY:
         raise ModelKindError(f"model file {path!r} has unknown kind {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise ModelKindError(
@@ -142,9 +143,15 @@ def load_model(path, expected_kind=None):
         raise ModelFormatError(f"corrupt payload in {path!r}: checksum mismatch")
 
     payload = document["payload"]
-    model = KIND_REGISTRY[kind](**payload["params"])
-    model.set_state(payload["state"])
+    try:
+        model = KIND_REGISTRY[kind](**payload["params"])
+        model.set_state(payload["state"])
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed {kind!r} payload in {path!r}: {exc!r}") from None
     if document.get("fingerprint") is not None:
         model.fingerprint_ = document["fingerprint"]
-    model.metadata_ = document.get("metadata", {})
+    metadata = document.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ModelFormatError(f"corrupt model file {path!r}: metadata is not an object")
+    model.metadata_ = metadata
     return model

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +21,15 @@ def workdir(tmp_path_factory):
     ])
     assert rc == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def sld_model(workdir):
+    """An ensemble trained on the generated corpus in the default sld mode."""
+    path = workdir / "sld.dsmodel"
+    assert main(["train", "--in", str(workdir / "gen" / "labeled.csv"),
+                 "--out", str(path), "--seed", "5"]) == 0
+    return str(path)
 
 
 def test_generate_outputs(workdir):
@@ -123,16 +134,68 @@ def test_cluster_outputs(workdir, capsys):
     assert "inertia" in capsys.readouterr().out
 
 
-def test_predict_threads_match_serial(workdir, tmp_path):
-    model = str(workdir / "model.dsmodel")
-    census = str(workdir / "gen" / "census.tsv")
-    serial, threaded = tmp_path / "s", tmp_path / "t"
-    assert main(["predict", "--in", census, "--model", model,
-                 "--out", str(serial), "--mode", "sld"]) == 0
-    assert main(["predict", "--in", census, "--model", model,
-                 "--out", str(threaded), "--mode", "sld", "--threads", "4"]) == 0
-    assert (serial / "predictions.csv").read_text() == \
-        (threaded / "predictions.csv").read_text()
+def _prediction_rows(out):
+    with open(out / "predictions.csv", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_predict_unchanged_by_duplicated_shuffled_rows(workdir, sld_model, tmp_path):
+    census = workdir / "gen" / "census.tsv"
+    lines = census.read_text().splitlines()
+    shuffled = lines * 3
+    random.Random(0).shuffle(shuffled)
+    (tmp_path / "shuffled.tsv").write_text("\n".join(shuffled) + "\n")
+    assert main(["predict", "--in", str(census), "--model", sld_model,
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["predict", "--in", str(tmp_path / "shuffled.tsv"), "--model", sld_model,
+                 "--out", str(tmp_path / "b")]) == 0
+    a, b = _prediction_rows(tmp_path / "a"), _prediction_rows(tmp_path / "b")
+    assert a[0] == b[0]
+    # dedupe keeps the first host of each domain, so compare per domain
+    assert sorted(row[1:] for row in a[1:]) == sorted(row[1:] for row in b[1:])
+
+
+def test_predict_csv_quotes_hosts_with_commas(sld_model, tmp_path):
+    census = tmp_path / "census.tsv"
+    census.write_text("x,y.com\t10.0.0.1\nexample.com\t10.0.0.2\n")
+    out = tmp_path / "p"
+    assert main(["predict", "--in", str(census), "--model", sld_model, "--out", str(out)]) == 0
+    rows = _prediction_rows(out)
+    assert [len(row) for row in rows] == [8, 8, 8]
+    assert rows[1][:2] == ["x,y.com", "x,y"]
+
+
+class TestPredictMode:
+    @pytest.fixture(scope="class")
+    def full_model(self, workdir):
+        path = workdir / "full.dsmodel"
+        assert main(["train", "--in", str(workdir / "gen" / "labeled.csv"),
+                     "--out", str(path), "--mode", "full", "--seed", "5"]) == 0
+        return str(path)
+
+    def test_mode_defaults_to_models(self, workdir, full_model, tmp_path):
+        assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
+                     "--model", full_model, "--out", str(tmp_path / "p")]) == 0
+        rows = _prediction_rows(tmp_path / "p")[1:]
+        assert all(host == domain for host, domain, *_ in rows)
+
+    def test_mismatched_flag_refused(self, workdir, sld_model, tmp_path, capsys):
+        assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
+                     "--model", sld_model, "--mode", "full",
+                     "--out", str(tmp_path / "p")]) == 1
+        assert "trained in 'sld' mode" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    def test_mismatched_config_refused(self, workdir, full_model, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = sld\n")
+        assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
+                     "--model", full_model, "--config", str(cfg),
+                     "--out", str(tmp_path / "p")]) == 1
+
+    def test_evaluate_existing_model_refuses_mismatch(self, workdir, full_model):
+        assert main(["evaluate", "--in", str(workdir / "gen" / "labeled.csv"),
+                     "--model", full_model, "--mode", "sld"]) == 1
 
 
 def test_reputation_check(workdir, tmp_path):
@@ -177,6 +240,15 @@ class TestExitCodes:
         fake.write_text("{}")
         assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
                      "--model", str(fake), "--out", str(tmp_path / "p")]) == 1
+
+    def test_version_1_model_is_data_error(self, workdir, sld_model, tmp_path):
+        with open(sld_model) as fh:
+            doc = json.load(fh)
+        doc["format_version"] = 1
+        old = tmp_path / "v1.dsmodel"
+        old.write_text(json.dumps(doc))
+        assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
+                     "--model", str(old), "--out", str(tmp_path / "p")]) == 1
 
     def test_bad_config_is_data_error(self, workdir, tmp_path):
         cfg = tmp_path / "bad.cfg"

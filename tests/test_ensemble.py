@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domainsift.base import NotFittedError, ParamsMixin
 from domainsift.ensemble import (
@@ -88,6 +90,25 @@ class TestVoting:
         assert votes.shape == (10, 5)
         for j, name in enumerate(ens.member_names()):
             np.testing.assert_array_equal(votes[:, j], ens.member_predict(name, X[:10]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_vote_matrix_matches_member_predict_row_by_row(self, fitted, data):
+        ens, X, y = fitted
+        row = st.one_of(
+            st.integers(0, X.shape[0] - 1).map(lambda i: X[i]),
+            st.lists(
+                st.floats(-20, 20, allow_nan=False), min_size=X.shape[1], max_size=X.shape[1]
+            ).map(np.array),
+        )
+        pool = data.draw(st.lists(row, min_size=1, max_size=5))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+        Q = np.array([pool[i] for i in picks])  # few distinct rows, many copies
+        expected = np.array(
+            [[ens.member_predict(name, Q[i : i + 1])[0] for name in ens.member_names()]
+             for i in range(Q.shape[0])]
+        )
+        np.testing.assert_array_equal(ens.vote_matrix(Q), expected)
 
     def test_predict_with_votes_consistent(self, fitted):
         ens, X, y = fitted

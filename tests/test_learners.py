@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from domainsift import learners
 from domainsift.base import NotFittedError
 from domainsift.learners import (
     C45Tree,
@@ -210,10 +211,12 @@ class TestKNN:
         model = KNNClassifier(k=3).fit(X, y)
         assert model.predict(np.zeros((1, 2)))[0] == 0
 
-    def test_chunked_matches_unchunked(self, blobs):
+    def test_chunked_matches_unchunked(self, blobs, monkeypatch):
         X, y = blobs
         a = KNNClassifier(k=5).fit(X, y).predict(X)
-        b = KNNClassifier(k=5, chunk_size=7).fit(X, y).predict(X)
+        # blocks of 7 query rows instead of one block for all 120
+        monkeypatch.setattr(learners, "KNN_BLOCK_CELLS", 7 * X.shape[0])
+        b = KNNClassifier(k=5).fit(X, y).predict(X)
         np.testing.assert_array_equal(a, b)
 
     def test_even_k_tie_falls_to_zero(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -130,6 +131,13 @@ class TestCorruption:
         with pytest.raises(ModelKindError):
             load_model(path)
 
+    def test_non_string_kind(self, path):
+        doc = json.loads(path.read_text())
+        doc["kind"] = ["nb"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelKindError):
+            load_model(path)
+
     def test_missing_payload(self, path):
         doc = json.loads(path.read_text())
         del doc["payload"]
@@ -140,6 +148,62 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelIOError):
             load_model(tmp_path / "absent.dsmodel")
+
+
+def rewrite_payload(path, edit):
+    """Apply ``edit`` to a saved file's payload and store a matching checksum."""
+    doc = json.loads(path.read_text())
+    edit(doc["payload"])
+    canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    doc["payload_sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(doc))
+
+
+class TestMalformedPayload:
+    @pytest.fixture()
+    def fitted(self):
+        return make_blobs(n_per_class=20, seed=5)
+
+    def test_version_1_file_refused(self, fitted, tmp_path):
+        path = tmp_path / "knn.dsmodel"
+        save_model(KNNClassifier().fit(*fitted), path)
+        # what version 1 wrote: the format number and kNN's old chunk_size parameter
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 1
+        path.write_text(json.dumps(doc))
+        rewrite_payload(path, lambda p: p["params"].update(chunk_size=None))
+        with pytest.raises(ModelVersionError, match="version 1"):
+            load_model(path)
+
+    def test_unknown_param_is_format_error(self, fitted, tmp_path):
+        path = tmp_path / "knn.dsmodel"
+        save_model(KNNClassifier().fit(*fitted), path)
+        rewrite_payload(path, lambda p: p["params"].update(chunk_size=7))
+        with pytest.raises(ModelFormatError, match="chunk_size"):
+            load_model(path)
+
+    def test_missing_state_field_is_format_error(self, fitted, tmp_path):
+        path = tmp_path / "tree.dsmodel"
+        save_model(C45Tree().fit(*fitted), path)
+        rewrite_payload(path, lambda p: p["state"].pop("tree"))
+        with pytest.raises(ModelFormatError, match="tree"):
+            load_model(path)
+
+    def test_missing_member_field_is_format_error(self, fitted, tmp_path):
+        path = tmp_path / "ens.dsmodel"
+        save_model(MajorityVoteEnsemble(seed=0).fit(*fitted), path)
+        rewrite_payload(path, lambda p: p["state"]["members"][0]["state"].pop("tree"))
+        with pytest.raises(ModelFormatError):
+            load_model(path, expected_kind="ensemble")
+
+    def test_non_object_metadata_is_format_error(self, fitted, tmp_path):
+        path = tmp_path / "nb.dsmodel"
+        save_model(GaussianNaiveBayes().fit(*fitted), path)
+        doc = json.loads(path.read_text())
+        doc["metadata"] = ["sld"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="metadata"):
+            load_model(path)
 
 
 class TestAtomicity:
