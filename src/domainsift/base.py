@@ -12,6 +12,12 @@ class NotFittedError(RuntimeError):
     """Raised when predict/transform is called on an unfitted estimator."""
 
 
+class BinaryClassifierMixin:
+    """Labels are always 0/1, so ``classes_`` is derived rather than stored."""
+
+    classes_ = property(lambda self: np.array([0, 1], dtype=np.int64))
+
+
 class ParamsMixin:
     """get_params/set_params in the scikit-learn style.
 

@@ -215,6 +215,8 @@ def _member_rows(model, X, y):
 
 def cmd_evaluate(args):
     opt, model = _prepare_with_model(args) if args.model else (_prepare(args), None)
+    if opt["cv"] and model is not None:
+        raise ValueError("--cv refits the ensemble on every fold and cannot score --model")
     data = _load_data(args.in_path, opt["mode"], opt["max_rows"])
     _require_labels(data, args.in_path)
 

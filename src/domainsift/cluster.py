@@ -42,6 +42,14 @@ class KMeans(ParamsMixin):
     pass, non-increasing), ``n_iter_``.
     """
 
+    FITTED_FIELDS = (
+        ("centroids_", "float", ("k", "d")),
+        ("sizes_", "count", ("k",)),
+        ("inertia_", "float", ()),
+        ("inertia_path_", "float", ("passes",)),
+        ("n_iter_", "count", ()),
+    )
+
     def __init__(self, k=2, seed=0, max_iter=300, tol=1e-4, n_restarts=1):
         self.k = k
         self.seed = seed
@@ -142,26 +150,6 @@ class KMeans(ParamsMixin):
 
     def fit_predict(self, X):
         return self.fit(X).labels_
-
-    def get_state(self):
-        check_is_fitted(self, "centroids_")
-        return {
-            "n_features_in": int(self.n_features_in_),
-            "centroids": self.centroids_.tolist(),
-            "sizes": self.sizes_.tolist(),
-            "inertia": float(self.inertia_),
-            "inertia_path": self.inertia_path_.tolist(),
-            "n_iter": int(self.n_iter_),
-        }
-
-    def set_state(self, state):
-        self.n_features_in_ = state["n_features_in"]
-        self.centroids_ = np.asarray(state["centroids"], dtype=np.float64)
-        self.sizes_ = np.asarray(state["sizes"], dtype=np.int64)
-        self.inertia_ = float(state["inertia"])
-        self.inertia_path_ = np.asarray(state["inertia_path"], dtype=np.float64)
-        self.n_iter_ = int(state["n_iter"])
-        return self
 
 
 @dataclass(frozen=True, slots=True)

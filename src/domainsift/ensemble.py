@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .base import (
+    BinaryClassifierMixin,
     ParamsMixin,
     check_both_classes,
     check_is_fitted,
@@ -31,15 +32,6 @@ from .preprocessing import Standardizer
 
 MEMBER_KINDS = ("c45", "knn", "logreg", "nb", "svm")
 SCALED_KINDS = frozenset({"knn", "logreg", "svm"})
-
-TYPE_BY_KIND = {
-    "c45": C45Tree,
-    "knn": KNNClassifier,
-    "logreg": LogisticRegressionGD,
-    "nb": GaussianNaiveBayes,
-    "svm": PegasosSVM,
-}
-KIND_BY_TYPE = {cls: kind for kind, cls in TYPE_BY_KIND.items()}
 
 ENSEMBLE_VERSION = 1
 
@@ -73,12 +65,21 @@ def default_members(seed=0, member_params=None):
     ]
 
 
+def check_members(members):
+    """Exactly five members with unique names keep the vote odd and addressable."""
+    if len(members) != 5:
+        raise ValueError(f"ensemble needs exactly 5 members, got {len(members)}")
+    names = [m.name for m in members]
+    if len(set(names)) != 5:
+        raise ValueError(f"member names must be unique, got {names}")
+
+
 def majority(votes):
     """1 where more than half of a row's member votes are 1 (3 of 5), else 0."""
     return (2 * votes.sum(axis=1) > votes.shape[1]).astype(np.int64)
 
 
-class MajorityVoteEnsemble(ParamsMixin):
+class MajorityVoteEnsemble(ParamsMixin, BinaryClassifierMixin):
     """Five classifiers voting; 3 or more positive votes predict DGA.
 
     By default the members are the canonical five (c45, knn, logreg, nb,
@@ -87,6 +88,13 @@ class MajorityVoteEnsemble(ParamsMixin):
     member's ``uses_standardizer`` flag decides whether it sees standardized
     or raw inputs, defaulting to the ``SCALED_KINDS`` convention for pairs.
     """
+
+    FITTED_FIELDS = (
+        ("version_", "count", ()),
+        ("fingerprint_", "json", ()),  # before members_, which are stamped with it
+        ("standardizer_", "standardizer", ()),
+        ("members_", "members", ()),
+    )
 
     def __init__(self, seed=0, member_params=None, members=None):
         self.seed = seed
@@ -104,11 +112,7 @@ class MajorityVoteEnsemble(ParamsMixin):
             ]
         else:
             named = default_members(self.seed, self.member_params)
-        if len(named) != 5:
-            raise ValueError(f"ensemble needs exactly 5 members, got {len(named)}")
-        names = [m.name for m in named]
-        if len(set(names)) != 5:
-            raise ValueError(f"member names must be unique, got {names}")
+        check_members(named)
 
         fingerprint = corpus_fingerprint(X, y)
         scaler = Standardizer().fit(X)
@@ -126,9 +130,14 @@ class MajorityVoteEnsemble(ParamsMixin):
         self.members_ = fitted
         self.fingerprint_ = fingerprint
         self.n_features_in_ = X.shape[1]
-        self.classes_ = np.array([0, 1], dtype=np.int64)
         self.version_ = ENSEMBLE_VERSION
         return self
+
+    def _check_state(self):
+        """The rules on members that fit enforces, plus the version, on a loaded state."""
+        if self.version_ != ENSEMBLE_VERSION:
+            raise ValueError(f"ensemble version {self.version_} is not {ENSEMBLE_VERSION}")
+        check_members(self.members_)
 
     def vote_matrix(self, X):
         """Per-member 0/1 predictions, one column per member in member order.
@@ -167,56 +176,3 @@ class MajorityVoteEnsemble(ParamsMixin):
                     X = self.standardizer_.transform(X)
                 return member.estimator.predict(X)
         raise KeyError(f"no ensemble member named {name!r}")
-
-    def get_state(self):
-        check_is_fitted(self, "members_")
-        members = []
-        for m in self.members_:
-            kind = KIND_BY_TYPE.get(type(m.estimator))
-            if kind is None:
-                raise TypeError(
-                    f"member {m.name!r} of type {type(m.estimator).__name__} "
-                    "is not serializable"
-                )
-            members.append(
-                {
-                    "name": m.name,
-                    "kind": kind,
-                    "uses_standardizer": m.uses_standardizer,
-                    "params": m.estimator.get_params(),
-                    "state": m.estimator.get_state(),
-                }
-            )
-        return {
-            "version": self.version_,
-            "n_features_in": int(self.n_features_in_),
-            "fingerprint": self.fingerprint_,
-            "standardizer": {
-                "params": self.standardizer_.get_params(),
-                "state": self.standardizer_.get_state(),
-            },
-            "members": members,
-        }
-
-    def set_state(self, state):
-        scaler = Standardizer(**state["standardizer"]["params"])
-        scaler.set_state(state["standardizer"]["state"])
-        members = []
-        for entry in state["members"]:
-            estimator = TYPE_BY_KIND[entry["kind"]](**entry["params"])
-            estimator.set_state(entry["state"])
-            estimator.fingerprint_ = state["fingerprint"]
-            members.append(
-                Member(
-                    name=entry["name"],
-                    estimator=estimator,
-                    uses_standardizer=entry["uses_standardizer"],
-                )
-            )
-        self.standardizer_ = scaler
-        self.members_ = members
-        self.fingerprint_ = state["fingerprint"]
-        self.n_features_in_ = state["n_features_in"]
-        self.classes_ = np.array([0, 1], dtype=np.int64)
-        self.version_ = state["version"]
-        return self

@@ -13,11 +13,13 @@ layer applies for them.
 from __future__ import annotations
 
 import math
+import numbers
 from statistics import NormalDist
 
 import numpy as np
 
 from .base import (
+    BinaryClassifierMixin,
     ParamsMixin,
     check_both_classes,
     check_is_fitted,
@@ -36,7 +38,6 @@ def _validate_fit(estimator, X, y, require_both_classes=False):
     X, y = check_X_y(X, y)
     if require_both_classes:
         check_both_classes(y)
-    estimator.classes_ = np.array([0, 1], dtype=np.int64)
     estimator.n_features_in_ = X.shape[1]
     estimator.fingerprint_ = corpus_fingerprint(X, y)
     return X, y
@@ -66,29 +67,6 @@ class _Node:
     @property
     def is_leaf(self):
         return self.feature is None
-
-    def to_dict(self):
-        d = {
-            "prediction": int(self.prediction),
-            "n_samples": int(self.n_samples),
-            "n_errors": int(self.n_errors),
-        }
-        if not self.is_leaf:
-            d["feature"] = int(self.feature)
-            d["threshold"] = float(self.threshold)
-            d["left"] = self.left.to_dict()
-            d["right"] = self.right.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        node = cls(d["prediction"], d["n_samples"], d["n_errors"])
-        if "feature" in d:
-            node.feature = d["feature"]
-            node.threshold = d["threshold"]
-            node.left = cls.from_dict(d["left"])
-            node.right = cls.from_dict(d["right"])
-        return node
 
 
 def _entropy_from_counts(c0, c1):
@@ -133,7 +111,7 @@ def pessimistic_extra_errors(n, e, cf):
     return r * n - e
 
 
-class C45Tree(ParamsMixin):
+class C45Tree(ParamsMixin, BinaryClassifierMixin):
     """Binary decision tree with gain-ratio splits and pessimistic pruning.
 
     Numeric thresholds are midpoints between consecutive distinct sorted
@@ -152,6 +130,8 @@ class C45Tree(ParamsMixin):
     constant predictor.
     """
 
+    FITTED_FIELDS = (("tree_", "node", ()),)
+
     def __init__(self, max_depth=25, min_leaf=5, cf=0.25, prune=True):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
@@ -167,8 +147,6 @@ class C45Tree(ParamsMixin):
         self.tree_ = self._build(X, y, depth=0)
         if self.prune:
             self._prune_node(self.tree_)
-        self.n_nodes_ = self._count_nodes(self.tree_)
-        self.depth_ = self._depth(self.tree_)
         return self
 
     def predict(self, X):
@@ -264,7 +242,10 @@ class C45Tree(ParamsMixin):
             return node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, self.cf)
         return self._subtree_estimate(node.left) + self._subtree_estimate(node.right)
 
-    # -- introspection and persistence
+    # -- introspection
+
+    n_nodes_ = property(lambda self: self._count_nodes(self.tree_))
+    depth_ = property(lambda self: self._depth(self.tree_))
 
     def _count_nodes(self, node):
         if node.is_leaf:
@@ -276,24 +257,12 @@ class C45Tree(ParamsMixin):
             return 0
         return 1 + max(self._depth(node.left), self._depth(node.right))
 
-    def get_state(self):
-        check_is_fitted(self, "tree_")
-        return {"n_features_in": int(self.n_features_in_), "tree": self.tree_.to_dict()}
-
-    def set_state(self, state):
-        self.n_features_in_ = state["n_features_in"]
-        self.classes_ = np.array([0, 1], dtype=np.int64)
-        self.tree_ = _Node.from_dict(state["tree"])
-        self.n_nodes_ = self._count_nodes(self.tree_)
-        self.depth_ = self._depth(self.tree_)
-        return self
-
 
 # ---------------------------------------------------------------------------
 # k-nearest neighbours
 
 
-class KNNClassifier(ParamsMixin):
+class KNNClassifier(ParamsMixin, BinaryClassifierMixin):
     """Majority vote over the k nearest training points (Euclidean).
 
     Neighbour ties at the k-th distance resolve toward lower training-set
@@ -301,20 +270,29 @@ class KNNClassifier(ParamsMixin):
     for even k) falls back to class 0. Expects standardized features.
     """
 
+    FITTED_FIELDS = (("X_", "float", ("n", "d")), ("y_", "label", ("n",)))
+
     def __init__(self, k=5):
         self.k = k
 
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.k > X.shape[0]:
-            raise ValueError(
-                f"k={self.k} exceeds the {X.shape[0]} training samples; use a smaller k"
-            )
+        self._check_k(X.shape[0])
         self.X_ = X
         self.y_ = y
         return self
+
+    def _check_k(self, n_train):
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        if self.k > n_train:
+            raise ValueError(
+                f"k={self.k} exceeds the {n_train} training samples; use a smaller k"
+            )
+
+    def _check_state(self):
+        """The rule on ``k`` that fit enforces, applied to a loaded state."""
+        self._check_k(self.y_.size)
 
     def predict(self, X):
         X = _validate_predict(self, X)
@@ -348,21 +326,6 @@ class KNNClassifier(ParamsMixin):
             out[i] = 1 if 2 * votes_for_1 > k else 0
         return out
 
-    def get_state(self):
-        check_is_fitted(self, "X_")
-        return {
-            "n_features_in": int(self.n_features_in_),
-            "X": self.X_.tolist(),
-            "y": self.y_.tolist(),
-        }
-
-    def set_state(self, state):
-        self.n_features_in_ = state["n_features_in"]
-        self.classes_ = np.array([0, 1], dtype=np.int64)
-        self.X_ = np.asarray(state["X"], dtype=np.float64)
-        self.y_ = np.asarray(state["y"], dtype=np.int64)
-        return self
-
 
 # ---------------------------------------------------------------------------
 # logistic regression (full-batch gradient descent)
@@ -377,7 +340,7 @@ def _sigmoid(z):
     return out
 
 
-class LogisticRegressionGD(ParamsMixin):
+class LogisticRegressionGD(ParamsMixin, BinaryClassifierMixin):
     """L2-regularized logistic regression via full-batch gradient descent.
 
     Minimizes mean cross-entropy plus ``l2/2 * ||w||^2`` (bias excluded from
@@ -385,6 +348,8 @@ class LogisticRegressionGD(ParamsMixin):
     Stops early when the full gradient norm drops below ``tol``. Expects
     standardized features.
     """
+
+    FITTED_FIELDS = (("coef_", "float", ("d",)), ("intercept_", "float", ()))
 
     def __init__(self, lr=0.1, epochs=500, l2=1e-4, tol=1e-6):
         self.lr = lr
@@ -438,33 +403,24 @@ class LogisticRegressionGD(ParamsMixin):
     def predict(self, X):
         return (self.decision_function(X) >= 0.0).astype(np.int64)
 
-    def get_state(self):
-        check_is_fitted(self, "coef_")
-        return {
-            "n_features_in": int(self.n_features_in_),
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_,
-        }
-
-    def set_state(self, state):
-        self.n_features_in_ = state["n_features_in"]
-        self.classes_ = np.array([0, 1], dtype=np.int64)
-        self.coef_ = np.asarray(state["coef"], dtype=np.float64)
-        self.intercept_ = float(state["intercept"])
-        return self
-
 
 # ---------------------------------------------------------------------------
 # Gaussian naive Bayes
 
 
-class GaussianNaiveBayes(ParamsMixin):
+class GaussianNaiveBayes(ParamsMixin, BinaryClassifierMixin):
     """Gaussian naive Bayes on raw (unscaled) features.
 
     Per-class feature means and population variances, with every variance
     floored by ``var_floor`` times the largest overall feature variance so
     constant columns stay usable.
     """
+
+    FITTED_FIELDS = (
+        ("theta_", "float", (2, "d")),
+        ("var_", "positive", (2, "d")),
+        ("class_prior_", "positive", (2,)),
+    )
 
     def __init__(self, var_floor=1e-9):
         self.var_floor = var_floor
@@ -505,29 +461,12 @@ class GaussianNaiveBayes(ParamsMixin):
         jll = self.joint_log_likelihood(X)
         return (jll[:, 1] > jll[:, 0]).astype(np.int64)
 
-    def get_state(self):
-        check_is_fitted(self, "theta_")
-        return {
-            "n_features_in": int(self.n_features_in_),
-            "theta": self.theta_.tolist(),
-            "var": self.var_.tolist(),
-            "class_prior": self.class_prior_.tolist(),
-        }
-
-    def set_state(self, state):
-        self.n_features_in_ = state["n_features_in"]
-        self.classes_ = np.array([0, 1], dtype=np.int64)
-        self.theta_ = np.asarray(state["theta"], dtype=np.float64)
-        self.var_ = np.asarray(state["var"], dtype=np.float64)
-        self.class_prior_ = np.asarray(state["class_prior"], dtype=np.float64)
-        return self
-
 
 # ---------------------------------------------------------------------------
 # linear SVM (Pegasos)
 
 
-class PegasosSVM(ParamsMixin):
+class PegasosSVM(ParamsMixin, BinaryClassifierMixin):
     """Linear soft-margin SVM trained with the Pegasos subgradient method.
 
     The bias rides along as an extra always-on input inside the regularized
@@ -535,6 +474,8 @@ class PegasosSVM(ParamsMixin):
     step sizes Pegasos uses. Visit order is reshuffled every epoch from
     ``seed``, so training is reproducible. Expects standardized features.
     """
+
+    FITTED_FIELDS = (("coef_", "float", ("d",)), ("intercept_", "float", ()))
 
     def __init__(self, lam=1e-4, epochs=50, seed=0):
         self.lam = lam
@@ -580,18 +521,3 @@ class PegasosSVM(ParamsMixin):
         margins = y_pm * (X @ self.coef_ + self.intercept_)
         hinge = np.maximum(0.0, 1.0 - margins).mean()
         return 0.5 * self.lam * float(self.coef_ @ self.coef_) + float(hinge)
-
-    def get_state(self):
-        check_is_fitted(self, "coef_")
-        return {
-            "n_features_in": int(self.n_features_in_),
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_,
-        }
-
-    def set_state(self, state):
-        self.n_features_in_ = state["n_features_in"]
-        self.classes_ = np.array([0, 1], dtype=np.int64)
-        self.coef_ = np.asarray(state["coef"], dtype=np.float64)
-        self.intercept_ = float(state["intercept"])
-        return self

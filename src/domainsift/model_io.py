@@ -6,6 +6,16 @@ canonical payload encoding. Writing is atomic (temp file + rename) and the
 byte content is deterministic for identical models, so saved files can be
 diffed and content-addressed. Floats are stored via Python's shortest
 round-trip repr, which is exact for binary64.
+
+The state format is written here alone. A payload is ``{"params", "state"}``;
+the state holds ``n_features_in`` and, for each ``(attribute, dtype, shape)``
+of the class's ``FITTED_FIELDS``, the attribute under its name minus the
+trailing ``_``. A dtype is a key of ``_NUMERIC``, "node", "members", "json"
+or a registered kind (stored nested). A shape entry is an int, "d" (for
+``n_features_in``), a constructor parameter, or another name: a row count
+that every field using it must agree on. Loading checks all of this, then the
+class's ``_check_state``, so a checksum-valid file loads or raises a
+``ModelFormatError`` that names the path of the refused value.
 """
 
 from __future__ import annotations
@@ -15,14 +25,18 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
+from .base import check_is_fitted
 from .cluster import KMeans
-from .ensemble import MajorityVoteEnsemble
+from .ensemble import MEMBER_KINDS, MajorityVoteEnsemble, Member
 from .learners import (
     C45Tree,
     GaussianNaiveBayes,
     KNNClassifier,
     LogisticRegressionGD,
     PegasosSVM,
+    _Node,
 )
 from .preprocessing import Standardizer
 
@@ -40,7 +54,17 @@ KIND_REGISTRY = {
     "ensemble": MajorityVoteEnsemble,
     "kmeans": KMeans,
 }
-_KIND_BY_TYPE = {cls: kind for kind, cls in KIND_REGISTRY.items()}
+
+# numeric field dtypes: (numpy kinds accepted on load, stored dtype, value rule, rule text)
+_NUMERIC = {
+    "float": ("iuf", np.float64, np.isfinite, "finite"),
+    "positive": ("iuf", np.float64, lambda a: np.isfinite(a) & (a > 0), "finite and > 0"),
+    "count": ("i", np.int64, lambda a: a >= 0, ">= 0"),
+    "label": ("i", np.int64, lambda a: (a == 0) | (a == 1), "0 or 1"),
+}
+# the stored fields of a c45 tree node, leaf or split
+_LEAF = {"prediction": "label", "n_samples": "count", "n_errors": "count"}
+_SPLIT = {**_LEAF, "feature": "count", "threshold": "float", "left": "node", "right": "node"}
 
 
 class ModelIOError(Exception):
@@ -66,19 +90,128 @@ def _canonical(obj):
         raise ModelFormatError(f"model content is not serializable: {exc}") from exc
 
 
+def _kind_of(model, kinds):
+    for kind in kinds:
+        if type(model) is KIND_REGISTRY[kind]:
+            return kind
+    raise ModelKindError(f"cannot save a {type(model).__name__}; saveable kinds: {sorted(kinds)}")
+
+
+def _encode(model):
+    """The ``{"params", "state"}`` payload of a fitted model."""
+    check_is_fitted(model, "n_features_in_")
+    state = {"n_features_in": int(model.n_features_in_)}
+    for attr, dtype, _ in type(model).FITTED_FIELDS:
+        state[attr[:-1]] = _encode_value(dtype, getattr(model, attr))
+    return {"params": model.get_params(), "state": state}
+
+
+def _encode_value(dtype, value):
+    if dtype in _NUMERIC:
+        return np.asarray(value, dtype=_NUMERIC[dtype][1]).tolist()
+    if dtype == "node":
+        keys = _LEAF if value.is_leaf else _SPLIT
+        return {key: _encode_value(keys[key], getattr(value, key)) for key in keys}
+    if dtype == "members":
+        return [{"name": m.name, "kind": _kind_of(m.estimator, MEMBER_KINDS),
+                 "uses_standardizer": m.uses_standardizer, **_encode(m.estimator)} for m in value]
+    return _encode(value) if dtype in KIND_REGISTRY else value  # "json": stored as it is
+
+
+def _decode(cls, payload, where, d=None, extra_keys=()):
+    """A fitted ``cls`` from the payload at ``where``; ``d`` is the enclosing model's width."""
+    _expect_keys(payload, ("params", "state", *extra_keys), where)
+    params, state = payload["params"], payload["state"]
+    _expect_keys(params, cls._param_names(), f"{where}.params")
+    model = cls(**params)
+    where += ".state"
+    _expect_keys(state, ["n_features_in", *(f[0][:-1] for f in cls.FITTED_FIELDS)], where)
+    n = state["n_features_in"]
+    if type(n) is not int or n < 1 or (d is not None and n != d):
+        raise ModelFormatError(f"{where}.n_features_in: {n!r} is not {d or 'an int >= 1'}")
+    model.n_features_in_ = n
+    sizes = {**params, "d": n}
+    for attr, dtype, shape in cls.FITTED_FIELDS:
+        at = f"{where}.{attr[:-1]}"
+        setattr(model, attr, _decode_value(dtype, shape, state[attr[:-1]], sizes, model, at))
+    if hasattr(model, "_check_state"):
+        model._check_state()
+    return model
+
+
+def _expect_keys(value, keys, where):
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"{where}: expected an object, got {type(value).__name__}")
+    missing, unknown = set(keys) - set(value), set(value) - set(keys)
+    if missing or unknown:
+        raise ModelFormatError(f"{where}: missing {sorted(missing)}, unknown {sorted(unknown)}")
+
+
+def _decode_value(dtype, shape, value, sizes, model, where):
+    if dtype in _NUMERIC:
+        return _decode_numeric(dtype, shape, value, sizes, where)
+    if dtype == "node":
+        return _decode_node(value, sizes, where)
+    if dtype == "members":
+        return _decode_members(value, sizes["d"], model.fingerprint_, where)
+    if dtype in KIND_REGISTRY:
+        return _decode(KIND_REGISTRY[dtype], value, where, sizes["d"])
+    return value  # "json"
+
+
+def _decode_numeric(dtype, shape, value, sizes, where):
+    """A checked array (a Python scalar for shape ``()``); binds unseen size names."""
+    kinds, stored, rule, rule_text = _NUMERIC[dtype]
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in kinds or arr.ndim != len(shape):
+        raise ModelFormatError(f"{where}: expected {dtype} numbers of shape {shape}")
+    for got, name in zip(arr.shape, shape):
+        want = sizes.setdefault(name, got) if isinstance(name, str) else name
+        if got != want:
+            raise ModelFormatError(f"{where}: shape {arr.shape} is not {shape}, {name}={want!r}")
+    arr = arr.astype(stored)
+    if not rule(arr).all():
+        raise ModelFormatError(f"{where}: values must be {rule_text}")
+    return arr.item() if arr.ndim == 0 else arr
+
+
+def _decode_node(value, sizes, where):
+    keys = _SPLIT if isinstance(value, dict) and "feature" in value else _LEAF
+    _expect_keys(value, keys, where)
+    node = _Node(None, None, None)
+    for key, dtype in keys.items():
+        setattr(node, key, _decode_value(dtype, (), value[key], sizes, None, f"{where}.{key}"))
+    if not node.is_leaf and node.feature >= sizes["d"]:
+        raise ModelFormatError(f"{where}.feature: {node.feature} is not below {sizes['d']}")
+    return node
+
+
+def _decode_members(value, d, fingerprint, where):
+    members = []
+    for i, entry in enumerate(value):
+        at = f"{where}[{i}]"
+        kind = entry.get("kind") if isinstance(entry, dict) else None
+        if kind not in MEMBER_KINDS:
+            raise ModelFormatError(f"{at}.kind: {kind!r} is not one of {MEMBER_KINDS}")
+        model = _decode(KIND_REGISTRY[kind], entry, at, d, ("name", "kind", "uses_standardizer"))
+        if not isinstance(entry["name"], str) or not isinstance(entry["uses_standardizer"], bool):
+            raise ModelFormatError(f"{at}: name must be a string, uses_standardizer a bool")
+        model.fingerprint_ = fingerprint
+        members.append(Member(entry["name"], model, entry["uses_standardizer"]))
+    return members
+
+
 def save_model(model, path, metadata=None):
     """Write a fitted model to ``path`` atomically; returns file metadata.
 
     The model must be one of the registered kinds and fitted (serialization
     reads its fitted state).
     """
-    kind = _KIND_BY_TYPE.get(type(model))
-    if kind is None:
-        raise ModelKindError(
-            f"cannot save a {type(model).__name__}; registered kinds: "
-            f"{sorted(KIND_REGISTRY)}"
-        )
-    payload = {"params": model.get_params(), "state": model.get_state()}
+    kind = _kind_of(model, KIND_REGISTRY)
+    payload = _encode(model)
     digest = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
     document = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -108,8 +241,9 @@ def save_model(model, path, metadata=None):
 def load_model(path, expected_kind=None):
     """Read a model file back into a fitted estimator.
 
-    Verifies the format version, the payload checksum, and (when
-    ``expected_kind`` is given) the model kind. The training-corpus
+    Verifies the format version, the payload checksum, (when
+    ``expected_kind`` is given) the model kind, and every parameter name and
+    state field (see the module docstring). The training-corpus
     fingerprint and the saved metadata are restored onto the model as
     ``fingerprint_`` and ``metadata_``.
     """
@@ -120,7 +254,7 @@ def load_model(path, expected_kind=None):
         raise ModelIOError(f"cannot read model file {path!r}: {exc}") from exc
     try:
         document = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"corrupt model file {path!r}: {exc}") from None
     if not isinstance(document, dict) or "payload" not in document:
         raise ModelFormatError(f"corrupt model file {path!r}: missing payload")
@@ -142,12 +276,11 @@ def load_model(path, expected_kind=None):
     if digest != document.get("payload_sha256"):
         raise ModelFormatError(f"corrupt payload in {path!r}: checksum mismatch")
 
-    payload = document["payload"]
     try:
-        model = KIND_REGISTRY[kind](**payload["params"])
-        model.set_state(payload["state"])
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed {kind!r} payload in {path!r}: {exc!r}") from None
+        model = _decode(KIND_REGISTRY[kind], document["payload"], "payload")
+    # the decoders raise ModelFormatError; _check_state raises TypeError or ValueError
+    except (ModelFormatError, KeyError, RecursionError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed {kind!r} model in {path!r}: {exc}") from None
     if document.get("fingerprint") is not None:
         model.fingerprint_ = document["fingerprint"]
     metadata = document.get("metadata", {})

@@ -19,6 +19,8 @@ class Standardizer(ParamsMixin):
     ``n_features_in_``.
     """
 
+    FITTED_FIELDS = (("mean_", "float", ("d",)), ("scale_", "positive", ("d",)))
+
     def fit(self, X, y=None):
         X = check_matrix(X)
         self.mean_ = X.mean(axis=0)
@@ -38,17 +40,3 @@ class Standardizer(ParamsMixin):
         check_is_fitted(self, "mean_")
         X = check_matrix(X, n_features=self.n_features_in_, allow_1d=True)
         return X * self.scale_ + self.mean_
-
-    def get_state(self):
-        check_is_fitted(self, "mean_")
-        return {
-            "n_features_in": int(self.n_features_in_),
-            "mean": self.mean_.tolist(),
-            "scale": self.scale_.tolist(),
-        }
-
-    def set_state(self, state):
-        self.n_features_in_ = state["n_features_in"]
-        self.mean_ = np.asarray(state["mean"], dtype=np.float64)
-        self.scale_ = np.asarray(state["scale"], dtype=np.float64)
-        return self

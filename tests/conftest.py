@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from domainsift.model_io import load_model, save_model
 from domainsift.synthetic import generate_labeled_corpus
 
 # (criterion, status, detail) rows appended by the release-gate tests; the
@@ -30,6 +31,18 @@ def make_blobs(n_per_class=60, d=4, gap=6.0, seed=0):
     y = np.repeat(np.array([0, 1], dtype=np.int64), n_per_class)
     order = rng.permutation(X.shape[0])
     return X[order], y[order]
+
+
+def saved_bytes(model, path):
+    save_model(model, path)
+    return path.read_bytes()
+
+
+def roundtrip(model, tmp_path):
+    """``model`` written to a model file under ``tmp_path`` and loaded back."""
+    path = tmp_path / "roundtrip.dsmodel"
+    save_model(model, path)
+    return load_model(path)
 
 
 @pytest.fixture

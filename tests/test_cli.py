@@ -99,10 +99,18 @@ def test_train_then_evaluate_and_predict(workdir, capsys):
     assert (out / "flagged.txt").exists()
 
 
-def test_evaluate_existing_model(workdir):
+def test_evaluate_existing_model(workdir, sld_model):
     labeled = str(workdir / "gen" / "labeled.csv")
-    model = str(workdir / "model.dsmodel")
-    assert main(["evaluate", "--in", labeled, "--model", model, "--seed", "5"]) == 0
+    assert main(["evaluate", "--in", labeled, "--model", sld_model, "--seed", "5"]) == 0
+
+
+def test_evaluate_cv_with_model_refused(workdir, sld_model, tmp_path, capsys):
+    out = tmp_path / "cv.csv"
+    assert main(["evaluate", "--in", str(workdir / "gen" / "labeled.csv"), "--cv", "3",
+                 "--model", sld_model, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--cv" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_evaluate_cv(workdir):
@@ -198,8 +206,17 @@ class TestPredictMode:
                      "--model", full_model, "--mode", "sld"]) == 1
 
 
-def test_reputation_check(workdir, tmp_path):
-    flagged = workdir / "preds" / "flagged.txt"
+@pytest.fixture(scope="module")
+def predictions(workdir, sld_model):
+    """Output directory of a predict run over the generated census."""
+    out = workdir / "sld_preds"
+    assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
+                 "--model", sld_model, "--out", str(out)]) == 0
+    return out
+
+
+def test_reputation_check(predictions, tmp_path):
+    flagged = predictions / "flagged.txt"
     badlist = tmp_path / "bad.txt"
     hosts = flagged.read_text().splitlines()
     badlist.write_text("\n".join(hosts[:3]) + "\n")
@@ -256,11 +273,14 @@ class TestExitCodes:
         assert main(["extract", "--in", str(workdir / "gen" / "labeled.csv"),
                      "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 1
 
-    def test_feature_csv_rejected_for_predict(self, workdir, tmp_path):
-        features = str(workdir / "features.csv")
-        model = str(workdir / "model.dsmodel")
-        assert main(["predict", "--in", features, "--model", model,
+    def test_feature_csv_rejected_for_predict(self, workdir, sld_model, tmp_path, capsys):
+        features = str(tmp_path / "features.csv")
+        assert main(["extract", "--in", str(workdir / "gen" / "labeled.csv"),
+                     "--out", features]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--in", features, "--model", sld_model,
                      "--out", str(tmp_path / "p")]) == 1
+        assert "feature CSV" in capsys.readouterr().err
 
 
 def test_console_script_installed():

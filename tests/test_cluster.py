@@ -11,6 +11,8 @@ from domainsift.cluster import (
     write_centroids_csv,
 )
 
+from conftest import roundtrip
+
 
 class TestKMeans:
     def test_two_obvious_groups(self):
@@ -83,10 +85,10 @@ class TestKMeans:
         # each cluster: two points 1 away from their mean -> 4 * 1^2
         assert model.inertia_ == pytest.approx(4.0)
 
-    def test_state_roundtrip(self, rng):
+    def test_state_roundtrip(self, rng, tmp_path):
         X = rng.normal(size=(50, 3))
         model = KMeans(k=2, seed=3).fit(X)
-        clone = KMeans(**model.get_params()).set_state(model.get_state())
+        clone = roundtrip(model, tmp_path)
         np.testing.assert_array_equal(model.predict(X), clone.predict(X))
         np.testing.assert_array_equal(model.centroids_, clone.centroids_)
 

@@ -13,6 +13,9 @@ from domainsift.ensemble import (
     Member,
     default_members,
 )
+from domainsift.model_io import ModelKindError, save_model
+
+from conftest import make_blobs, roundtrip, saved_bytes
 
 
 class ConstantVoter(ParamsMixin):
@@ -27,13 +30,6 @@ class ConstantVoter(ParamsMixin):
 
     def predict(self, X):
         return np.full(X.shape[0], self.vote, dtype=np.int64)
-
-    def get_state(self):
-        return {"vote": self.vote}
-
-    def set_state(self, state):
-        self.vote = state["vote"]
-        return self
 
 
 class FailingLearner(ParamsMixin):
@@ -50,8 +46,6 @@ def stub_members(votes):
 
 @pytest.fixture(scope="module")
 def fitted(request):
-    from conftest import make_blobs
-
     X, y = make_blobs(n_per_class=40, seed=7)
     return MajorityVoteEnsemble(seed=0).fit(X, y), X, y
 
@@ -172,24 +166,22 @@ class TestFit:
 
 
 class TestDeterminismAndState:
-    def test_same_seed_same_model(self):
-        from conftest import make_blobs
-
+    def test_same_seed_same_model(self, tmp_path):
         X, y = make_blobs(n_per_class=30, seed=2)
         a = MajorityVoteEnsemble(seed=5).fit(X, y)
         b = MajorityVoteEnsemble(seed=5).fit(X, y)
-        assert a.get_state() == b.get_state()
+        assert saved_bytes(a, tmp_path / "a.dsmodel") == saved_bytes(b, tmp_path / "b.dsmodel")
 
-    def test_state_roundtrip_predictions(self, fitted, rng):
+    def test_state_roundtrip_predictions(self, fitted, rng, tmp_path):
         ens, X, y = fitted
-        clone = MajorityVoteEnsemble(**ens.get_params())
-        clone.set_state(ens.get_state())
+        clone = roundtrip(ens, tmp_path)
         Q = rng.normal(size=(50, X.shape[1])) * X.std(axis=0) + X.mean(axis=0)
         np.testing.assert_array_equal(ens.predict(Q), clone.predict(Q))
         np.testing.assert_array_equal(ens.vote_matrix(Q), clone.vote_matrix(Q))
 
-    def test_stub_members_not_serializable(self):
+    def test_stub_members_not_serializable(self, tmp_path):
         ens = MajorityVoteEnsemble(members=stub_members((0, 0, 0, 1, 1)))
         ens.fit(np.zeros((2, 2)), np.array([0, 1]))
-        with pytest.raises(TypeError):
-            ens.get_state()
+        with pytest.raises(ModelKindError, match="ConstantVoter"):
+            save_model(ens, tmp_path / "stub.dsmodel")
+        assert list(tmp_path.iterdir()) == []

@@ -14,6 +14,8 @@ from domainsift.learners import (
     pessimistic_extra_errors,
 )
 
+from conftest import roundtrip, saved_bytes
+
 SEP_X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
 SEP_Y = np.array([0, 0, 1, 1])
 
@@ -56,10 +58,10 @@ class TestCommonBehavior:
         with pytest.raises(ValueError):
             model.predict(bad)
 
-    def test_state_roundtrip(self, cls, blobs):
+    def test_state_roundtrip(self, cls, blobs, tmp_path):
         X, y = blobs
         model = cls().fit(X, y)
-        clone = cls(**model.get_params()).set_state(model.get_state())
+        clone = roundtrip(model, tmp_path)
         np.testing.assert_array_equal(model.predict(X), clone.predict(X))
 
     def test_fingerprint_stamped(self, cls, blobs):
@@ -174,11 +176,11 @@ class TestC45Tree:
         with pytest.raises(ValueError):
             C45Tree(cf=0.9).fit(SEP_X, SEP_Y)
 
-    def test_deterministic(self, blobs):
+    def test_deterministic(self, blobs, tmp_path):
         X, y = blobs
         a = C45Tree().fit(X, y)
         b = C45Tree().fit(X, y)
-        assert a.get_state() == b.get_state()
+        assert saved_bytes(a, tmp_path / "a.dsmodel") == saved_bytes(b, tmp_path / "b.dsmodel")
 
 
 class TestKNN:

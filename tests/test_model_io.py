@@ -4,7 +4,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from domainsift.cli import main
 from domainsift.cluster import KMeans
 from domainsift.ensemble import MajorityVoteEnsemble
 from domainsift.learners import (
@@ -229,3 +232,136 @@ class TestAtomicity:
 
         with pytest.raises(ModelIOError):
             save_model(Weird(), tmp_path / "w.dsmodel")
+
+
+def _member(payload, kind):
+    return next(m for m in payload["state"]["members"] if m["kind"] == kind)
+
+
+def _set_root_feature(payload):
+    tree = _member(payload, "c45")["state"]["tree"]
+    assert "feature" in tree, "the fixture tree must split at its root"
+    tree["feature"] = 99
+
+
+def _drop_knn_columns(payload):
+    state = _member(payload, "knn")["state"]
+    state["X"] = [row[:7] for row in state["X"]]
+
+
+def _shorten_knn_y(payload):
+    del _member(payload, "knn")["state"]["y"][-50:]
+
+
+def _negative_nb_variance(payload):
+    _member(payload, "nb")["state"]["var"][0][0] = -1
+
+
+# checksum-valid edits of a trained ensemble that used to load and then crash,
+# mispredict or misreport; each must now be refused when the file is loaded
+STATE_EDITS = {
+    "c45_root_feature_99": _set_root_feature,
+    "knn_y_50_short": _shorten_knn_y,
+    "knn_k_string": lambda p: _member(p, "knn")["params"].update(k="5"),
+    "knn_k_zero": lambda p: _member(p, "knn")["params"].update(k=0),
+    "four_members": lambda p: p["state"]["members"].pop(),
+    "nb_negative_variance": _negative_nb_variance,
+    "ensemble_width_string": lambda p: p["state"].update(n_features_in="8"),
+    "knn_X_7_columns": _drop_knn_columns,
+    "logreg_coef_7_entries": lambda p: _member(p, "logreg")["state"]["coef"].pop(),
+    "ensemble_version_9": lambda p: p["state"].update(version=9),
+}
+
+
+class TestStateChecks:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("state")
+        assert main(["generate", "--out", str(root), "--seed", "3", "--n-legit", "300",
+                     "--n-dga", "200", "--census-n", "200"]) == 0
+        assert main(["train", "--in", str(root / "labeled.csv"),
+                     "--out", str(root / "model.dsmodel")]) == 0
+        return root
+
+    @pytest.mark.parametrize("edit", list(STATE_EDITS))
+    def test_edit_refused_on_load_and_by_predict(self, trained, edit, tmp_path, capsys):
+        path = tmp_path / "edited.dsmodel"
+        path.write_bytes((trained / "model.dsmodel").read_bytes())
+        rewrite_payload(path, STATE_EDITS[edit])
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+        capsys.readouterr()
+        assert main(["predict", "--in", str(trained / "census.tsv"), "--model", str(path),
+                     "--out", str(tmp_path / "p")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("ERROR"), err
+
+    def test_unedited_model_loads(self, trained):
+        assert load_model(trained / "model.dsmodel").n_features_in_ == 8
+
+
+def _payload_paths(node, prefix=()):
+    """Every key/index path below ``node``."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _payload_paths(child, prefix + (key,))
+
+
+REPLACEMENTS = {"none": None, "string": "x", "negative": -1}
+
+
+def _mutate(value, how):
+    """``value`` replaced, or as a list one element short or one column wide."""
+    if how in REPLACEMENTS:
+        return REPLACEMENTS[how]
+    rows = value if isinstance(value, list) else [value]
+    if how == "short":
+        return rows[:-1]
+    if rows and all(isinstance(row, list) for row in rows):
+        return [row + row[-1:] for row in rows]
+    return rows + rows[-1:]
+
+
+class TestFuzz:
+    """A checksum-valid mutation either fails to load or loads a working model."""
+
+    X, y = make_blobs(n_per_class=8, d=3, seed=9)
+    QUERY = np.random.default_rng(0).normal(scale=4.0, size=(7, 3))
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "ens.dsmodel"
+        save_model(MajorityVoteEnsemble(seed=0).fit(self.X, self.y), path)
+        doc = json.loads(path.read_text())
+        return doc, sorted(_payload_paths(doc["payload"]), key=str)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_payload(self, saved, tmp_path, data):
+        doc, paths = saved
+        path = data.draw(st.sampled_from(paths))
+        how = data.draw(st.sampled_from(["delete", *REPLACEMENTS, "short", "wide"]))
+
+        def edit(payload):
+            *parents, last = path
+            for key in parents:
+                payload = payload[key]
+            if how == "delete":
+                del payload[last]
+            else:
+                payload[last] = _mutate(payload[last], how)
+
+        target = tmp_path / "mutated.dsmodel"
+        target.write_text(json.dumps(doc))
+        rewrite_payload(target, edit)
+        try:
+            model = load_model(target)
+        except ModelIOError:
+            return
+        labels = model.predict(self.QUERY)
+        assert labels.shape == (self.QUERY.shape[0],)
+        assert set(labels.tolist()) <= {0, 1}

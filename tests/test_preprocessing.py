@@ -4,6 +4,8 @@ import pytest
 from domainsift.base import NotFittedError
 from domainsift.preprocessing import STD_FLOOR, Standardizer
 
+from conftest import roundtrip
+
 
 class TestStandardizer:
     def test_known_two_point(self):
@@ -43,10 +45,10 @@ class TestStandardizer:
         with pytest.raises(ValueError):
             s.transform(np.zeros((3, 5)))
 
-    def test_state_roundtrip(self, rng):
+    def test_state_roundtrip(self, rng, tmp_path):
         X = rng.normal(size=(20, 8))
         s = Standardizer().fit(X)
-        s2 = Standardizer().set_state(s.get_state())
+        s2 = roundtrip(s, tmp_path)
         np.testing.assert_array_equal(s.transform(X), s2.transform(X))
 
     def test_rejects_non_finite(self):
