@@ -32,6 +32,10 @@ _MODE_ALIASES = {
 
 _SCHEMES = ("http://", "https://")
 _IPV4_RE = re.compile(r"^\d{1,3}(?:\.\d{1,3}){3}$")
+# Unicode whitespace (the set str.isspace accepts), and every ASCII character
+# other than a letter, digit, "-", "_" or "."; other non-ASCII characters pass
+# as literal IDN
+_BAD_HOST_CHAR_RE = re.compile(r"\s|[^\w.\-\x80-\U0010ffff]")
 
 
 def _is_ipv4(text):
@@ -62,8 +66,9 @@ class DomainRecord:
     """One normalized domain with optional ground-truth class.
 
     ``domain_part`` is the normalized substring features are computed from:
-    non-empty, lowercase, no whitespace, no scheme, no leading "www." label,
-    no trailing dot. ``label`` is 1 for DGA, 0 for legitimate, None when
+    non-empty, lowercase, no scheme, no leading "www." label, no trailing
+    dot, and no whitespace or ASCII character other than a letter, digit,
+    "-", "_" or ".". ``label`` is 1 for DGA, 0 for legitimate, None when
     unknown.
     """
 
@@ -154,8 +159,12 @@ def normalize_domain(raw, mode="second_level_label", extra_suffixes=None):
     s = s.rstrip(".")
     if not s:
         raise DomainError(f"degenerate domain: {raw!r} empty after normalization")
-    if any(ch.isspace() for ch in s):
-        raise DomainError(f"malformed domain: {raw!r} contains whitespace")
+    bad = _BAD_HOST_CHAR_RE.search(s)
+    if bad:
+        raise DomainError(
+            f"malformed domain: {raw!r} contains {bad.group()!r}, "
+            "which cannot be in a host name"
+        )
 
     if mode == "full_name":
         return s

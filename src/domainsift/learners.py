@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from operator import add, mul
 from statistics import NormalDist
 
 import numpy as np
@@ -340,13 +341,21 @@ def _sigmoid(z):
     return out
 
 
+def _row_shares(y, share):
+    return np.full(y.size, 1.0 / y.size) if share is None else share
+
+
 class LogisticRegressionGD(ParamsMixin, BinaryClassifierMixin):
     """L2-regularized logistic regression via full-batch gradient descent.
 
     Minimizes mean cross-entropy plus ``l2/2 * ||w||^2`` (bias excluded from
     the penalty). Deterministic: no sampling, fixed zero initialization.
-    Stops early when the full gradient norm drops below ``tol``. Expects
-    standardized features.
+    Stops early when the full gradient norm drops below ``tol``. Descent
+    runs over the distinct (features, label) rows, each weighted by its
+    share of the training rows: the mean loss and gradient are sums over
+    rows, so this is the same objective, at a fraction of the cost on
+    corpora with many repeated feature vectors. Expects standardized
+    features.
     """
 
     FITTED_FIELDS = (("coef_", "float", ("d",)), ("intercept_", "float", ()))
@@ -359,14 +368,16 @@ class LogisticRegressionGD(ParamsMixin, BinaryClassifierMixin):
 
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y, require_both_classes=True)
+        rows, counts = np.unique(np.column_stack([X, y]), axis=0, return_counts=True)
+        X, y, share = rows[:, :-1], rows[:, -1], counts / y.size
         w = np.zeros(X.shape[1])
         b = 0.0
         losses = []
         self.converged_ = False
         self.n_iter_ = 0
         for _ in range(self.epochs):
-            losses.append(self.loss(X, y, w, b))
-            grad_w, grad_b = self.gradient(X, y, w, b)
+            losses.append(self.loss(X, y, w, b, share))
+            grad_w, grad_b = self.gradient(X, y, w, b, share)
             norm = math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
             if norm < self.tol:
                 self.converged_ = True
@@ -379,17 +390,21 @@ class LogisticRegressionGD(ParamsMixin, BinaryClassifierMixin):
         self.loss_curve_ = np.asarray(losses)
         return self
 
-    def loss(self, X, y, w, b):
-        """Regularized mean cross-entropy at arbitrary parameters (w, b)."""
+    def loss(self, X, y, w, b, share=None):
+        """Regularized cross-entropy at arbitrary parameters (w, b).
+
+        ``share`` weights each row's cross-entropy; None means 1/n for every
+        row, the mean.
+        """
         z = X @ w + b
         # logaddexp keeps the cross-entropy finite for large |z|
-        ce = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        ce = float((np.logaddexp(0.0, z) - y * z) @ _row_shares(y, share))
         return ce + 0.5 * self.l2 * float(w @ w)
 
-    def gradient(self, X, y, w, b):
+    def gradient(self, X, y, w, b, share=None):
         """Analytic gradient of :meth:`loss` at (w, b): ``(grad_w, grad_b)``."""
-        residual = _sigmoid(X @ w + b) - y
-        return X.T @ residual / y.size + self.l2 * w, float(residual.mean())
+        residual = (_sigmoid(X @ w + b) - y) * _row_shares(y, share)
+        return X.T @ residual + self.l2 * w, float(residual.sum())
 
     def decision_function(self, X):
         X = _validate_predict(self, X)
@@ -469,6 +484,14 @@ class GaussianNaiveBayes(ParamsMixin, BinaryClassifierMixin):
 class PegasosSVM(ParamsMixin, BinaryClassifierMixin):
     """Linear soft-margin SVM trained with the Pegasos subgradient method.
 
+    Pegasos (Shalev-Shwartz, Singer, Srebro and Cotter, ICML 2007; Math.
+    Prog. 2011) visits one row per step t with step size 1/(lambda*t), so the
+    shrink factor 1 - 1/t = (t-1)/t telescopes into lambda*t*w_t = u_t, the
+    running sum of the signed rows r = y_i*[x_i, 1] over the steps whose
+    margin fell below one. Training keeps only u, with no vector scaling or
+    division per step: step t+1 updates when r.u_t < lambda*t, which is
+    r.w_t < 1, and always at the first step, where w_0 = 0.
+
     The bias rides along as an extra always-on input inside the regularized
     weight vector; a separately updated bias is unstable at the 1/(lambda*t)
     step sizes Pegasos uses. Visit order is reshuffled every epoch from
@@ -486,20 +509,22 @@ class PegasosSVM(ParamsMixin, BinaryClassifierMixin):
         if self.lam <= 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
         X, y = _validate_fit(self, X, y, require_both_classes=True)
-        n, d = X.shape
-        y_pm = 2.0 * y - 1.0
-        w = np.zeros(d + 1)  # trailing slot is the bias weight
+        n = X.shape[0]
+        # each row signed by its label, with the always-on bias input last
+        signed = (2.0 * y - 1.0)[:, None] * np.column_stack([X, np.ones(n)])
+        rows, inverse = np.unique(signed, axis=0, return_inverse=True)
+        rows = rows.tolist()
+        lam = self.lam
+        u = [0.0] * len(rows[0])
         rng = np.random.default_rng(self.seed)
-        t = 0
+        t = 0  # steps taken so far
         for _ in range(self.epochs):
-            for i in rng.permutation(n):
+            for i in inverse[rng.permutation(n)].tolist():
+                r = rows[i]
+                if t == 0 or sum(map(mul, r, u)) < lam * t:
+                    u = list(map(add, u, r))
                 t += 1
-                eta = 1.0 / (self.lam * t)
-                margin = y_pm[i] * (X[i] @ w[:-1] + w[-1])
-                w *= 1.0 - eta * self.lam
-                if margin < 1.0:
-                    w[:-1] += eta * y_pm[i] * X[i]
-                    w[-1] += eta * y_pm[i]
+        w = np.asarray(u) / (lam * max(t, 1))  # u is still 0 when epochs is 0
         self.coef_ = w[:-1]
         self.intercept_ = float(w[-1])
         self.n_iter_ = t

@@ -165,12 +165,12 @@ def test_predict_unchanged_by_duplicated_shuffled_rows(workdir, sld_model, tmp_p
 
 def test_predict_csv_quotes_hosts_with_commas(sld_model, tmp_path):
     census = tmp_path / "census.tsv"
-    census.write_text("x,y.com\t10.0.0.1\nexample.com\t10.0.0.2\n")
+    census.write_text("http://a.com/x,y\t10.0.0.1\nexample.com\t10.0.0.2\n")
     out = tmp_path / "p"
     assert main(["predict", "--in", str(census), "--model", sld_model, "--out", str(out)]) == 0
     rows = _prediction_rows(out)
     assert [len(row) for row in rows] == [8, 8, 8]
-    assert rows[1][:2] == ["x,y.com", "x,y"]
+    assert rows[1][:2] == ["http://a.com/x,y", "a"]
 
 
 class TestPredictMode:

@@ -34,6 +34,8 @@ class TestNormalizeDomain:
             ("localhost", "sld", "localhost"),
             ("localhost", "full", "localhost"),
             ("xn--bcher-kva.de", "sld", "xn--bcher-kva"),
+            ("a_b.example.com", "full", "a_b.example.com"),
+            ("bücher.de", "sld", "bücher"),
         ],
     )
     def test_examples(self, raw, mode, expected):
@@ -55,6 +57,14 @@ class TestNormalizeDomain:
     def test_whitespace_inside_is_malformed(self):
         with pytest.raises(DomainError, match="malformed"):
             normalize_domain("ex ample.com", mode="sld")
+
+    @pytest.mark.parametrize(
+        "raw", ["x,y.com", 'a"b.com', "a;b.com", "host:8080", "ab\x1c.com", "a b.com"]
+    )
+    def test_non_host_characters_are_malformed(self, raw):
+        for mode in ("full", "sld"):
+            with pytest.raises(DomainError, match="cannot be in a host name"):
+                normalize_domain(raw, mode=mode)
 
     def test_extra_suffixes(self):
         got = normalize_domain("shop.example.internal.test", mode="sld",
@@ -123,6 +133,13 @@ class TestParseCensusLines:
         records, stats = parse_census_lines(io.StringIO(lines))
         assert [r.domain_part for r in records] == ["b.com"]
         assert stats.skipped_rows == 2
+
+    def test_non_host_characters_skipped(self):
+        lines = "x,y.com\t1.2.3.4\nb.com\t1.2.3.4\na<b>.com\t1.2.3.4\n"
+        records, stats = parse_census_lines(io.StringIO(lines))
+        assert [r.domain_part for r in records] == ["b.com"]
+        assert stats.skipped_rows == 2
+        assert all("\n" not in e and "cannot be in a host name" in e for e in stats.errors)
 
     def test_max_rows(self):
         records, _ = parse_census_lines(io.StringIO(self.LINES), max_rows=1)

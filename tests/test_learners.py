@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domainsift import learners
 from domainsift.base import NotFittedError
@@ -228,6 +230,44 @@ class TestKNN:
         assert model.predict(np.array([[1.0]]))[0] == 0
 
 
+def _logreg_reference(X, y, lr=0.1, epochs=500, l2=1e-4, tol=1e-6):
+    """Gradient descent over every row, the loop LogisticRegressionGD.fit
+    must reproduce: ``(coef, intercept, n_iter)``."""
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    n_iter = 0
+    for _ in range(epochs):
+        residual = learners._sigmoid(X @ w + b) - y
+        grad_w = X.T @ residual / y.size + l2 * w
+        grad_b = float(residual.mean())
+        if math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b) < tol:
+            break
+        w -= lr * grad_w
+        b -= lr * grad_b
+        n_iter += 1
+    return w, b, n_iter
+
+
+def _pegasos_reference(X, y, lam=1e-4, epochs=50, seed=0):
+    """The per-step Pegasos loop, scaling w at every step, that
+    PegasosSVM.fit must reproduce: ``(coef, intercept, n_iter)``."""
+    n, d = X.shape
+    y_pm = 2.0 * y - 1.0
+    w = np.zeros(d + 1)  # trailing slot is the bias weight
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            margin = y_pm[i] * (X[i] @ w[:-1] + w[-1])
+            w *= 1.0 - eta * lam
+            if margin < 1.0:
+                w[:-1] += eta * y_pm[i] * X[i]
+                w[-1] += eta * y_pm[i]
+    return w[:-1], float(w[-1]), t
+
+
 class TestLogisticRegression:
     def test_separable(self):
         model = LogisticRegressionGD().fit(SEP_X, SEP_Y)
@@ -245,16 +285,51 @@ class TestLogisticRegression:
             model = LogisticRegressionGD()
             w = rng.normal(size=d)
             b = float(rng.normal())
-            grad_w, grad_b = model.gradient(X, y, w, b)
-            h = 1e-6
-            for i in range(d):
-                wp, wm = w.copy(), w.copy()
-                wp[i] += h
-                wm[i] -= h
-                fd = (model.loss(X, y, wp, b) - model.loss(X, y, wm, b)) / (2 * h)
-                assert grad_w[i] == pytest.approx(fd, abs=1e-5)
-            fd_b = (model.loss(X, y, w, b + h) - model.loss(X, y, w, b - h)) / (2 * h)
-            assert grad_b == pytest.approx(fd_b, abs=1e-5)
+            # uniform rows (the mean), then the non-uniform shares fit passes
+            for share in (None, rng.dirichlet(np.ones(n))):
+                grad_w, grad_b = model.gradient(X, y, w, b, share)
+                h = 1e-6
+                for i in range(d):
+                    wp, wm = w.copy(), w.copy()
+                    wp[i] += h
+                    wm[i] -= h
+                    fd = model.loss(X, y, wp, b, share) - model.loss(X, y, wm, b, share)
+                    assert grad_w[i] == pytest.approx(fd / (2 * h), abs=1e-5)
+                fd_b = model.loss(X, y, w, b + h, share) - model.loss(X, y, w, b - h, share)
+                assert grad_b == pytest.approx(fd_b / (2 * h), abs=1e-5)
+
+    @pytest.mark.parametrize("data", ["blobs", "repeated"])
+    def test_matches_full_row_descent(self, blobs, data):
+        if data == "blobs":
+            X, y = blobs
+        else:
+            g = np.random.default_rng(7)
+            X = g.integers(0, 3, size=(400, 3)).astype(np.float64)
+            y = (X.sum(axis=1) + g.integers(0, 2, size=400) > 3).astype(np.int64)
+        model = LogisticRegressionGD().fit(X, y)
+        coef, intercept, n_iter = _logreg_reference(X, y)
+        np.testing.assert_allclose(model.coef_, coef, rtol=0, atol=1e-12)
+        assert model.intercept_ == pytest.approx(intercept, rel=0, abs=1e-12)
+        assert model.n_iter_ == n_iter
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_row_order_and_multiplicity_ignored(self, data):
+        n = data.draw(st.integers(2, 30))
+        d = data.draw(st.integers(1, 4))
+        X = np.array(
+            data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                               min_size=n, max_size=n)),
+            dtype=np.float64,
+        )
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        y[:2] = [0, 1]
+        order = np.array(data.draw(st.permutations(range(n))))
+        base = LogisticRegressionGD(epochs=50).fit(X, y)
+        for X2, y2 in ((X[order], y[order]), (np.repeat(X, 2, axis=0), np.repeat(y, 2))):
+            other = LogisticRegressionGD(epochs=50).fit(X2, y2)
+            assert other.coef_.tobytes() == base.coef_.tobytes()
+            assert other.intercept_ == base.intercept_
 
     def test_loss_curve_decreases(self, blobs):
         X, y = blobs
@@ -363,6 +438,36 @@ class TestPegasosSVM:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             PegasosSVM().fit(SEP_X, np.zeros(4, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("blobs", {}),
+            ("blobs", {"epochs": 1, "seed": 4}),
+            ("two_rows", {}),
+            ("two_rows", {"epochs": 1}),
+            ("repeated", {"epochs": 5, "lam": 1e-2}),
+        ],
+        ids=["blobs", "blobs-1-epoch", "two-rows", "two-rows-1-epoch", "repeated"],
+    )
+    def test_matches_per_step_loop(self, blobs, case):
+        data, params = case
+        if data == "blobs":
+            X, y = blobs
+        elif data == "two_rows":
+            # one epoch of two rows: the first step must update from w = 0
+            X, y = np.array([[0.5, 2.0], [1.5, -1.0]]), np.array([0, 1])
+        else:
+            g = np.random.default_rng(3)
+            X = g.integers(-2, 3, size=(300, 2)).astype(np.float64)
+            y = (X[:, 0] - X[:, 1] + g.normal(size=300) > 0).astype(np.int64)
+        model = PegasosSVM(**params).fit(X, y)
+        coef, intercept, n_iter = _pegasos_reference(X, y, **params)
+        np.testing.assert_allclose(model.coef_, coef, rtol=1e-9)
+        assert model.intercept_ == pytest.approx(intercept, rel=1e-9)
+        assert model.n_iter_ == n_iter
+        ref = (X @ coef + intercept > 0.0).astype(np.int64)
+        np.testing.assert_array_equal(model.predict(X), ref)
 
     def test_sign_zero_is_class_zero(self, blobs):
         X, y = blobs
