@@ -82,11 +82,9 @@ def _load_data(path, mode, max_rows=None, allow_features=True):
         if fmt == "census":
             records, stats = corpus.parse_census_lines(fh, max_rows=max_rows, mode=mode)
         elif fmt == "labeled":
-            records, stats = corpus.parse_labeled_csv(fh, mode=mode)
+            records, stats = corpus.parse_labeled_csv(fh, mode=mode, max_rows=max_rows)
         else:
             records, stats = corpus.parse_domain_lines(fh, mode=mode, max_rows=max_rows)
-    if fmt == "labeled" and max_rows is not None:
-        records = records[:max_rows]
     records, conflicts = corpus.dedupe(records)
     log.info(
         "parsed %d rows: %d unique domains, %d skipped, %d label conflicts",
@@ -121,6 +119,8 @@ def _prepare(args, mode_default="sld"):
         "seed": _resolve(args, "seed", DEFAULT_SEED),
         "max_rows": _resolve(args, "max_rows", None),
     }
+    if resolved["max_rows"] is not None and resolved["max_rows"] < 1:
+        raise ValueError(f"max_rows must be at least 1, got {resolved['max_rows']}")
     if hasattr(args, "test_fraction"):
         resolved["test_fraction"] = _resolve(args, "test_fraction", 0.3)
     if hasattr(args, "cv"):
@@ -204,7 +204,7 @@ def cmd_train(args):
     }
     info = save_model(model, args.out, metadata=meta)
     log.info("saved ensemble (%d training rows) to %s", data.X.shape[0], args.out)
-    print(f"{info['path']}  sha256:{info['payload_sha256'][:16]}  {info['bytes']} bytes")
+    print(f"{info['path']}  sha256:{info['sha256'][:16]}  {info['bytes']} bytes")
     return 0
 
 

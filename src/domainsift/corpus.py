@@ -97,7 +97,7 @@ class CorpusStats:
 def resolve_mode(mode):
     try:
         return _MODE_ALIASES[mode]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable mode, such as a list
         raise ValueError(
             f"unknown normalization mode {mode!r}; expected one of "
             f"{sorted(set(_MODE_ALIASES))}"
@@ -201,14 +201,16 @@ def _finalize_stats(stats, records):
     return stats
 
 
-def parse_labeled_csv(stream, schema=None, mode="second_level_label", extra_suffixes=None):
+def parse_labeled_csv(stream, schema=None, mode="second_level_label", extra_suffixes=None,
+                      max_rows=None):
     """Parse a labeled corpus CSV into records plus corpus statistics.
 
     The stream must carry a header row naming the host, domain and class
     columns (remappable through ``schema``). Class strings are matched
     case-insensitively against "dga" (1) and "legit" (0); rows with an
     unknown class or an unnormalizable domain are skipped and counted.
-    A missing required column is fatal.
+    A missing required column is fatal. At most ``max_rows`` data rows are
+    consumed, skipped ones included (None reads everything).
     """
     mode = resolve_mode(mode)
     schema = {"host": "host", "domain": "domain", "class": "class", **(schema or {})}
@@ -230,6 +232,8 @@ def parse_labeled_csv(stream, schema=None, mode="second_level_label", extra_suff
     records = []
     stats = CorpusStats()
     for row_no, row in enumerate(reader, start=2):
+        if max_rows is not None and stats.total_rows >= max_rows:
+            break
         if not row or all(not cell.strip() for cell in row):
             continue
         stats.total_rows += 1

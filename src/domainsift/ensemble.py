@@ -91,7 +91,7 @@ class MajorityVoteEnsemble(ParamsMixin, BinaryClassifierMixin):
 
     FITTED_FIELDS = (
         ("version_", "count", ()),
-        ("fingerprint_", "json", ()),  # before members_, which are stamped with it
+        ("fingerprint_", "json", ()),
         ("standardizer_", "standardizer", ()),
         ("members_", "members", ()),
     )
@@ -114,7 +114,6 @@ class MajorityVoteEnsemble(ParamsMixin, BinaryClassifierMixin):
             named = default_members(self.seed, self.member_params)
         check_members(named)
 
-        fingerprint = corpus_fingerprint(X, y)
         scaler = Standardizer().fit(X)
         Xs = scaler.transform(X)
         fitted = []
@@ -123,12 +122,10 @@ class MajorityVoteEnsemble(ParamsMixin, BinaryClassifierMixin):
                 estimator.fit(Xs if scaled else X, y)
             except Exception as exc:
                 raise RuntimeError(f"training ensemble member {name!r} failed: {exc}") from exc
-            # all members advertise the raw corpus they were jointly trained on
-            estimator.fingerprint_ = fingerprint
             fitted.append(Member(name=name, estimator=estimator, uses_standardizer=scaled))
         self.standardizer_ = scaler
         self.members_ = fitted
-        self.fingerprint_ = fingerprint
+        self.fingerprint_ = corpus_fingerprint(X, y)
         self.n_features_in_ = X.shape[1]
         self.version_ = ENSEMBLE_VERSION
         return self

@@ -26,7 +26,6 @@ from .base import (
     check_is_fitted,
     check_matrix,
     check_X_y,
-    corpus_fingerprint,
 )
 
 _EPS = 1e-12
@@ -40,7 +39,6 @@ def _validate_fit(estimator, X, y, require_both_classes=False):
     if require_both_classes:
         check_both_classes(y)
     estimator.n_features_in_ = X.shape[1]
-    estimator.fingerprint_ = corpus_fingerprint(X, y)
     return X, y
 
 

@@ -1,11 +1,13 @@
 """Versioned JSON serialization for every trained model kind.
 
-Files are self-describing: format version, model kind, full constructor
-parameters, fitted state, training-corpus fingerprint, and a sha256 over the
-canonical payload encoding. Writing is atomic (temp file + rename) and the
-byte content is deterministic for identical models, so saved files can be
-diffed and content-addressed. Floats are stored via Python's shortest
-round-trip repr, which is exact for binary64.
+A file is a one-line header, ``{"format_version":3,"sha256":"<hex>"}``,
+then a body: the canonical JSON of ``{"kind", "metadata", "payload"}``. The
+sha256 covers the body bytes exactly as written, so any edit to the kind,
+the metadata or the payload that does not recompute it is refused. Writing
+is atomic (temp file + fsync + rename) and the bytes are deterministic for
+identical models, so saved files can be diffed and content-addressed.
+Floats are stored via Python's shortest round-trip repr, which is exact for
+binary64.
 
 The state format is written here alone. A payload is ``{"params", "state"}``;
 the state holds ``n_features_in`` and, for each ``(attribute, dtype, shape)``
@@ -40,8 +42,9 @@ from .learners import (
 )
 from .preprocessing import Standardizer
 
-# version 1 files hold a kNN block-size parameter that KNNClassifier no longer takes
-MODEL_FORMAT_VERSION = 2
+# version 1 files hold a kNN block-size parameter that KNNClassifier no longer takes;
+# versions 1 and 2 are one JSON document whose checksum covers only its payload
+MODEL_FORMAT_VERSION = 3
 MODEL_EXTENSION = ".dsmodel"
 
 KIND_REGISTRY = {
@@ -72,7 +75,7 @@ class ModelIOError(Exception):
 
 
 class ModelFormatError(ModelIOError):
-    """File is not a well-formed model file, or its payload fails the hash check."""
+    """File is not a well-formed model file, or its body fails the hash check."""
 
 
 class ModelVersionError(ModelIOError):
@@ -133,7 +136,7 @@ def _decode(cls, payload, where, d=None, extra_keys=()):
     sizes = {**params, "d": n}
     for attr, dtype, shape in cls.FITTED_FIELDS:
         at = f"{where}.{attr[:-1]}"
-        setattr(model, attr, _decode_value(dtype, shape, state[attr[:-1]], sizes, model, at))
+        setattr(model, attr, _decode_value(dtype, shape, state[attr[:-1]], sizes, at))
     if hasattr(model, "_check_state"):
         model._check_state()
     return model
@@ -147,13 +150,13 @@ def _expect_keys(value, keys, where):
         raise ModelFormatError(f"{where}: missing {sorted(missing)}, unknown {sorted(unknown)}")
 
 
-def _decode_value(dtype, shape, value, sizes, model, where):
+def _decode_value(dtype, shape, value, sizes, where):
     if dtype in _NUMERIC:
         return _decode_numeric(dtype, shape, value, sizes, where)
     if dtype == "node":
         return _decode_node(value, sizes, where)
     if dtype == "members":
-        return _decode_members(value, sizes["d"], model.fingerprint_, where)
+        return _decode_members(value, sizes["d"], where)
     if dtype in KIND_REGISTRY:
         return _decode(KIND_REGISTRY[dtype], value, where, sizes["d"])
     return value  # "json"
@@ -183,13 +186,13 @@ def _decode_node(value, sizes, where):
     _expect_keys(value, keys, where)
     node = _Node(None, None, None)
     for key, dtype in keys.items():
-        setattr(node, key, _decode_value(dtype, (), value[key], sizes, None, f"{where}.{key}"))
+        setattr(node, key, _decode_value(dtype, (), value[key], sizes, f"{where}.{key}"))
     if not node.is_leaf and node.feature >= sizes["d"]:
         raise ModelFormatError(f"{where}.feature: {node.feature} is not below {sizes['d']}")
     return node
 
 
-def _decode_members(value, d, fingerprint, where):
+def _decode_members(value, d, where):
     members = []
     for i, entry in enumerate(value):
         at = f"{where}[{i}]"
@@ -199,7 +202,6 @@ def _decode_members(value, d, fingerprint, where):
         model = _decode(KIND_REGISTRY[kind], entry, at, d, ("name", "kind", "uses_standardizer"))
         if not isinstance(entry["name"], str) or not isinstance(entry["uses_standardizer"], bool):
             raise ModelFormatError(f"{at}: name must be a string, uses_standardizer a bool")
-        model.fingerprint_ = fingerprint
         members.append(Member(entry["name"], model, entry["uses_standardizer"]))
     return members
 
@@ -211,23 +213,18 @@ def save_model(model, path, metadata=None):
     reads its fitted state).
     """
     kind = _kind_of(model, KIND_REGISTRY)
-    payload = _encode(model)
-    digest = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-    document = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": kind,
-        "fingerprint": getattr(model, "fingerprint_", None),
-        "metadata": dict(metadata or {}),
-        "payload": payload,
-        "payload_sha256": digest,
-    }
-    text = _canonical(document)
+    document = {"kind": kind, "metadata": dict(metadata or {}), "payload": _encode(model)}
+    body = _canonical(document).encode("utf-8")
+    digest = hashlib.sha256(body).hexdigest()
+    header = json.dumps({"format_version": MODEL_FORMAT_VERSION, "sha256": digest},
+                        separators=(",", ":")).encode("utf-8") + b"\n"
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header)
+            fh.write(body)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_path, path)
@@ -235,56 +232,59 @@ def save_model(model, path, metadata=None):
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
-    return {"path": path, "kind": kind, "payload_sha256": digest, "bytes": len(text)}
+    return {"path": path, "kind": kind, "sha256": digest, "bytes": len(header) + len(body)}
+
+
+def _parse_json(data, path, part):
+    try:
+        return json.loads(data.decode("utf-8"))
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors
+    except (RecursionError, ValueError) as exc:
+        raise ModelFormatError(f"corrupt model file {path!r}: {part} is not JSON: {exc}") from None
 
 
 def load_model(path, expected_kind=None):
     """Read a model file back into a fitted estimator.
 
-    Verifies the format version, the payload checksum, (when
+    Verifies the format version, the checksum of the body, (when
     ``expected_kind`` is given) the model kind, and every parameter name and
-    state field (see the module docstring). The training-corpus
-    fingerprint and the saved metadata are restored onto the model as
-    ``fingerprint_`` and ``metadata_``.
+    state field (see the module docstring). The saved metadata is restored
+    onto the model as ``metadata_``.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
+        with open(path, "rb") as fh:
+            line, body = fh.readline(), fh.read()
     except OSError as exc:
         raise ModelIOError(f"cannot read model file {path!r}: {exc}") from exc
-    try:
-        document = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ModelFormatError(f"corrupt model file {path!r}: {exc}") from None
-    if not isinstance(document, dict) or "payload" not in document:
-        raise ModelFormatError(f"corrupt model file {path!r}: missing payload")
-
-    version = document.get("format_version")
+    header = _parse_json(line, path, "header")
+    # a version 1 or 2 file is one document, read here as the header
+    if not isinstance(header, dict) or "format_version" not in header:
+        raise ModelFormatError(f"corrupt model file {path!r}: no format version in line 1")
+    version = header["format_version"]
     if version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"model file {path!r} has format version {version!r}; "
             f"this build reads version {MODEL_FORMAT_VERSION}"
         )
-    kind = document.get("kind")
+    _expect_keys(header, ("format_version", "sha256"), f"header of {path!r}")
+    if hashlib.sha256(body).hexdigest() != header["sha256"]:
+        raise ModelFormatError(f"corrupt model file {path!r}: checksum mismatch")
+
+    document = _parse_json(body, path, "body")
+    _expect_keys(document, ("kind", "metadata", "payload"), f"body of {path!r}")
+    kind = document["kind"]
     if not isinstance(kind, str) or kind not in KIND_REGISTRY:
         raise ModelKindError(f"model file {path!r} has unknown kind {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise ModelKindError(
             f"expected a {expected_kind!r} model, but {path!r} holds {kind!r}"
         )
-    digest = hashlib.sha256(_canonical(document["payload"]).encode("utf-8")).hexdigest()
-    if digest != document.get("payload_sha256"):
-        raise ModelFormatError(f"corrupt payload in {path!r}: checksum mismatch")
-
+    if not isinstance(document["metadata"], dict):
+        raise ModelFormatError(f"corrupt model file {path!r}: metadata is not an object")
     try:
         model = _decode(KIND_REGISTRY[kind], document["payload"], "payload")
     # the decoders raise ModelFormatError; _check_state raises TypeError or ValueError
     except (ModelFormatError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed {kind!r} model in {path!r}: {exc}") from None
-    if document.get("fingerprint") is not None:
-        model.fingerprint_ = document["fingerprint"]
-    metadata = document.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ModelFormatError(f"corrupt model file {path!r}: metadata is not an object")
-    model.metadata_ = metadata
+    model.metadata_ = document["metadata"]
     return model

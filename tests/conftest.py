@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from domainsift.model_io import load_model, save_model
+from domainsift.model_io import MODEL_FORMAT_VERSION, load_model, save_model
 from domainsift.synthetic import generate_labeled_corpus
 
 # (criterion, status, detail) rows appended by the release-gate tests; the
@@ -43,6 +46,31 @@ def roundtrip(model, tmp_path):
     path = tmp_path / "roundtrip.dsmodel"
     save_model(model, path)
     return load_model(path)
+
+
+def read_model_document(path):
+    """The ``{"kind", "metadata", "payload"}`` body of a saved model file."""
+    _, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(body)
+
+
+def write_model_document(path, document, version=MODEL_FORMAT_VERSION):
+    """Write ``document`` as a model file body under a header with its checksum."""
+    body = json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = {"format_version": version, "sha256": hashlib.sha256(body).hexdigest()}
+    path.write_bytes(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + body)
+
+
+def write_single_document_model(path, document, version):
+    """``document`` in the layout of format versions 1 and 2: one JSON object
+    whose checksum covers its payload alone."""
+    payload = json.dumps(document["payload"], sort_keys=True, separators=(",", ":"))
+    path.write_text(json.dumps({
+        **document,
+        "format_version": version,
+        "fingerprint": document["payload"]["state"].get("fingerprint"),
+        "payload_sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+    }))
 
 
 @pytest.fixture

@@ -1,13 +1,15 @@
 import csv
-import json
 import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from domainsift.cli import main
 from domainsift.features import FEATURE_NAMES
+
+from conftest import read_model_document, write_single_document_model
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +238,7 @@ def test_config_file_supplies_defaults(workdir, tmp_path):
     rc = main(["train", "--in", str(workdir / "gen" / "labeled.csv"),
                "--out", str(model), "--config", str(cfg)])
     assert rc == 0
-    doc = json.loads(model.read_text())
+    doc = read_model_document(model)
     knn = next(m for m in doc["payload"]["state"]["members"] if m["kind"] == "knn")
     assert knn["params"]["k"] == 3
 
@@ -258,14 +260,37 @@ class TestExitCodes:
         assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
                      "--model", str(fake), "--out", str(tmp_path / "p")]) == 1
 
-    def test_version_1_model_is_data_error(self, workdir, sld_model, tmp_path):
-        with open(sld_model) as fh:
-            doc = json.load(fh)
-        doc["format_version"] = 1
-        old = tmp_path / "v1.dsmodel"
-        old.write_text(json.dumps(doc))
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_model_is_data_error(self, workdir, sld_model, tmp_path, capsys,
+                                             version):
+        old = tmp_path / "old.dsmodel"
+        write_single_document_model(old, read_model_document(Path(sld_model)), version)
+        capsys.readouterr()
         assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
                      "--model", str(old), "--out", str(tmp_path / "p")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR") and len(err.splitlines()) == 1, err
+        assert f"format version {version}" in err
+
+    @pytest.mark.parametrize("argv,config", [
+        (["extract", "--max-rows", "-2"], None),
+        (["extract", "--max-rows", "0"], None),
+        (["extract"], "max_rows = 0\n"),
+        (["reputation-check", "--max-rows", "-1", "--badlist", "{in}"], None),
+    ], ids=["extract_-2", "extract_0", "config_0", "reputation_check_-1"])
+    def test_max_rows_below_1_refused(self, workdir, tmp_path, capsys, argv, config):
+        labeled = str(workdir / "gen" / "labeled.csv")
+        argv = [a.format(**{"in": labeled}) for a in argv]
+        argv += ["--in", labeled, "--out", str(tmp_path / "o.csv")]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR") and len(err.splitlines()) == 1, err
+        assert "max_rows must be at least 1" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_bad_config_is_data_error(self, workdir, tmp_path):
         cfg = tmp_path / "bad.cfg"

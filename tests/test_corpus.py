@@ -117,6 +117,20 @@ class TestParseLabeledCsv:
         assert [r.domain_part for r in records] == ["b.com"]
         assert stats.skipped_rows == 1
 
+    def test_max_rows_counts_skipped_rows_and_stops_reading(self):
+        rows = ["host,domain,class", "a.com,a.com,legit", "", "b.com,b.com,weird",
+                "c.com,c.com,dga", "d.com,d.com,dga", "e.com,e.com,dga"]
+
+        def stream():
+            yield from (line + "\n" for line in rows)
+            raise AssertionError("read to the end of the stream")
+
+        records, stats = parse_labeled_csv(stream(), mode="full", max_rows=3)
+        assert [r.domain_part for r in records] == ["a.com", "c.com"]
+        assert (stats.total_rows, stats.skipped_rows) == (3, 1)
+        records, stats = parse_labeled_csv(io.StringIO("\n".join(rows)), max_rows=0)
+        assert records == [] and stats.total_rows == 0
+
 
 class TestParseCensusLines:
     LINES = "example.com\t93.184.216.34\nqrvmappzgdrz.net\t10.1.2.3\n"
@@ -205,3 +219,9 @@ class TestSuffixAndIO:
         assert resolve_mode("full") == resolve_mode("full_name")
         with pytest.raises(ValueError):
             resolve_mode("nope")
+
+    @pytest.mark.parametrize("mode", [["sld"], None, 1, {"sld": 1}],
+                             ids=["list", "none", "int", "dict"])
+    def test_resolve_mode_non_string(self, mode):
+        with pytest.raises(ValueError, match="unknown normalization mode"):
+            resolve_mode(mode)

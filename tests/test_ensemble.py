@@ -117,11 +117,6 @@ class TestFit:
         ens, X, y = fitted
         assert (ens.predict(X) == y).mean() >= 0.95
 
-    def test_fingerprint_identical_across_members(self, fitted):
-        ens, X, y = fitted
-        prints = {m.estimator.fingerprint_["sha256"] for m in ens.members_}
-        assert prints == {ens.fingerprint_["sha256"]}
-
     def test_fingerprint_is_raw_not_scaled(self, fitted):
         from domainsift.base import corpus_fingerprint
 

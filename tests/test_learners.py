@@ -66,12 +66,6 @@ class TestCommonBehavior:
         clone = roundtrip(model, tmp_path)
         np.testing.assert_array_equal(model.predict(X), clone.predict(X))
 
-    def test_fingerprint_stamped(self, cls, blobs):
-        X, y = blobs
-        model = cls().fit(X, y)
-        assert model.fingerprint_["n_rows"] == X.shape[0]
-        assert len(model.fingerprint_["sha256"]) == 64
-
     def test_empty_data(self, cls):
         with pytest.raises(ValueError):
             cls().fit(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))

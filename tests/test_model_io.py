@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from domainsift import model_io
+from domainsift.base import corpus_fingerprint
 from domainsift.cli import main
 from domainsift.cluster import KMeans
 from domainsift.ensemble import MajorityVoteEnsemble
@@ -28,7 +30,12 @@ from domainsift.model_io import (
 )
 from domainsift.preprocessing import Standardizer
 
-from conftest import make_blobs
+from conftest import (
+    make_blobs,
+    read_model_document,
+    write_model_document,
+    write_single_document_model,
+)
 
 
 def fitted_models():
@@ -70,19 +77,51 @@ class TestDocumentShape:
         return model, path
 
     def test_json_document_fields(self, saved):
-        model, path = saved
-        doc = json.loads(path.read_text())
-        assert doc["format_version"] == MODEL_FORMAT_VERSION
+        _, path = saved
+        raw = path.read_bytes()
+        line, body = raw.split(b"\n", 1)
+        digest = hashlib.sha256(body).hexdigest()
+        assert line == b'{"format_version":%d,"sha256":"%s"}' % (MODEL_FORMAT_VERSION,
+                                                                   digest.encode())
+        doc = json.loads(body)
+        assert sorted(doc) == ["kind", "metadata", "payload"]
         assert doc["kind"] == "c45"
         assert doc["metadata"] == {"note": "test"}
-        assert doc["fingerprint"] == model.fingerprint_
-        assert len(doc["payload_sha256"]) == 64
+        assert body == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
     def test_metadata_restored(self, saved):
         _, path = saved
+        assert load_model(path).metadata_ == {"note": "test"}
+
+    def test_save_reports_checksum_and_size(self, tmp_path):
+        X, y = make_blobs(n_per_class=20, seed=1)
+        path = tmp_path / "nb.dsmodel"
+        info = save_model(GaussianNaiveBayes().fit(X, y), path)
+        raw = path.read_bytes()
+        assert info["bytes"] == len(raw)
+        assert info["sha256"] == hashlib.sha256(raw.split(b"\n", 1)[1]).hexdigest()
+
+    def test_fingerprint_stored_once(self, tmp_path):
+        X, y = make_blobs(n_per_class=20, seed=1)
+        model = MajorityVoteEnsemble(seed=0).fit(X, y)
+        path = tmp_path / "ens.dsmodel"
+        save_model(model, path)
+        assert read_model_document(path)["payload"]["state"]["fingerprint"] == model.fingerprint_
         loaded = load_model(path)
-        assert loaded.metadata_ == {"note": "test"}
-        assert loaded.fingerprint_ is not None
+        assert loaded.fingerprint_ == model.fingerprint_ == corpus_fingerprint(X, y)
+        for members in (model.members_, loaded.members_):
+            assert not any(hasattr(m.estimator, "fingerprint_") for m in members)
+
+    def test_canonical_encoding_once_per_save_never_on_load(self, tmp_path, monkeypatch):
+        calls = []
+        encode = model_io._canonical
+        monkeypatch.setattr(model_io, "_canonical", lambda obj: calls.append(1) or encode(obj))
+        X, y = make_blobs(n_per_class=20, seed=1)
+        path = tmp_path / "ens.dsmodel"
+        save_model(MajorityVoteEnsemble(seed=0).fit(X, y), path)
+        assert len(calls) == 1
+        load_model(path)
+        assert len(calls) == 1
 
     def test_expected_kind_accepts_match(self, saved):
         _, path = saved
@@ -114,38 +153,77 @@ class TestCorruption:
             load_model(path)
 
     def test_payload_tamper_breaks_checksum(self, path):
-        doc = json.loads(path.read_text())
+        line, body = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(body)
         doc["payload"]["state"]["class_prior"][0] += 0.25
-        path.write_text(json.dumps(doc))
+        path.write_bytes(line + b"\n" + json.dumps(doc).encode())
+        with pytest.raises(ModelFormatError, match="checksum"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw.replace(b'"kind":"nb"', b'"kind":"c45"'),
+        lambda raw: raw.replace(b'"metadata":{}', b'"metadata":{"mode":"full"}'),
+        lambda raw: raw + b" ",
+    ], ids=["kind", "metadata", "trailing_space"])
+    def test_body_edit_breaks_checksum(self, path, edit):
+        raw = path.read_bytes()
+        path.write_bytes(edit(raw))
+        assert path.read_bytes() != raw
         with pytest.raises(ModelFormatError, match="checksum"):
             load_model(path)
 
     def test_unknown_version(self, path):
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 99
-        path.write_text(json.dumps(doc))
+        write_model_document(path, read_model_document(path), version=99)
         with pytest.raises(ModelVersionError, match="99"):
             load_model(path)
 
     def test_unknown_kind(self, path):
-        doc = json.loads(path.read_text())
+        doc = read_model_document(path)
         doc["kind"] = "mystery"
-        path.write_text(json.dumps(doc))
+        write_model_document(path, doc)
         with pytest.raises(ModelKindError):
             load_model(path)
 
     def test_non_string_kind(self, path):
-        doc = json.loads(path.read_text())
+        doc = read_model_document(path)
         doc["kind"] = ["nb"]
-        path.write_text(json.dumps(doc))
+        write_model_document(path, doc)
         with pytest.raises(ModelKindError):
             load_model(path)
 
     def test_missing_payload(self, path):
-        doc = json.loads(path.read_text())
+        doc = read_model_document(path)
         del doc["payload"]
-        path.write_text(json.dumps(doc))
+        write_model_document(path, doc)
+        with pytest.raises(ModelFormatError, match="payload"):
+            load_model(path)
+
+    def test_top_level_fingerprint_refused(self, path):
+        doc = read_model_document(path)
+        doc["fingerprint"] = {"n_rows": 1, "sha256": "0" * 64}
+        write_model_document(path, doc)
+        with pytest.raises(ModelFormatError, match="fingerprint"):
+            load_model(path)
+
+    @pytest.mark.parametrize("raw", [
+        b"\xff",
+        b'{"format_version":3,"sha256":"\xff"}\n{}',
+        b"[" * 100_000,
+        b"3\n{}",
+        b"{}",
+    ], ids=["ff_byte", "ff_in_header", "deep_nesting", "number_header", "empty_object"])
+    def test_header_not_json_object(self, path, raw):
+        path.write_bytes(raw)
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("body", [b"\xff\xfe", b'{"kind":"nb",', b"[" * 100_000],
+                             ids=["not_utf8", "not_json", "deep_nesting"])
+    def test_checksummed_body_not_json(self, path, body):
+        digest = hashlib.sha256(body).hexdigest()
+        path.write_bytes(b'{"format_version":%d,"sha256":"%s"}\n' % (MODEL_FORMAT_VERSION,
+                                                                      digest.encode()) + body)
+        with pytest.raises(ModelFormatError, match="body"):
             load_model(path)
 
     def test_missing_file(self, tmp_path):
@@ -155,11 +233,9 @@ class TestCorruption:
 
 def rewrite_payload(path, edit):
     """Apply ``edit`` to a saved file's payload and store a matching checksum."""
-    doc = json.loads(path.read_text())
+    doc = read_model_document(path)
     edit(doc["payload"])
-    canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
-    doc["payload_sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    path.write_text(json.dumps(doc))
+    write_model_document(path, doc)
 
 
 class TestMalformedPayload:
@@ -170,12 +246,18 @@ class TestMalformedPayload:
     def test_version_1_file_refused(self, fitted, tmp_path):
         path = tmp_path / "knn.dsmodel"
         save_model(KNNClassifier().fit(*fitted), path)
-        # what version 1 wrote: the format number and kNN's old chunk_size parameter
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 1
-        path.write_text(json.dumps(doc))
-        rewrite_payload(path, lambda p: p["params"].update(chunk_size=None))
+        # what version 1 wrote: one document, and kNN's old chunk_size parameter
+        doc = read_model_document(path)
+        doc["payload"]["params"]["chunk_size"] = None
+        write_single_document_model(path, doc, version=1)
         with pytest.raises(ModelVersionError, match="version 1"):
+            load_model(path)
+
+    def test_version_2_file_refused(self, fitted, tmp_path):
+        path = tmp_path / "knn.dsmodel"
+        save_model(KNNClassifier().fit(*fitted), path)
+        write_single_document_model(path, read_model_document(path), version=2)
+        with pytest.raises(ModelVersionError, match="version 2"):
             load_model(path)
 
     def test_unknown_param_is_format_error(self, fitted, tmp_path):
@@ -202,9 +284,9 @@ class TestMalformedPayload:
     def test_non_object_metadata_is_format_error(self, fitted, tmp_path):
         path = tmp_path / "nb.dsmodel"
         save_model(GaussianNaiveBayes().fit(*fitted), path)
-        doc = json.loads(path.read_text())
+        doc = read_model_document(path)
         doc["metadata"] = ["sld"]
-        path.write_text(json.dumps(doc))
+        write_model_document(path, doc)
         with pytest.raises(ModelFormatError, match="metadata"):
             load_model(path)
 
@@ -300,6 +382,33 @@ class TestStateChecks:
     def test_unedited_model_loads(self, trained):
         assert load_model(trained / "model.dsmodel").n_features_in_ == 8
 
+    def _predict_error(self, trained, path, tmp_path, capsys):
+        """The one ERROR line of a ``predict`` that must exit 1 without a traceback."""
+        capsys.readouterr()
+        assert main(["predict", "--in", str(trained / "census.tsv"), "--model", str(path),
+                     "--out", str(tmp_path / "p")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1, err
+        return errors[0]
+
+    def test_unrehashed_mode_edit_refused(self, trained, tmp_path, capsys):
+        raw = (trained / "model.dsmodel").read_bytes()
+        path = tmp_path / "edited.dsmodel"
+        path.write_bytes(raw.replace(b'"mode":"sld"', b'"mode":"full"', 1))
+        assert path.read_bytes() != raw
+        err = self._predict_error(trained, path, tmp_path, capsys)
+        assert "checksum" in err
+
+    def test_non_string_mode_refused(self, trained, tmp_path, capsys):
+        path = tmp_path / "edited.dsmodel"
+        doc = read_model_document(trained / "model.dsmodel")
+        doc["metadata"]["mode"] = ["sld"]
+        write_model_document(path, doc)
+        err = self._predict_error(trained, path, tmp_path, capsys)
+        assert "mode" in err
+
 
 def _payload_paths(node, prefix=()):
     """Every key/index path below ``node``."""
@@ -335,7 +444,7 @@ class TestFuzz:
     def saved(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("fuzz") / "ens.dsmodel"
         save_model(MajorityVoteEnsemble(seed=0).fit(self.X, self.y), path)
-        doc = json.loads(path.read_text())
+        doc = read_model_document(path)
         return doc, sorted(_payload_paths(doc["payload"]), key=str)
 
     @settings(max_examples=300, deadline=None, derandomize=True,
@@ -356,7 +465,7 @@ class TestFuzz:
                 payload[last] = _mutate(payload[last], how)
 
         target = tmp_path / "mutated.dsmodel"
-        target.write_text(json.dumps(doc))
+        write_model_document(target, doc)
         rewrite_payload(target, edit)
         try:
             model = load_model(target)
@@ -365,3 +474,31 @@ class TestFuzz:
         labels = model.predict(self.QUERY)
         assert labels.shape == (self.QUERY.shape[0],)
         assert set(labels.tolist()) <= {0, 1}
+
+
+class TestByteEdits:
+    """Any byte flipped or the file cut short, with no checksum recomputed, is refused."""
+
+    @pytest.fixture(scope="class")
+    def raw(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bytes") / "ens.dsmodel"
+        X, y = make_blobs(n_per_class=8, d=3, seed=9)
+        save_model(MajorityVoteEnsemble(seed=0).fit(X, y), path, metadata={"mode": "sld"})
+        return path.read_bytes()
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_flipped_or_truncated(self, raw, tmp_path, data):
+        header_end = raw.index(b"\n")
+        # half the offsets fall in the header line or on its newline
+        offset = data.draw(st.one_of(st.integers(0, header_end), st.integers(0, len(raw) - 1)))
+        if data.draw(st.booleans()):
+            edited = raw[:offset]
+        else:
+            mask = data.draw(st.integers(1, 255))
+            edited = raw[:offset] + bytes([raw[offset] ^ mask]) + raw[offset + 1:]
+        path = tmp_path / "edited.dsmodel"
+        path.write_bytes(edited)
+        with pytest.raises(ModelIOError):
+            load_model(path)
