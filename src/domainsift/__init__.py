@@ -59,6 +59,7 @@ from .reputation import (
     check,
     sample_and_check,
 )
+from .synthetic import generate_labeled_corpus
 
 __version__ = "0.1.0"
 
@@ -99,6 +100,7 @@ __all__ = [
     "domain_features",
     "evaluate_all",
     "extract_features",
+    "generate_labeled_corpus",
     "histogram_pdf",
     "load_model",
     "metrics",

@@ -305,6 +305,8 @@ def cmd_predict(args):
 
 
 def cmd_reputation_check(args):
+    if args.sample is not None and args.sample < 0:
+        raise ValueError(f"--sample must be at least 0, got {args.sample}")
     opt = _prepare(args, mode_default="full")
     with corpus.open_corpus_text(args.in_path) as fh:
         domains = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
@@ -324,6 +326,12 @@ def cmd_reputation_check(args):
 
 
 def cmd_generate(args):
+    for flag, size in (("--n-legit", args.n_legit), ("--n-dga", args.n_dga),
+                       ("--census-n", args.census_n)):
+        if size < 0:
+            raise ValueError(f"{flag} must be at least 0, got {size}")
+    if not 0.0 <= args.dga_fraction <= 1.0:
+        raise ValueError(f"--dga-fraction must be in [0, 1], got {args.dga_fraction}")
     opt = _prepare(args, mode_default="sld")
     out = _out_dir(args.out)
     seed = opt["seed"]

@@ -30,7 +30,7 @@ from .base import (
 
 _EPS = 1e-12
 
-# cells of the query-by-training distance block kNN holds at once (32 MB of float64)
+# cells of the query-by-stored-row distance block kNN holds at once (32 MB of float64)
 KNN_BLOCK_CELLS = 4_000_000
 
 
@@ -267,9 +267,20 @@ class KNNClassifier(ParamsMixin, BinaryClassifierMixin):
     Neighbour ties at the k-th distance resolve toward lower training-set
     indices, so predictions are deterministic. A tied vote (possible only
     for even k) falls back to class 0. Expects standardized features.
+
+    The training set is stored as its m distinct rows ``X_`` plus, for each
+    of the n training rows in order, its row number ``row_`` and label
+    ``y_``: training row i is ``X_[row_[i]]``. A query measures its distance
+    to the m distinct rows only; rows strictly closer than the k-th distance
+    vote with all their labels, and the free slots go to the lowest training
+    indices among the rows at exactly the k-th distance.
     """
 
-    FITTED_FIELDS = (("X_", "float", ("n", "d")), ("y_", "label", ("n",)))
+    FITTED_FIELDS = (
+        ("X_", "float", ("m", "d")),
+        ("row_", "count", ("n",)),
+        ("y_", "label", ("n",)),
+    )
 
     def __init__(self, k=5):
         self.k = k
@@ -277,7 +288,7 @@ class KNNClassifier(ParamsMixin, BinaryClassifierMixin):
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y)
         self._check_k(X.shape[0])
-        self.X_ = X
+        self.X_, self.row_ = np.unique(X, axis=0, return_inverse=True)
         self.y_ = y
         return self
 
@@ -290,38 +301,51 @@ class KNNClassifier(ParamsMixin, BinaryClassifierMixin):
             )
 
     def _check_state(self):
-        """The rule on ``k`` that fit enforces, applied to a loaded state."""
+        """The rule on ``k`` that fit enforces, and every row number naming a stored row."""
         self._check_k(self.y_.size)
+        m = self.X_.shape[0]
+        if (self.row_ >= m).any():
+            raise ValueError(f"row: values must be below the {m} stored rows")
 
     def predict(self, X):
         X = _validate_predict(self, X)
-        rows = max(1, KNN_BLOCK_CELLS // self.X_.shape[0])
-        return np.concatenate(
-            [self._predict_block(X[i : i + rows]) for i in range(0, X.shape[0], rows)]
-        )
+        m = self.X_.shape[0]
+        counts = np.bincount(self.row_, minlength=m)
+        ones = np.bincount(self.row_, weights=self.y_, minlength=m)
+        # a stored row that no training row uses (only an edited file has one) cannot vote
+        used = np.flatnonzero(counts)
+        counts = counts[used]
+        # the training indices of each used stored row, ascending
+        groups = np.split(np.argsort(self.row_, kind="stable"), np.cumsum(counts)[:-1])
+        stored = self.X_[used], counts, ones[used], groups
+        rows = max(1, KNN_BLOCK_CELLS // used.size)
+        return np.concatenate([
+            self._predict_block(X[i : i + rows], *stored) for i in range(0, X.shape[0], rows)
+        ])
 
-    def _predict_block(self, X):
-        # squared distances are monotone in distance; avoids the sqrt
-        d2 = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * (X @ self.X_.T)
-            + np.sum(self.X_ * self.X_, axis=1)[None, :]
-        )
+    def _predict_block(self, X, X_, counts, ones, groups):
+        # squared distances |q|^2 - 2 q.x + |x|^2, computed in place; monotone in distance
+        d2 = X @ X_.T
+        d2 *= -2.0
+        d2 += np.sum(X * X, axis=1)[:, None]
+        d2 += np.sum(X_ * X_, axis=1)
         np.maximum(d2, 0.0, out=d2)
         k = self.k
+        last = min(k, d2.shape[1]) - 1
         out = np.empty(X.shape[0], dtype=np.int64)
-        for i in range(X.shape[0]):
-            row = d2[i]
-            if k < row.size:
-                kth = np.partition(row, k - 1)[k - 1]
-            else:
-                kth = row.max()
-            closer = row < kth
-            n_closer = int(closer.sum())
-            at_kth = row == kth
-            # fill remaining slots with the lowest-index points at the k-th distance
-            take = at_kth & (np.cumsum(at_kth) <= k - n_closer)
-            votes_for_1 = int(self.y_[closer | take].sum())
+        for i, row in enumerate(d2):
+            # each stored row holds at least one training row, so the k nearest ones
+            # reach the k-th distance, and every row closer than it is among them
+            near = np.argpartition(row, last)[: last + 1]
+            near = near[np.argsort(row[near])]
+            kth = row[near[np.searchsorted(np.cumsum(counts[near]), k)]]
+            closer = near[row[near] < kth]
+            free = k - int(counts[closer].sum())
+            # fill the free slots with the lowest training indices at the k-th distance
+            # (tied is empty only when that distance is NaN, from overflowed inputs)
+            tied = [groups[j][:free] for j in np.flatnonzero(row == kth)]
+            taken = np.sort(np.concatenate([groups[0][:0], *tied]))[:free]
+            votes_for_1 = int(ones[closer].sum()) + int(self.y_[taken].sum())
             out[i] = 1 if 2 * votes_for_1 > k else 0
         return out
 

@@ -1,6 +1,6 @@
 """Versioned JSON serialization for every trained model kind.
 
-A file is a one-line header, ``{"format_version":3,"sha256":"<hex>"}``,
+A file is a one-line header, ``{"format_version":4,"sha256":"<hex>"}``,
 then a body: the canonical JSON of ``{"kind", "metadata", "payload"}``. The
 sha256 covers the body bytes exactly as written, so any edit to the kind,
 the metadata or the payload that does not recompute it is refused. Writing
@@ -43,8 +43,9 @@ from .learners import (
 from .preprocessing import Standardizer
 
 # version 1 files hold a kNN block-size parameter that KNNClassifier no longer takes;
-# versions 1 and 2 are one JSON document whose checksum covers only its payload
-MODEL_FORMAT_VERSION = 3
+# versions 1 and 2 are one JSON document whose checksum covers only its payload;
+# versions 1 to 3 store every kNN training row instead of the distinct rows
+MODEL_FORMAT_VERSION = 4
 MODEL_EXTENSION = ".dsmodel"
 
 KIND_REGISTRY = {

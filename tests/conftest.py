@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 
@@ -71,6 +72,19 @@ def write_single_document_model(path, document, version):
         "fingerprint": document["payload"]["state"].get("fingerprint"),
         "payload_sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
     }))
+
+
+def as_format_3(document):
+    """``document`` with each kNN state in the layout of format 3: all n training
+    rows in ``X`` and no ``row`` field."""
+    document = copy.deepcopy(document)
+    payload = document["payload"]
+    knns = [payload] if document["kind"] == "knn" else [
+        m for m in payload["state"].get("members", []) if m["kind"] == "knn"]
+    for knn in knns:
+        state = knn["state"]
+        state["X"] = [state["X"][i] for i in state.pop("row")]
+    return document
 
 
 @pytest.fixture

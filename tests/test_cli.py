@@ -9,7 +9,12 @@ import pytest
 from domainsift.cli import main
 from domainsift.features import FEATURE_NAMES
 
-from conftest import read_model_document, write_single_document_model
+from conftest import (
+    as_format_3,
+    read_model_document,
+    write_model_document,
+    write_single_document_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -260,11 +265,15 @@ class TestExitCodes:
         assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
                      "--model", str(fake), "--out", str(tmp_path / "p")]) == 1
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_model_is_data_error(self, workdir, sld_model, tmp_path, capsys,
                                              version):
         old = tmp_path / "old.dsmodel"
-        write_single_document_model(old, read_model_document(Path(sld_model)), version)
+        document = read_model_document(Path(sld_model))
+        if version == 3:  # a header line and a body, with every kNN training row stored
+            write_model_document(old, as_format_3(document), version)
+        else:
+            write_single_document_model(old, document, version)
         capsys.readouterr()
         assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
                      "--model", str(old), "--out", str(tmp_path / "p")]) == 1
@@ -291,6 +300,29 @@ class TestExitCodes:
         assert err.startswith("ERROR") and len(err.splitlines()) == 1, err
         assert "max_rows must be at least 1" in err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("--n-legit", ["generate", "--n-legit", "-1", "--n-dga", "20", "--census-n", "20"]),
+        ("--n-dga", ["generate", "--n-legit", "20", "--n-dga", "-1", "--census-n", "20"]),
+        ("--census-n", ["generate", "--n-legit", "20", "--n-dga", "20", "--census-n", "-5"]),
+        ("--dga-fraction", ["generate", "--census-n", "20", "--dga-fraction", "2"]),
+        ("--dga-fraction", ["generate", "--census-n", "20", "--dga-fraction", "-0.1"]),
+        ("--dga-fraction", ["generate", "--census-n", "20", "--dga-fraction", "nan"]),
+        ("--sample", ["reputation-check", "--sample", "-1", "--in", "{list}",
+                      "--badlist", "{list}"]),
+    ], ids=["n_legit", "n_dga", "census_n", "dga_fraction_2", "dga_fraction_negative",
+            "dga_fraction_nan", "sample"])
+    def test_bad_size_refused_before_writing(self, tmp_path, capsys, flag, argv):
+        domains = tmp_path / "domains.txt"
+        domains.write_text("abc.com\nxyz.net\n")
+        out = tmp_path / "out"
+        argv = [a.format(list=domains) for a in argv] + ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR") and len(err.splitlines()) == 1, err
+        assert flag in err
+        assert not out.exists()
 
     def test_bad_config_is_data_error(self, workdir, tmp_path):
         cfg = tmp_path / "bad.cfg"

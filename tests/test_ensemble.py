@@ -125,9 +125,9 @@ class TestFit:
 
     def test_scaled_members_see_standardized_features(self, fitted):
         ens, X, y = fitted
-        # knn stores its training matrix; it must be the standardized one
+        # knn stores its training matrix as distinct rows; it must be the standardized one
         knn = next(m.estimator for m in ens.members_ if m.name == "knn")
-        np.testing.assert_allclose(knn.X_, ens.standardizer_.transform(X), atol=1e-12)
+        np.testing.assert_allclose(knn.X_[knn.row_], ens.standardizer_.transform(X), atol=1e-12)
 
     def test_member_failure_names_member(self):
         members = stub_members((0, 0, 0, 0)) + [Member("boom", FailingLearner(), False)]

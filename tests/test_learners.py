@@ -223,6 +223,61 @@ class TestKNN:
         model = KNNClassifier(k=2).fit(X, y)
         assert model.predict(np.array([[1.0]]))[0] == 0
 
+    def test_stores_distinct_rows(self):
+        X = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
+        y = np.array([1, 0, 0, 1, 0])
+        model = KNNClassifier(k=3).fit(X, y)
+        np.testing.assert_array_equal(model.X_, [[0.0, 0.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(model.X_[model.row_], X)
+        np.testing.assert_array_equal(model.y_, y)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_all_rows_oracle(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        d = data.draw(st.integers(1, 3), label="d")
+        # few values per cell, so rows repeat, often with conflicting labels
+        cells = st.integers(-2, 2).map(float)
+        X = np.array(data.draw(st.lists(st.lists(cells, min_size=d, max_size=d),
+                                        min_size=n, max_size=n), label="X"))
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        order = np.array(data.draw(st.permutations(range(n)), label="order"))
+        k = data.draw(st.integers(1, min(9, n)), label="k")
+        model = KNNClassifier(k=k).fit(X[order], y[order])
+        if data.draw(st.booleans(), label="edited"):
+            # what a hand-edited file may hold: stored row 0 duplicated and used by
+            # some of its training rows, plus a stored row no training row uses
+            m = model.X_.shape[0]
+            model.X_ = np.vstack([model.X_, model.X_[:1], np.full((1, d), 7.0)])
+            moved = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            model.row_ = np.where(moved & (model.row_ == 0), m, model.row_)
+        queries = np.vstack([X, np.array(data.draw(st.lists(
+            st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=10), label="Q"))])
+        np.testing.assert_array_equal(
+            model.predict(queries),
+            _knn_reference(model.X_[model.row_], model.y_, k, queries),
+        )
+
+
+def _knn_reference(X_train, y_train, k, X):
+    """The vote over every training row, scored one by one, that
+    KNNClassifier.predict must reproduce from its distinct rows."""
+    d2 = (
+        np.sum(X * X, axis=1)[:, None]
+        - 2.0 * (X @ X_train.T)
+        + np.sum(X_train * X_train, axis=1)[None, :]
+    )
+    np.maximum(d2, 0.0, out=d2)
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for i, row in enumerate(d2):
+        kth = np.partition(row, k - 1)[k - 1] if k < row.size else row.max()
+        closer = row < kth
+        at_kth = row == kth
+        # fill remaining slots with the lowest-index points at the k-th distance
+        take = at_kth & (np.cumsum(at_kth) <= k - int(closer.sum()))
+        out[i] = 1 if 2 * int(y_train[closer | take].sum()) > k else 0
+    return out
+
 
 def _logreg_reference(X, y, lr=0.1, epochs=500, l2=1e-4, tol=1e-6):
     """Gradient descent over every row, the loop LogisticRegressionGD.fit

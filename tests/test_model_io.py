@@ -31,6 +31,7 @@ from domainsift.model_io import (
 from domainsift.preprocessing import Standardizer
 
 from conftest import (
+    as_format_3,
     make_blobs,
     read_model_document,
     write_model_document,
@@ -260,6 +261,15 @@ class TestMalformedPayload:
         with pytest.raises(ModelVersionError, match="version 2"):
             load_model(path)
 
+    def test_version_3_file_refused(self, fitted, tmp_path):
+        path = tmp_path / "knn.dsmodel"
+        save_model(KNNClassifier().fit(*fitted), path)
+        doc = as_format_3(read_model_document(path))
+        assert len(doc["payload"]["state"]["X"]) == 40
+        write_model_document(path, doc, version=3)
+        with pytest.raises(ModelVersionError, match="version 3"):
+            load_model(path)
+
     def test_unknown_param_is_format_error(self, fitted, tmp_path):
         path = tmp_path / "knn.dsmodel"
         save_model(KNNClassifier().fit(*fitted), path)
@@ -335,6 +345,19 @@ def _shorten_knn_y(payload):
     del _member(payload, "knn")["state"]["y"][-50:]
 
 
+def _set_knn_row(value):
+    """An edit setting one kNN ``row`` entry to ``value(m)``, m the stored row count."""
+    def edit(payload):
+        state = _member(payload, "knn")["state"]
+        state["row"][3] = value(len(state["X"]))
+    return edit
+
+
+def _knn_k_above_n(payload):
+    knn = _member(payload, "knn")
+    knn["params"]["k"] = len(knn["state"]["y"]) + 1
+
+
 def _negative_nb_variance(payload):
     _member(payload, "nb")["state"]["var"][0][0] = -1
 
@@ -352,6 +375,10 @@ STATE_EDITS = {
     "knn_X_7_columns": _drop_knn_columns,
     "logreg_coef_7_entries": lambda p: _member(p, "logreg")["state"]["coef"].pop(),
     "ensemble_version_9": lambda p: p["state"].update(version=9),
+    "knn_row_equal_to_m": _set_knn_row(lambda m: m),
+    "knn_row_negative": _set_knn_row(lambda m: -1),
+    "knn_row_one_short": lambda p: _member(p, "knn")["state"]["row"].pop(),
+    "knn_k_above_n": _knn_k_above_n,
 }
 
 
@@ -381,6 +408,12 @@ class TestStateChecks:
 
     def test_unedited_model_loads(self, trained):
         assert load_model(trained / "model.dsmodel").n_features_in_ == 8
+
+    def test_knn_stores_distinct_rows(self, trained):
+        state = _member(read_model_document(trained / "model.dsmodel")["payload"], "knn")["state"]
+        assert len(state["row"]) == len(state["y"]) == 500
+        assert len(state["X"]) == len(set(map(tuple, state["X"]))) < 500
+        assert sorted(set(state["row"])) == list(range(len(state["X"])))
 
     def _predict_error(self, trained, path, tmp_path, capsys):
         """The one ERROR line of a ``predict`` that must exit 1 without a traceback."""
@@ -420,6 +453,7 @@ def _payload_paths(node, prefix=()):
 
 
 REPLACEMENTS = {"none": None, "string": "x", "negative": -1}
+MUTATIONS = ["delete", *REPLACEMENTS, "short", "wide"]
 
 
 def _mutate(value, how):
@@ -447,14 +481,8 @@ class TestFuzz:
         doc = read_model_document(path)
         return doc, sorted(_payload_paths(doc["payload"]), key=str)
 
-    @settings(max_examples=300, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_mutated_payload(self, saved, tmp_path, data):
-        doc, paths = saved
-        path = data.draw(st.sampled_from(paths))
-        how = data.draw(st.sampled_from(["delete", *REPLACEMENTS, "short", "wide"]))
-
+    def check_mutation(self, doc, path, how, tmp_path):
+        """Mutate the payload at ``path`` by ``how``: the file is refused or predicts 0/1."""
         def edit(payload):
             *parents, last = path
             for key in parents:
@@ -474,6 +502,24 @@ class TestFuzz:
         labels = model.predict(self.QUERY)
         assert labels.shape == (self.QUERY.shape[0],)
         assert set(labels.tolist()) <= {0, 1}
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_payload(self, saved, tmp_path, data):
+        doc, paths = saved
+        self.check_mutation(doc, data.draw(st.sampled_from(paths)),
+                            data.draw(st.sampled_from(MUTATIONS)), tmp_path)
+
+    @pytest.mark.parametrize("how", MUTATIONS)
+    @pytest.mark.parametrize("field", ["X", "row", "y"])
+    def test_mutated_knn_field(self, saved, tmp_path, field, how):
+        # every kNN state field, whole and at one entry, whichever paths the sample draws
+        doc, _ = saved
+        members = doc["payload"]["state"]["members"]
+        at = ("state", "members", [m["kind"] for m in members].index("knn"), "state", field)
+        for path in (at, (*at, 0), (*at, 5)):
+            self.check_mutation(doc, path, how, tmp_path)
 
 
 class TestByteEdits:
