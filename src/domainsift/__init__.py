@@ -16,9 +16,9 @@ from .analytics import (
 from .base import NotFittedError, clone, corpus_fingerprint
 from .cluster import KMeans, cluster_report
 from .corpus import (
-    CorpusSource,
     DomainError,
     DomainRecord,
+    DomainTable,
     ParseError,
     dedupe,
     normalize_domain,
@@ -39,7 +39,6 @@ from .evaluate import (
 from .features import (
     FEATURE_NAMES,
     N_FEATURES,
-    FeatureExtractor,
     domain_features,
     extract_features,
 )
@@ -66,11 +65,10 @@ __version__ = "0.1.0"
 __all__ = [
     "C45Tree",
     "ConfusionMatrix",
-    "CorpusSource",
     "DomainError",
     "DomainRecord",
+    "DomainTable",
     "FEATURE_NAMES",
-    "FeatureExtractor",
     "GaussianNaiveBayes",
     "HTTPReputationProvider",
     "KMeans",

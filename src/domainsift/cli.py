@@ -42,9 +42,9 @@ DEFAULT_SEED = 42
 
 @dataclass(slots=True)
 class LoadedData:
-    """A corpus reduced to its feature matrix, with aligned domain records."""
+    """A corpus reduced to its feature matrix, with its rows aligned."""
 
-    records: list | None  # None when the input was already a feature CSV
+    table: corpus.DomainTable | None  # None when the input was already a feature CSV
     X: np.ndarray
     y: np.ndarray | None
 
@@ -76,24 +76,24 @@ def _load_data(path, mode, max_rows=None, allow_features=True):
             )
         with corpus.open_corpus_text(path) as fh:
             X, y = read_feature_csv(fh)
-        return LoadedData(records=None, X=X, y=y)
+        return LoadedData(table=None, X=X, y=y)
 
     with corpus.open_corpus_text(path) as fh:
         if fmt == "census":
-            records, stats = corpus.parse_census_lines(fh, max_rows=max_rows, mode=mode)
+            table, stats = corpus.parse_census_lines(fh, max_rows=max_rows, mode=mode)
         elif fmt == "labeled":
-            records, stats = corpus.parse_labeled_csv(fh, mode=mode, max_rows=max_rows)
+            table, stats = corpus.parse_labeled_csv(fh, mode=mode, max_rows=max_rows)
         else:
-            records, stats = corpus.parse_domain_lines(fh, mode=mode, max_rows=max_rows)
-    records, conflicts = corpus.dedupe(records)
+            table, stats = corpus.parse_domain_lines(fh, mode=mode, max_rows=max_rows)
+    table, conflicts = corpus.dedupe(table)
     log.info(
         "parsed %d rows: %d unique domains, %d skipped, %d label conflicts",
-        stats.total_rows, len(records), stats.skipped_rows, len(conflicts),
+        stats.total_rows, len(table), stats.skipped_rows, len(conflicts),
     )
-    if not records:
+    if not len(table):
         raise corpus.ParseError(f"{path}: no usable rows")
-    X, y = extract_features(records)
-    return LoadedData(records=records, X=X, y=y)
+    X, y = extract_features(table)
+    return LoadedData(table=table, X=X, y=y)
 
 
 def _require_labels(data, path):
@@ -123,10 +123,16 @@ def _prepare(args, mode_default="sld"):
         raise ValueError(f"max_rows must be at least 1, got {resolved['max_rows']}")
     if hasattr(args, "test_fraction"):
         resolved["test_fraction"] = _resolve(args, "test_fraction", 0.3)
+        if not 0 < resolved["test_fraction"] < 1:
+            raise ValueError(f"--test-fraction must be in (0, 1), got {resolved['test_fraction']}")
     if hasattr(args, "cv"):
         resolved["cv"] = _resolve(args, "cv", 0)
+        if resolved["cv"] < 0 or resolved["cv"] == 1:
+            raise ValueError(f"--cv must be 0 or at least 2, got {resolved['cv']}")
     if hasattr(args, "k"):
         resolved["k"] = _resolve(args, "k", 2)
+        if resolved["k"] < 1:
+            raise ValueError(f"--k must be at least 1, got {resolved['k']}")
     log.info("resolved options: %s", resolved)
     return resolved
 
@@ -290,10 +296,16 @@ def cmd_predict(args):
     with open(os.path.join(out, "predictions.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["host", "domain", "prediction", *(f"vote_{n}" for n in names)])
-        for rec, label, row_votes in zip(data.records, labels, votes):
-            writer.writerow([rec.raw_host, rec.domain_part, int(label), *map(int, row_votes)])
+        writer.writerows(
+            [host, domain, label, *row_votes]
+            for host, domain, label, row_votes in zip(
+                data.table.raw_host, data.table.domain_part, labels.tolist(), votes.tolist()
+            )
+        )
     with open(os.path.join(out, "flagged.txt"), "w", encoding="utf-8") as fh:
-        fh.writelines(rec.raw_host + "\n" for rec, label in zip(data.records, labels) if label)
+        fh.writelines(
+            host + "\n" for host, label in zip(data.table.raw_host, labels.tolist()) if label
+        )
     for j, name in enumerate(FEATURE_NAMES):
         hist = analytics.histogram_pdf(data.X[:, j], labels, feature_name=name)
         with open(os.path.join(out, f"hist_{name}.csv"), "w", encoding="utf-8", newline="") as fh:

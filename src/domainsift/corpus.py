@@ -3,7 +3,8 @@
 Two corpus shapes are supported: a labeled CSV with host/domain/class columns
 (class is "legit" or "dga") and an unlabeled census export with one
 "domain<TAB>ipv4" record per line. Parsing is single-pass streaming; malformed
-rows are skipped and counted rather than aborting million-row files.
+rows are skipped and counted rather than aborting million-row files. Parsers
+return a :class:`DomainTable`, the kept rows as columns.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import gzip
 import io
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from importlib import resources
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -31,17 +32,18 @@ _MODE_ALIASES = {
 }
 
 _SCHEMES = ("http://", "https://")
-_IPV4_RE = re.compile(r"^\d{1,3}(?:\.\d{1,3}){3}$")
+# RFC 1035's limit on a name's length, trailing dot excluded
+MAX_NAME_LENGTH = 253
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|[01]?[0-9]?[0-9])"  # ASCII digits, 0-255
+# host, TAB, an IPv4 address with optional non-TAB whitespace around it, then
+# optional further TAB-separated fields
+_CENSUS_LINE_RE = re.compile(
+    rf"([^\t]*)\t[^\S\t]*{_OCTET}(?:\.{_OCTET}){{3}}[^\S\t]*(?:\t.*)?", re.DOTALL
+)
 # Unicode whitespace (the set str.isspace accepts), and every ASCII character
 # other than a letter, digit, "-", "_" or "."; other non-ASCII characters pass
 # as literal IDN
 _BAD_HOST_CHAR_RE = re.compile(r"\s|[^\w.\-\x80-\U0010ffff]")
-
-
-def _is_ipv4(text):
-    if not _IPV4_RE.match(text):
-        return False
-    return all(int(octet) <= 255 for octet in text.split("."))
 
 # class column spellings accepted by the labeled-CSV parser (case-insensitive)
 CLASS_LABELS = {"dga": 1, "legit": 0}
@@ -53,12 +55,6 @@ class ParseError(ValueError):
 
 class DomainError(ValueError):
     """A single domain string could not be normalized."""
-
-
-class CorpusSource(str, Enum):
-    LABELED = "labeled_corpus"
-    CENSUS = "census_corpus"
-    ADHOC = "adhoc"
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,14 +71,33 @@ class DomainRecord:
     raw_host: str
     domain_part: str
     label: int | None = None
-    source: CorpusSource = CorpusSource.ADHOC
+
+
+@dataclass(slots=True, eq=False)
+class DomainTable:
+    """Corpus rows as aligned columns, one entry per row.
+
+    ``raw_host`` and ``domain_part`` are lists of str with the meaning of the
+    :class:`DomainRecord` fields; ``label`` is an int64 array (1 DGA,
+    0 legitimate), or None for an unlabeled corpus.
+    """
+
+    raw_host: list
+    domain_part: list
+    label: np.ndarray | None = None
+
+    def __len__(self):
+        return len(self.domain_part)
+
+    def __iter__(self):
+        """One DomainRecord per row, built on demand."""
+        labels = [None] * len(self) if self.label is None else self.label.tolist()
+        return map(DomainRecord, self.raw_host, self.domain_part, labels)
 
 
 @dataclass(slots=True)
 class CorpusStats:
     total_rows: int = 0
-    unique_domains: int = 0
-    label_counts: dict = field(default_factory=dict)
     skipped_rows: int = 0
     errors: list = field(default_factory=list)
 
@@ -159,6 +174,11 @@ def normalize_domain(raw, mode="second_level_label", extra_suffixes=None):
     s = s.rstrip(".")
     if not s:
         raise DomainError(f"degenerate domain: {raw!r} empty after normalization")
+    if len(s) > MAX_NAME_LENGTH:
+        raise DomainError(
+            f"malformed domain: {len(s)} characters long, more than the "
+            f"{MAX_NAME_LENGTH} a host name may have"
+        )
     bad = _BAD_HOST_CHAR_RE.search(s)
     if bad:
         raise DomainError(
@@ -185,25 +205,9 @@ def normalize_domain(raw, mode="second_level_label", extra_suffixes=None):
     return labels[-2]
 
 
-def _make_record(raw_host, domain_value, label, source, mode, extra_suffixes):
-    domain_part = normalize_domain(domain_value, mode=mode, extra_suffixes=extra_suffixes)
-    return DomainRecord(raw_host=raw_host, domain_part=domain_part, label=label, source=source)
-
-
-def _finalize_stats(stats, records):
-    seen = {}
-    for rec in records:
-        if rec.domain_part not in seen:
-            seen[rec.domain_part] = rec.label
-    stats.unique_domains = len(seen)
-    counts = Counter(label for label in seen.values() if label is not None)
-    stats.label_counts = {cls: counts[cls] for cls in sorted(counts)}
-    return stats
-
-
 def parse_labeled_csv(stream, schema=None, mode="second_level_label", extra_suffixes=None,
                       max_rows=None):
-    """Parse a labeled corpus CSV into records plus corpus statistics.
+    """Parse a labeled corpus CSV into a DomainTable plus corpus statistics.
 
     The stream must carry a header row naming the host, domain and class
     columns (remappable through ``schema``). Class strings are matched
@@ -229,7 +233,7 @@ def parse_labeled_csv(stream, schema=None, mode="second_level_label", extra_suff
             )
         columns[key] = index[column_name.lower()]
 
-    records = []
+    hosts, parts, labels = [], [], []
     stats = CorpusStats()
     for row_no, row in enumerate(reader, start=2):
         if max_rows is not None and stats.total_rows >= max_rows:
@@ -248,65 +252,55 @@ def parse_labeled_csv(stream, schema=None, mode="second_level_label", extra_suff
             stats.record_error(f"row {row_no}: unknown class {cls!r}")
             continue
         try:
-            record = _make_record(
-                raw_host=host,
-                domain_value=domain or host,
-                label=CLASS_LABELS[cls],
-                source=CorpusSource.LABELED,
-                mode=mode,
-                extra_suffixes=extra_suffixes,
-            )
+            parts.append(normalize_domain(domain or host, mode, extra_suffixes))
         except DomainError as exc:
             stats.record_error(f"row {row_no}: {exc}")
             continue
-        records.append(record)
+        hosts.append(host)
+        labels.append(CLASS_LABELS[cls])
     if stats.skipped_rows:
         log.warning("labeled corpus: skipped %d of %d rows", stats.skipped_rows, stats.total_rows)
-    return records, _finalize_stats(stats, records)
+    return DomainTable(hosts, parts, np.array(labels, dtype=np.int64)), stats
 
 
 def parse_census_lines(stream, max_rows=None, mode="full_name", extra_suffixes=None):
-    """Parse census-export lines ("domain<TAB>ipv4") into unlabeled records.
+    """Parse census-export lines ("domain<TAB>ipv4") into an unlabeled DomainTable.
 
-    At most ``max_rows`` data lines are consumed (None reads everything).
-    Malformed lines are skipped and counted.
+    The address is four dot-separated octets of 1 to 3 ASCII digits, each at
+    most 255; further TAB-separated fields are ignored. At most ``max_rows``
+    data lines are consumed (None reads everything). Malformed lines are
+    skipped and counted.
     """
     mode = resolve_mode(mode)
-    records = []
+    match = _CENSUS_LINE_RE.fullmatch
+    hosts, parts = [], []
     stats = CorpusStats()
     for line in stream:
         if max_rows is not None and stats.total_rows >= max_rows:
             break
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip():
+        m = match(line)
+        if m is None:
+            if line.strip():
+                stats.total_rows += 1
+                stats.record_error(f"line {stats.total_rows}: not 'domain<TAB>ipv4'")
             continue
         stats.total_rows += 1
-        parts = line.split("\t")
-        if len(parts) < 2 or not _is_ipv4(parts[1].strip()):
-            stats.record_error(f"line {stats.total_rows}: not 'domain<TAB>ipv4'")
-            continue
+        host = m.group(1)
         try:
-            record = _make_record(
-                raw_host=parts[0].strip(),
-                domain_value=parts[0],
-                label=None,
-                source=CorpusSource.CENSUS,
-                mode=mode,
-                extra_suffixes=extra_suffixes,
-            )
+            parts.append(normalize_domain(host, mode, extra_suffixes))
         except DomainError as exc:
             stats.record_error(f"line {stats.total_rows}: {exc}")
             continue
-        records.append(record)
+        hosts.append(host.strip())
     if stats.skipped_rows:
         log.warning("census corpus: skipped %d of %d lines", stats.skipped_rows, stats.total_rows)
-    return records, _finalize_stats(stats, records)
+    return DomainTable(hosts, parts), stats
 
 
 def parse_domain_lines(stream, mode="second_level_label", max_rows=None, extra_suffixes=None):
-    """Parse a bare list of domains (one per line) into unlabeled records."""
+    """Parse a bare list of domains (one per line) into an unlabeled DomainTable."""
     mode = resolve_mode(mode)
-    records = []
+    hosts, parts = [], []
     stats = CorpusStats()
     for line in stream:
         if max_rows is not None and stats.total_rows >= max_rows:
@@ -316,48 +310,48 @@ def parse_domain_lines(stream, mode="second_level_label", max_rows=None, extra_s
             continue
         stats.total_rows += 1
         try:
-            record = _make_record(
-                raw_host=raw,
-                domain_value=raw,
-                label=None,
-                source=CorpusSource.ADHOC,
-                mode=mode,
-                extra_suffixes=extra_suffixes,
-            )
+            parts.append(normalize_domain(raw, mode, extra_suffixes))
         except DomainError as exc:
             stats.record_error(f"line {stats.total_rows}: {exc}")
             continue
-        records.append(record)
-    return records, _finalize_stats(stats, records)
+        hosts.append(raw)
+    if stats.skipped_rows:
+        log.warning("domain list: skipped %d of %d lines", stats.skipped_rows, stats.total_rows)
+    return DomainTable(hosts, parts), stats
 
 
-def dedupe(records):
-    """Keep the first occurrence of each domain_part, preserving input order.
+def dedupe(table):
+    """Keep the first row of each domain_part, preserving input order.
 
-    Returns ``(unique_records, conflicts)`` where conflicts lists
+    Returns ``(unique_table, conflicts)`` where conflicts lists
     ``(domain_part, kept_label, dropped_label)`` for duplicates whose labels
-    disagree. The first label always wins.
+    disagree, in input order. The first label always wins.
     """
-    seen = {}
-    unique = []
+    parts = table.domain_part
+    if len(set(parts)) == len(parts):
+        return table, []
+    # walking backwards, the last index stored for a name is its first row
+    first = dict(zip(reversed(parts), range(len(parts) - 1, -1, -1)))
+    keep = sorted(first.values())
     conflicts = []
-    for rec in records:
-        kept = seen.get(rec.domain_part)
-        if kept is None:
-            seen[rec.domain_part] = rec
-            unique.append(rec)
-        elif (
-            kept.label is not None
-            and rec.label is not None
-            and kept.label != rec.label
-        ):
-            conflicts.append((rec.domain_part, kept.label, rec.label))
-    if conflicts:
-        log.warning(
-            "dedupe: %d label conflicts (first occurrence kept), e.g. %r",
-            len(conflicts),
-            conflicts[0],
-        )
+    if table.label is not None:
+        labels = table.label.tolist()
+        conflicts = [
+            (part, labels[first[part]], label)
+            for part, label in zip(parts, labels)
+            if label != labels[first[part]]
+        ]
+        if conflicts:
+            log.warning(
+                "dedupe: %d label conflicts (first occurrence kept), e.g. %r",
+                len(conflicts),
+                conflicts[0],
+            )
+    unique = DomainTable(
+        [table.raw_host[i] for i in keep],
+        [parts[i] for i in keep],
+        None if table.label is None else table.label[keep],
+    )
     return unique, conflicts
 
 

@@ -14,7 +14,8 @@ import csv
 
 import numpy as np
 
-from .base import ParamsMixin, check_matrix
+from .base import check_matrix
+from .corpus import DomainTable
 
 FEATURE_NAMES = (
     "len",
@@ -66,56 +67,89 @@ def domain_features(domain):
     )
 
 
-class FeatureExtractor(ParamsMixin):
-    """Stateless transformer mapping domain strings to the 8-column matrix.
+def extract_features(records_or_domains):
+    """Feature matrix for a DomainTable, DomainRecords or plain strings, plus labels.
 
-    Follows the fit/transform convention so it can sit first in a pipeline;
-    fit only validates input and learns nothing.
+    Returns ``(X, y)``: ``X`` has one row per input row in the order of
+    :data:`FEATURE_NAMES`, equal to :func:`domain_features` of each domain.
+    ``y`` is the int64 label vector when every row carries a label, else None.
     """
+    if isinstance(records_or_domains, str):
+        raise TypeError("domains must be a sequence of strings, not a single str")
+    if isinstance(records_or_domains, DomainTable):
+        domains, y = records_or_domains.domain_part, records_or_domains.label
+    else:
+        rows = list(records_or_domains)
+        domains = [getattr(item, "domain_part", item) for item in rows]
+        labels = [getattr(item, "label", None) for item in rows]
+        y = None if None in labels else np.asarray(labels, dtype=np.int64)
+    X = _feature_matrix(domains)
+    return X, (y if len(domains) else None)
 
-    def fit(self, domains, y=None):
-        self._validate(domains)
-        self.n_features_in_ = 0
-        return self
 
-    def transform(self, domains):
-        self._validate(domains)
-        out = np.empty((len(domains), N_FEATURES), dtype=np.float64)
-        for i, domain in enumerate(domains):
+# cells (rows x longest domain) of the code-point matrix built per block of
+# rows. It bounds the transient memory of feature extraction: at this size the
+# block arrays stay below a run's peak memory, and larger blocks are no faster
+FEATURE_BLOCK_CELLS = 1 << 16
+# padding value of the code-point matrix: above every code point (U+10FFFF),
+# so that it sorts after every character of the domain
+_PAD = 0x110000
+
+
+def _feature_matrix(domains):
+    lengths = _domain_lengths(domains)
+    X = np.empty((len(domains), N_FEATURES), dtype=np.float64)
+    if not len(domains):
+        return X
+    step = max(1, FEATURE_BLOCK_CELLS // int(lengths.max()))
+    for start in range(0, len(domains), step):
+        stop = start + step
+        _feature_block(domains[start:stop], lengths[start:stop], X[start:stop])
+    return X
+
+
+def _domain_lengths(domains):
+    """Each domain's length; for the first one that is not a non-empty str,
+    raises domain_features' error prefixed with the row number."""
+    if set(map(type, domains)) <= {str}:
+        lengths = np.fromiter(map(len, domains), dtype=np.int64, count=len(domains))
+        if lengths.all():
+            return lengths
+    for i, domain in enumerate(domains):
+        if not isinstance(domain, str) or not domain:
             try:
-                out[i] = domain_features(domain)
+                domain_features(domain)
             except (TypeError, ValueError) as exc:
                 raise type(exc)(f"row {i}: {exc}") from None
-        return out
-
-    def fit_transform(self, domains, y=None):
-        return self.fit(domains, y).transform(domains)
-
-    @staticmethod
-    def _validate(domains):
-        if isinstance(domains, str):
-            raise TypeError("domains must be a sequence of strings, not a single str")
+    return np.fromiter(map(len, domains), dtype=np.int64, count=len(domains))
 
 
-def extract_features(records_or_domains):
-    """Feature matrix for DomainRecords or plain strings, plus label vector.
-
-    Returns ``(X, y)`` where ``y`` is None unless every input record carries
-    a label.
-    """
-    domains = []
-    labels = []
-    for item in records_or_domains:
-        if isinstance(item, str):
-            domains.append(item)
-            labels.append(None)
-        else:
-            domains.append(item.domain_part)
-            labels.append(item.label)
-    X = FeatureExtractor().fit_transform(domains)
-    if labels and all(label is not None for label in labels):
-        return X, np.asarray(labels, dtype=np.int64)
-    return X, None
+def _feature_block(domains, lengths, out):
+    """Fill ``out`` with the features of ``domains``, whose lengths are ``lengths``."""
+    # UTF-32 holds one code point per cell; a NUL inside a domain stays a
+    # character because the padding is told apart by length, not by value
+    codes = np.array(domains, dtype=str).view(np.uint32).reshape(len(domains), -1)
+    codes[np.arange(codes.shape[1]) >= lengths[:, None]] = _PAD
+    codes.sort(axis=1)
+    # a cell starts a run of equal characters: each distinct character once
+    first = np.empty(codes.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(codes[:, 1:], codes[:, :-1], out=first[:, 1:])
+    first &= codes != _PAD
+    letter = (codes >= ord("a")) & (codes <= ord("z"))
+    digit = (codes >= ord("0")) & (codes <= ord("9"))
+    n = lengths.astype(np.float64)
+    u_chars = np.count_nonzero(first, axis=1).astype(np.float64)
+    u_letters = np.count_nonzero(first & letter, axis=1)
+    u_digits = np.count_nonzero(first & digit, axis=1)
+    out[:, 0] = n
+    out[:, 1] = u_chars
+    out[:, 2] = u_letters
+    out[:, 3] = u_digits
+    out[:, 4] = np.count_nonzero(letter, axis=1) / n
+    out[:, 5] = np.count_nonzero(digit, axis=1) / n
+    out[:, 6] = u_letters / u_chars
+    out[:, 7] = u_digits / u_chars
 
 
 def write_feature_csv(stream, X, y=None):

@@ -324,6 +324,33 @@ class TestExitCodes:
         assert flag in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,config,message", [
+        (["cluster", "--k", "0"], None, "--k must be at least 1, got 0"),
+        (["cluster"], "k = -2\n", "--k must be at least 1, got -2"),
+        (["evaluate", "--cv", "-3"], None, "--cv must be 0 or at least 2, got -3"),
+        (["evaluate", "--cv", "1"], None, "--cv must be 0 or at least 2, got 1"),
+        (["evaluate"], "cv = 1\n", "--cv must be 0 or at least 2, got 1"),
+        (["evaluate", "--test-fraction", "2"], None, "--test-fraction must be in (0, 1), got 2.0"),
+        (["evaluate", "--test-fraction", "0"], None, "--test-fraction must be in (0, 1), got 0.0"),
+        (["evaluate", "--test-fraction", "nan"], None,
+         "--test-fraction must be in (0, 1), got nan"),
+        (["evaluate"], "test_fraction = 1\n", "--test-fraction must be in (0, 1), got 1.0"),
+    ], ids=["k_0", "config_k", "cv_negative", "cv_1", "config_cv", "test_fraction_2",
+            "test_fraction_0", "test_fraction_nan", "config_test_fraction"])
+    def test_bad_option_refused_before_reading(self, workdir, tmp_path, capsys, argv, config,
+                                               message):
+        corpus = "census.tsv" if argv[0] == "cluster" else "labeled.csv"
+        argv = argv + ["--in", str(workdir / "gen" / corpus), "--out", str(tmp_path / "o")]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"ERROR domainsift: {message}\n"
+        assert "parsed" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_is_data_error(self, workdir, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense_key = 1\n")

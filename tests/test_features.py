@@ -3,12 +3,14 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from domainsift.corpus import DomainRecord
+from domainsift import features
+from domainsift.corpus import DomainRecord, DomainTable
 from domainsift.features import (
     FEATURE_NAMES,
     N_FEATURES,
-    FeatureExtractor,
     domain_features,
     extract_features,
     read_feature_csv,
@@ -69,25 +71,63 @@ class TestDomainFeatures:
         np.testing.assert_allclose(got, (2, 2, 0, 0, 0.0, 0.0, 0.0, 0.0))
 
 
-class TestFeatureExtractor:
-    def test_transform_shape_and_values(self):
-        X = FeatureExtractor().fit_transform(["mydaily", "paypa1"])
+class TestExtractFeatures:
+    def test_shape_and_values(self):
+        X, _ = extract_features(["mydaily", "paypa1"])
         assert X.shape == (2, N_FEATURES)
         np.testing.assert_allclose(X[0], domain_features("mydaily"))
 
     def test_rejects_bare_string(self):
-        with pytest.raises(TypeError):
-            FeatureExtractor().fit_transform("mydaily")
+        with pytest.raises(TypeError, match="single str"):
+            extract_features("mydaily")
 
     def test_row_error_names_row(self):
-        with pytest.raises(ValueError, match="row 1"):
-            FeatureExtractor().fit_transform(["ok", ""])
+        with pytest.raises(ValueError, match="row 1: cannot extract features from an empty"):
+            extract_features(["ok", ""])
+        with pytest.raises(TypeError, match="row 2: domain must be str, got int"):
+            extract_features(["ok", "fine", 5, ""])
+        with pytest.raises(ValueError, match="row 0: "):
+            extract_features(["", 5])
+        with pytest.raises(TypeError, match="row 1: domain must be str, got NoneType"):
+            extract_features(DomainTable(["a", "b"], ["a", None]))
 
-    def test_get_params(self):
-        assert FeatureExtractor().get_params() == {}
+    def test_table_columns(self):
+        table = DomainTable(["www.a.com", "b.com"], ["mydaily", "qx7r1z9k2m4p"],
+                            np.array([0, 1]))
+        X, y = extract_features(table)
+        np.testing.assert_array_equal(X, np.stack([domain_features("mydaily"),
+                                                   domain_features("qx7r1z9k2m4p")]))
+        assert y is table.label
+        assert extract_features(DomainTable(["a.com"], ["a"]))[1] is None
 
+    def test_nul_is_a_character_not_padding(self):
+        X, _ = extract_features(["a\x00", "\x00\x00", "ab"])
+        np.testing.assert_array_equal(X[0], domain_features("a\x00"))
+        np.testing.assert_array_equal(X[1], (2, 1, 0, 0, 0.0, 0.0, 0.0, 0.0))
 
-class TestExtractFeatures:
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        domains=st.lists(
+            st.text(
+                st.one_of(
+                    st.sampled_from("abcxyz0129-._ABZ\x00\x01é\u00ff\u0100ü"),
+                    st.characters(max_codepoint=0x10FFFF),
+                ),
+                min_size=1,
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        cells=st.integers(1, 64),
+    )
+    def test_matches_per_row_oracle(self, monkeypatch, domains, cells):
+        monkeypatch.setattr(features, "FEATURE_BLOCK_CELLS", cells)
+        X, y = extract_features(domains)
+        assert y is None
+        np.testing.assert_array_equal(X, np.stack([domain_features(d) for d in domains]))
+
     def test_labeled_records(self):
         records = [
             DomainRecord("a.com", "mydaily", label=0),
