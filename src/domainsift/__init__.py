@@ -52,7 +52,6 @@ from .learners import (
 from .model_io import ModelFormatError, ModelIOError, load_model, save_model
 from .preprocessing import Standardizer
 from .reputation import (
-    HTTPReputationProvider,
     LocalListProvider,
     ReputationResult,
     check,
@@ -70,7 +69,6 @@ __all__ = [
     "DomainTable",
     "FEATURE_NAMES",
     "GaussianNaiveBayes",
-    "HTTPReputationProvider",
     "KMeans",
     "KNNClassifier",
     "LocalListProvider",

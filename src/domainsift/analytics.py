@@ -199,12 +199,14 @@ def default_binning(values):
     return Binning(origin=lo, width=width if width > 0 else 1.0, count=50)
 
 
-def histogram_pdf(values, y=None, binning=None, feature_name=""):
+def histogram_pdf(values, y=None, binning=None, feature_name="", weights=None):
     """Density histogram of one feature column, split by class when labeled.
 
     Values on a bin edge belong to the right bin except at the very top of
     the range, which closes the last bin (so ratio 1.0 lands in bin 49 of a
-    [0,1] binning).
+    [0,1] binning). ``weights``, when given, holds the number of rows each
+    value stands for, so distinct values with their counts give the same
+    densities as the rows themselves.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
@@ -215,20 +217,25 @@ def histogram_pdf(values, y=None, binning=None, feature_name=""):
         binning = default_binning(values)
     if binning.count < 1 or binning.width <= 0:
         raise ValueError(f"invalid binning {binning!r}")
+    if weights is None:
+        weights = np.ones(values.size, dtype=np.int64)
+    weights = np.asarray(weights)
+    if weights.shape != values.shape:
+        raise ValueError(f"{weights.size} weights for {values.size} values")
 
     if y is None:
-        groups = {None: values}
+        groups = {None: (values, weights)}
     else:
         y = check_labels(y, n_samples=values.shape[0])
-        groups = {int(cls): values[y == cls] for cls in np.unique(y)}
+        groups = {int(cls): (values[y == cls], weights[y == cls]) for cls in np.unique(y)}
 
     centers = binning.origin + (np.arange(binning.count) + 0.5) * binning.width
     densities = {}
-    for cls, sub in groups.items():
+    for cls, (sub, w) in groups.items():
         idx = np.floor((sub - binning.origin) / binning.width).astype(np.int64)
         idx = np.clip(idx, 0, binning.count - 1)
-        counts = np.bincount(idx, minlength=binning.count).astype(np.float64)
-        dens = counts / (sub.size * binning.width)
+        counts = np.bincount(idx, weights=w, minlength=binning.count)
+        dens = counts / (w.sum() * binning.width)
         densities[cls] = list(zip(centers.tolist(), dens.tolist()))
     return Histogram(feature_name=feature_name, binning=binning, densities=densities)
 

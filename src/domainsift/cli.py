@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import logging
 import os
 import sys
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics, corpus, evaluate, reputation, synthetic
+from .base import distinct_rows
 from .cluster import KMeans, cluster_feature_histogram, write_centroids_csv
 from .config import (
     kmeans_params_from_config,
@@ -262,15 +264,17 @@ def _cross_validate_members(args, opt, data):
 
 def cmd_cluster(args):
     opt = _prepare(args, mode_default="full")
-    data = _load_data(args.in_path, opt["mode"], opt["max_rows"])
+    # from here on the rows are needed only as distinct feature vectors
+    distinct = distinct_rows(_load_data(args.in_path, opt["mode"], opt["max_rows"]).X)
     model = KMeans(
         k=opt["k"], seed=opt["seed"], **kmeans_params_from_config(args.run_config)
-    ).fit(data.X)
+    ).fit(distinct)
+    labels = model.predict(distinct.rows)
     out = _out_dir(args.out)
     with open(os.path.join(out, "centroids.csv"), "w", encoding="utf-8", newline="") as fh:
         write_centroids_csv(fh, model)
     for j, name in enumerate(FEATURE_NAMES):
-        hist = cluster_feature_histogram(model, data.X, j)
+        hist = cluster_feature_histogram(distinct, labels, j)
         with open(os.path.join(out, f"hist_{name}.csv"), "w", encoding="utf-8", newline="") as fh:
             analytics.write_histogram_csv(fh, hist)
     if args.model_out:
@@ -321,9 +325,8 @@ def cmd_reputation_check(args):
         raise ValueError(f"--sample must be at least 0, got {args.sample}")
     opt = _prepare(args, mode_default="full")
     with corpus.open_corpus_text(args.in_path) as fh:
-        domains = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    if opt["max_rows"] is not None:
-        domains = domains[: opt["max_rows"]]
+        lines = (line.strip() for line in fh if line.strip() and not line.startswith("#"))
+        domains = list(itertools.islice(lines, opt["max_rows"]))
     provider = reputation.LocalListProvider.from_file(args.badlist)
     n = args.sample if args.sample is not None else len(domains)
     results = reputation.sample_and_check(domains, n, opt["seed"], provider)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ParamsMixin, check_is_fitted, check_matrix
+from .base import DistinctRows, ParamsMixin, check_is_fitted, check_matrix, distinct_rows
 from .features import FEATURE_NAMES
 from .analytics import Histogram, default_binning, histogram_pdf
 
@@ -26,6 +26,13 @@ def _pairwise_sq(X, C):
     )
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _assign(rows, inverse, centroids):
+    """Each row's nearest centroid and squared distance to it, found per distinct row."""
+    d2 = _pairwise_sq(rows, centroids)
+    near = np.argmin(d2, axis=1)
+    return near[inverse], d2[np.arange(rows.shape[0]), near][inverse]
 
 
 class KMeans(ParamsMixin):
@@ -58,21 +65,32 @@ class KMeans(ParamsMixin):
         self.n_restarts = n_restarts
 
     def fit(self, X):
-        X = check_matrix(X)
+        """Fit on a matrix X, or on its :func:`~domainsift.base.distinct_rows`.
+
+        Distances and assignments run once per distinct row. The sums whose
+        rounding depends on row order (centroid coordinates, inertia, the
+        k-means++ draw) still run over every row in order, so every fitted
+        attribute is bit-identical to assigning each row on its own.
+        """
+        if not isinstance(X, DistinctRows):
+            X = distinct_rows(check_matrix(X))
+        rows, inverse, _ = X
+        rows = check_matrix(rows)
+        columns = np.take(rows.T, inverse, axis=1)  # the matrix, one contiguous row per feature
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if X.shape[0] < self.k:
-            raise ValueError(f"need at least k={self.k} points, got {X.shape[0]}")
+        if inverse.size < self.k:
+            raise ValueError(f"need at least k={self.k} points, got {inverse.size}")
         if self.n_restarts < 1:
             raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
 
         best = None
         for r in range(self.n_restarts):
-            run = self._run(X, self.seed + r)
+            run = self._run(rows, inverse, columns, self.seed + r)
             if best is None or run["inertia"] < best["inertia"]:
                 best = run
 
-        order = np.lexsort([best["centroids"][:, j] for j in range(X.shape[1] - 1, -1, -1)])
+        order = np.lexsort([best["centroids"][:, j] for j in range(rows.shape[1] - 1, -1, -1)])
         rank = np.empty(self.k, dtype=np.int64)
         rank[order] = np.arange(self.k)
         self.centroids_ = best["centroids"][order]
@@ -81,32 +99,29 @@ class KMeans(ParamsMixin):
         self.inertia_ = best["inertia"]
         self.inertia_path_ = np.asarray(best["path"])
         self.n_iter_ = best["n_iter"]
-        self.n_features_in_ = X.shape[1]
+        self.n_features_in_ = rows.shape[1]
         return self
 
-    def _run(self, X, seed):
-        n, d = X.shape
+    def _run(self, rows, inverse, columns, seed):
         rng = np.random.default_rng(seed)
-        centroids = self._init_kmeanspp(X, rng)
+        centroids = self._init_kmeanspp(rows, inverse, rng)
         path = []
         n_iter = 0
         for _ in range(self.max_iter):
-            d2 = _pairwise_sq(X, centroids)
-            labels = np.argmin(d2, axis=1)
-            path.append(float(d2[np.arange(n), labels].sum()))
+            labels, own = _assign(rows, inverse, centroids)
+            path.append(float(own.sum()))
             n_iter += 1
 
             counts = np.bincount(labels, minlength=self.k)
             new = np.empty_like(centroids)
-            for col in range(d):
-                sums = np.bincount(labels, weights=X[:, col], minlength=self.k)
+            for col, values in enumerate(columns):
+                sums = np.bincount(labels, weights=values, minlength=self.k)
                 new[:, col] = sums / np.maximum(counts, 1)
             empties = np.nonzero(counts == 0)[0]
             if empties.size:
-                own = d2[np.arange(n), labels]
                 farthest = np.argsort(-own)
                 for slot, j in enumerate(empties):
-                    new[j] = X[farthest[slot]]
+                    new[j] = rows[inverse[farthest[slot]]]
 
             shift = np.sqrt(np.sum((new - centroids) ** 2, axis=1))
             scale = 1.0 + np.sqrt(np.sum(centroids**2, axis=1))
@@ -114,9 +129,8 @@ class KMeans(ParamsMixin):
             if empties.size == 0 and float(np.max(shift / scale)) < self.tol:
                 break
 
-        d2 = _pairwise_sq(X, centroids)
-        labels = np.argmin(d2, axis=1)
-        path.append(float(d2[np.arange(n), labels].sum()))
+        labels, own = _assign(rows, inverse, centroids)
+        path.append(float(own.sum()))
         return {
             "centroids": centroids,
             "labels": labels,
@@ -125,21 +139,22 @@ class KMeans(ParamsMixin):
             "n_iter": n_iter,
         }
 
-    def _init_kmeanspp(self, X, rng):
-        n = X.shape[0]
-        centroids = np.empty((self.k, X.shape[1]))
-        centroids[0] = X[rng.integers(n)]
+    def _init_kmeanspp(self, rows, inverse, rng):
+        n = inverse.size
+        centroids = np.empty((self.k, rows.shape[1]))
+        centroids[0] = rows[inverse[rng.integers(n)]]
         if self.k == 1:
             return centroids
-        d2 = np.sum((X - centroids[0]) ** 2, axis=1)
+        near = np.sum((rows - centroids[0]) ** 2, axis=1)
         for j in range(1, self.k):
+            d2 = near[inverse]
             total = float(d2.sum())
             if total <= 0.0:
                 idx = int(rng.integers(n))  # all remaining mass on duplicates
             else:
                 idx = int(rng.choice(n, p=d2 / total))
-            centroids[j] = X[idx]
-            d2 = np.minimum(d2, np.sum((X - centroids[j]) ** 2, axis=1))
+            centroids[j] = rows[inverse[idx]]
+            near = np.minimum(near, np.sum((rows - centroids[j]) ** 2, axis=1))
         return centroids
 
     def predict(self, X):
@@ -185,17 +200,21 @@ def write_centroids_csv(stream, model, names=FEATURE_NAMES):
     writer.writerow(["size"] + [str(int(s)) for s in model.sizes_])
 
 
-def cluster_feature_histogram(model, X, feature_index, names=FEATURE_NAMES):
-    """Density histogram of one feature, one curve per cluster, shared bins."""
-    X = check_matrix(X, n_features=model.n_features_in_)
-    labels = model.predict(X)
-    column = X[:, feature_index]
+def cluster_feature_histogram(distinct, labels, feature_index, names=FEATURE_NAMES):
+    """Density histogram of one feature, one curve per cluster, shared bins.
+
+    ``distinct`` is the :func:`~domainsift.base.distinct_rows` of the
+    clustered matrix and ``labels`` the cluster of each of its distinct rows;
+    each distinct value is binned once, weighted by the rows that hold it.
+    """
+    column = distinct.rows[:, feature_index]
     binning = default_binning(column)
     densities = {}
-    for c in range(model.centroids_.shape[0]):
-        values = column[labels == c]
-        if values.size == 0:
-            continue
-        part = histogram_pdf(values, binning=binning, feature_name=names[feature_index])
+    for c in np.unique(labels).tolist():
+        mine = labels == c
+        part = histogram_pdf(
+            column[mine], binning=binning, feature_name=names[feature_index],
+            weights=distinct.counts[mine],
+        )
         densities[c] = part.densities[None]
     return Histogram(feature_name=names[feature_index], binning=binning, densities=densities)

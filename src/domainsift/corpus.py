@@ -287,11 +287,13 @@ def parse_census_lines(stream, max_rows=None, mode="full_name", extra_suffixes=N
         stats.total_rows += 1
         host = m.group(1)
         try:
-            parts.append(normalize_domain(host, mode, extra_suffixes))
+            part = normalize_domain(host, mode, extra_suffixes)
         except DomainError as exc:
             stats.record_error(f"line {stats.total_rows}: {exc}")
             continue
-        hosts.append(host.strip())
+        host = host.strip()
+        hosts.append(part if part == host else host)  # one string for both when equal
+        parts.append(part)
     if stats.skipped_rows:
         log.warning("census corpus: skipped %d of %d lines", stats.skipped_rows, stats.total_rows)
     return DomainTable(hosts, parts), stats

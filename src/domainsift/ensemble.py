@@ -20,6 +20,7 @@ from .base import (
     check_matrix,
     check_X_y,
     corpus_fingerprint,
+    distinct_rows,
 )
 from .learners import (
     C45Tree,
@@ -144,12 +145,12 @@ class MajorityVoteEnsemble(ParamsMixin, BinaryClassifierMixin):
         """
         check_is_fitted(self, "members_")
         X = check_matrix(X, n_features=self.n_features_in_)
-        U, inverse = np.unique(X, axis=0, return_inverse=True)
+        U, inverse, _ = distinct_rows(X)
         Us = self.standardizer_.transform(U)
         votes = np.empty((U.shape[0], len(self.members_)), dtype=np.int64)
         for col, member in enumerate(self.members_):
             votes[:, col] = member.estimator.predict(Us if member.uses_standardizer else U)
-        return votes[inverse.reshape(-1)]  # numpy 2.0.0 returns inverse as a column
+        return votes[inverse]
 
     def predict(self, X):
         return majority(self.vote_matrix(X))

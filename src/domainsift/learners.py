@@ -26,6 +26,7 @@ from .base import (
     check_is_fitted,
     check_matrix,
     check_X_y,
+    distinct_rows,
 )
 
 _EPS = 1e-12
@@ -288,7 +289,7 @@ class KNNClassifier(ParamsMixin, BinaryClassifierMixin):
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y)
         self._check_k(X.shape[0])
-        self.X_, self.row_ = np.unique(X, axis=0, return_inverse=True)
+        self.X_, self.row_, _ = distinct_rows(X)
         self.y_ = y
         return self
 
@@ -390,7 +391,7 @@ class LogisticRegressionGD(ParamsMixin, BinaryClassifierMixin):
 
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y, require_both_classes=True)
-        rows, counts = np.unique(np.column_stack([X, y]), axis=0, return_counts=True)
+        rows, _, counts = distinct_rows(np.column_stack([X, y]))
         X, y, share = rows[:, :-1], rows[:, -1], counts / y.size
         w = np.zeros(X.shape[1])
         b = 0.0
@@ -534,7 +535,7 @@ class PegasosSVM(ParamsMixin, BinaryClassifierMixin):
         n = X.shape[0]
         # each row signed by its label, with the always-on bias input last
         signed = (2.0 * y - 1.0)[:, None] * np.column_stack([X, np.ones(n)])
-        rows, inverse = np.unique(signed, axis=0, return_inverse=True)
+        rows, inverse, _ = distinct_rows(signed)
         rows = rows.tolist()
         lam = self.lam
         u = [0.0] * len(rows[0])

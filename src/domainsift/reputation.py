@@ -1,18 +1,15 @@
 """Spot-verification of flagged domains against a reputation provider.
 
-Scores run 0-100; anything below 50 is treated as suspicious. Two providers
-ship here: a local bad-list (membership means score 0) and a generic HTTP
-JSON endpoint with an injectable fetch function so it can be exercised
-without a live vendor. Provider failures mark a single result unknown and
-never abort a batch.
+Scores run 0-100; anything below 50 is treated as suspicious. One provider
+ships here, a local bad-list (membership means score 0); any object with a
+``provider_id`` and a ``lookup(domain)`` returning a score or None can take
+its place. Provider failures mark a single result unknown and never abort a
+batch.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,38 +57,6 @@ class LocalListProvider:
 
     def lookup(self, domain):
         return 0 if domain.strip().lower() in self.bad_domains else None
-
-
-class HTTPReputationProvider:
-    """Generic JSON-over-HTTP scorer: GET url_template, expect {"score": n}.
-
-    ``fetch`` takes a URL and returns the response body text; the default
-    uses urllib. Tests inject a stub fetch, so no live endpoint is needed.
-    """
-
-    provider_id = "http"
-
-    def __init__(self, url_template, fetch=None, timeout=10.0):
-        if "{domain}" not in url_template:
-            raise ValueError("url_template must contain a {domain} placeholder")
-        self.url_template = url_template
-        self.timeout = timeout
-        self._fetch = fetch if fetch is not None else self._default_fetch
-
-    def _default_fetch(self, url):
-        with urllib.request.urlopen(url, timeout=self.timeout) as response:
-            return response.read().decode("utf-8")
-
-    def lookup(self, domain):
-        url = self.url_template.format(domain=urllib.parse.quote(domain))
-        try:
-            body = self._fetch(url)
-            score = json.loads(body)["score"]
-        except Exception as exc:
-            raise ProviderError(f"reputation lookup failed for {domain!r}: {exc}") from exc
-        if not isinstance(score, int) or not 0 <= score <= 100:
-            raise ProviderError(f"provider returned invalid score {score!r} for {domain!r}")
-        return score
 
 
 def check(domain, provider):

@@ -126,6 +126,14 @@ class TestHistogram:
         centers = [c for c, _ in hist.densities[None]]
         assert centers == [1.0, 3.0, 5.0]
 
+    def test_weights_stand_for_repeated_values(self, rng):
+        values = rng.normal(size=300).round(1)
+        y = (values > 0.3).astype(np.int64)
+        distinct, counts = np.unique(values, return_counts=True)
+        assert histogram_pdf(distinct, distinct > 0.3, weights=counts) == histogram_pdf(values, y)
+        with pytest.raises(ValueError, match="weights"):
+            histogram_pdf(distinct, weights=counts[1:])
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             histogram_pdf(np.array([]), feature_name="x")

@@ -236,6 +236,21 @@ def test_reputation_check(predictions, tmp_path):
     assert sum(",suspicious," in line for line in lines) == 3
 
 
+def test_reputation_check_max_rows_stops_reading(tmp_path, capsys):
+    # an undecodable byte well past the decoder's first chunk, after the rows wanted
+    hosts = tmp_path / "hosts.txt"
+    hosts.write_bytes(b"first.com\n" + b"filler-host-name.com\n" * 6000 + b"\xff\n")
+    badlist = tmp_path / "bad.txt"
+    badlist.write_text("first.com\n")
+    capsys.readouterr()
+    rc = main(["reputation-check", "--in", str(hosts), "--badlist", str(badlist),
+               "--max-rows", "1"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "ERROR" not in captured.err
+    assert captured.out.strip() == "suspicious: 1"
+
+
 def test_config_file_supplies_defaults(workdir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 5\nknn_k = 3\n")

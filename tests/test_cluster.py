@@ -3,9 +3,14 @@ import io
 import numpy as np
 import pytest
 
-from domainsift.base import NotFittedError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from domainsift.analytics import Histogram, default_binning, histogram_pdf
+from domainsift.base import NotFittedError, distinct_rows
 from domainsift.cluster import (
     KMeans,
+    _pairwise_sq,
     cluster_feature_histogram,
     cluster_report,
     write_centroids_csv,
@@ -125,7 +130,168 @@ class TestClusterReporting:
 
     def test_cluster_histogram_keys(self, rng):
         X = rng.normal(size=(60, 2)) + np.array([[0.0, 0.0]])
-        model = KMeans(k=2, seed=0).fit(X)
-        hist = cluster_feature_histogram(model, X, 0, names=("a", "b"))
+        distinct = distinct_rows(X)
+        model = KMeans(k=2, seed=0).fit(distinct)
+        labels = model.predict(distinct.rows)
+        hist = cluster_feature_histogram(distinct, labels, 0, names=("a", "b"))
         assert set(hist.densities) <= {0, 1}
         assert hist.feature_name == "a"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_histograms_match_all_rows(self, data):
+        X = data.draw(_duplicated_matrices(), label="X")
+        k = data.draw(st.integers(1, min(4, X.shape[0])), label="k")
+        model = KMeans(k=k, seed=0).fit(X)
+        distinct = distinct_rows(X)
+        labels = model.predict(distinct.rows)
+        names = [f"f{i}" for i in range(X.shape[1])]
+        for j in range(X.shape[1]):
+            got = cluster_feature_histogram(distinct, labels, j, names=names)
+            want = _histogram_reference(model, X, j, names)
+            assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the all-rows k-means that fitting on distinct rows must reproduce bit for bit
+
+
+def _run_reference(model, X, seed):
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+    centroids = _init_reference(model, X, rng)
+    path = []
+    n_iter = 0
+    for _ in range(model.max_iter):
+        d2 = _pairwise_sq(X, centroids)
+        labels = np.argmin(d2, axis=1)
+        path.append(float(d2[np.arange(n), labels].sum()))
+        n_iter += 1
+
+        counts = np.bincount(labels, minlength=model.k)
+        new = np.empty_like(centroids)
+        for col in range(d):
+            sums = np.bincount(labels, weights=X[:, col], minlength=model.k)
+            new[:, col] = sums / np.maximum(counts, 1)
+        empties = np.nonzero(counts == 0)[0]
+        if empties.size:
+            own = d2[np.arange(n), labels]
+            farthest = np.argsort(-own)
+            for slot, j in enumerate(empties):
+                new[j] = X[farthest[slot]]
+
+        shift = np.sqrt(np.sum((new - centroids) ** 2, axis=1))
+        scale = 1.0 + np.sqrt(np.sum(centroids**2, axis=1))
+        centroids = new
+        if empties.size == 0 and float(np.max(shift / scale)) < model.tol:
+            break
+
+    d2 = _pairwise_sq(X, centroids)
+    labels = np.argmin(d2, axis=1)
+    path.append(float(d2[np.arange(n), labels].sum()))
+    return {"centroids": centroids, "labels": labels, "inertia": path[-1],
+            "path": path, "n_iter": n_iter}
+
+
+def _init_reference(model, X, rng):
+    n = X.shape[0]
+    centroids = np.empty((model.k, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    if model.k == 1:
+        return centroids
+    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
+    for j in range(1, model.k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[j] = X[idx]
+        d2 = np.minimum(d2, np.sum((X - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
+def _fit_reference(model, X):
+    """What ``KMeans.fit`` returned when it assigned every row on its own."""
+    runs = [_run_reference(model, X, model.seed + r) for r in range(model.n_restarts)]
+    best = runs[0]
+    for run in runs[1:]:
+        if run["inertia"] < best["inertia"]:
+            best = run
+    order = np.lexsort([best["centroids"][:, j] for j in range(X.shape[1] - 1, -1, -1)])
+    rank = np.empty(model.k, dtype=np.int64)
+    rank[order] = np.arange(model.k)
+    labels = rank[best["labels"]]
+    return {
+        "centroids_": best["centroids"][order],
+        "labels_": labels,
+        "sizes_": np.bincount(labels, minlength=model.k),
+        "inertia_": best["inertia"],
+        "inertia_path_": np.asarray(best["path"]),
+        "n_iter_": best["n_iter"],
+    }
+
+
+def _histogram_reference(model, X, feature_index, names):
+    """Per-cluster histograms of one full column, every row assigned on its own."""
+    labels = model.predict(X)
+    column = X[:, feature_index]
+    binning = default_binning(column)
+    densities = {}
+    for c in range(model.centroids_.shape[0]):
+        values = column[labels == c]
+        if values.size:
+            part = histogram_pdf(values, binning=binning, feature_name=names[feature_index])
+            densities[c] = part.densities[None]
+    return Histogram(feature_name=names[feature_index], binning=binning, densities=densities)
+
+
+@st.composite
+def _duplicated_matrices(draw):
+    """Few distinct rows, each repeated, in shuffled order."""
+    d = draw(st.integers(1, 4))
+    cells = st.sampled_from([0.0, 1.0, 2.5, -3.0, 7.0, 40.0, 0.125])
+    pool = draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=80))
+    return np.array([pool[i] for i in picks], dtype=np.float64)
+
+
+def _assert_same_fit(model, X):
+    want = _fit_reference(model, X)
+    for name, value in want.items():
+        got = getattr(model, name)
+        np.testing.assert_array_equal(got, value, err_msg=name)
+        assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), name
+
+
+class TestDistinctRowFit:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_all_rows_fit(self, data):
+        X = data.draw(_duplicated_matrices(), label="X")
+        k = data.draw(st.integers(1, min(5, X.shape[0])), label="k")
+        restarts = data.draw(st.integers(1, 3), label="restarts")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        model = KMeans(k=k, seed=seed, n_restarts=restarts).fit(X)
+        _assert_same_fit(model, X)
+        again = KMeans(k=k, seed=seed, n_restarts=restarts).fit(distinct_rows(X))
+        for name in ("centroids_", "labels_", "sizes_", "inertia_path_", "n_iter_"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(model, name))
+
+    def test_emptied_cluster_reseed(self):
+        # more clusters than distinct points: a cluster empties and is re-seeded
+        X = np.array([[0.0], [0.0], [9.0], [0.0], [9.0], [9.0], [4.0]])
+        model = KMeans(k=4, seed=3).fit(X)
+        _assert_same_fit(model, X)
+
+    def test_all_identical_rows(self):
+        # the k-means++ draw finds no distance mass left and picks uniformly
+        X = np.full((12, 3), 2.5)
+        model = KMeans(k=3, seed=5, n_restarts=2).fit(X)
+        _assert_same_fit(model, X)
+
+    def test_random_rows_with_copies(self, rng):
+        base = rng.normal(size=(40, 8)) * rng.uniform(0.1, 30.0, size=8)
+        X = base[rng.integers(0, 40, size=500)]
+        model = KMeans(k=3, seed=11, n_restarts=3).fit(X)
+        _assert_same_fit(model, X)

@@ -194,6 +194,12 @@ class TestParseCensusLines:
         records, _ = parse_census_lines(io.StringIO(self.LINES), max_rows=0)
         assert len(records) == 0
 
+    def test_equal_host_and_name_share_one_string(self):
+        lines = "example.com\t1.2.3.4\n  Mixed.Com \t1.2.3.4\n"
+        table, _ = parse_census_lines(io.StringIO(lines), mode="full")
+        assert table.raw_host[0] is table.domain_part[0]
+        assert table.raw_host[1] == "Mixed.Com" and table.domain_part[1] == "mixed.com"
+
     def test_sld_mode(self):
         records, _ = parse_census_lines(io.StringIO("www.shop.example.co.uk\t1.2.3.4\n"),
                                         mode="sld")

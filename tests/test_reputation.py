@@ -1,15 +1,17 @@
 import io
-import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import domainsift
 from domainsift.corpus import DomainRecord
 from domainsift.reputation import (
     SUSPICION_THRESHOLD,
     VERDICT_BENIGN,
     VERDICT_SUSPICIOUS,
     VERDICT_UNKNOWN,
-    HTTPReputationProvider,
     LocalListProvider,
     ProviderError,
     check,
@@ -84,6 +86,21 @@ class TestErrorIsolation:
         assert verdicts.count(VERDICT_UNKNOWN) == 2
         assert verdicts.count(VERDICT_SUSPICIOUS) == 1
 
+    def test_check_isolates_lookup_failure(self):
+        class UnreachableProvider:
+            provider_id = "unreachable"
+
+            def lookup(self, domain):
+                try:
+                    raise OSError("connection refused")
+                except OSError as exc:
+                    raise ProviderError(f"lookup failed for {domain!r}: {exc}") from exc
+
+        result = check("x.com", UnreachableProvider())
+        assert result.verdict == VERDICT_UNKNOWN
+        assert result.provider == "unreachable"
+        assert "connection refused" in result.note
+
 
 class TestSampling:
     def test_deterministic(self):
@@ -112,44 +129,6 @@ class TestSampling:
             sample_and_check(["a.com"], 2, 0, LocalListProvider(set()))
 
 
-class TestHTTPProvider:
-    def make(self, fetch):
-        return HTTPReputationProvider("https://rep.test/v1/{domain}", fetch=fetch)
-
-    def test_parses_score(self):
-        provider = self.make(lambda url: json.dumps({"score": 42}))
-        assert provider.lookup("x.com") == 42
-
-    def test_url_contains_domain(self):
-        seen = {}
-
-        def fetch(url):
-            seen["url"] = url
-            return json.dumps({"score": 90})
-
-        self.make(fetch).lookup("sub.example.com")
-        assert "sub.example.com" in seen["url"]
-
-    def test_requires_domain_placeholder(self):
-        with pytest.raises(ValueError):
-            HTTPReputationProvider("https://rep.test/v1/fixed")
-
-    @pytest.mark.parametrize("body", ["not json", '{"other": 1}',
-                                      '{"score": "high"}', '{"score": 250}'])
-    def test_bad_payloads_raise(self, body):
-        provider = self.make(lambda url: body)
-        with pytest.raises(ProviderError):
-            provider.lookup("x.com")
-
-    def test_check_isolates_http_failure(self):
-        def fetch(url):
-            raise OSError("connection refused")
-
-        result = check("x.com", self.make(fetch))
-        assert result.verdict == VERDICT_UNKNOWN
-        assert result.note
-
-
 class TestCsv:
     def test_format(self):
         provider = LocalListProvider({"evil.com"})
@@ -160,3 +139,12 @@ class TestCsv:
         assert lines[0] == "domain,score,verdict,provider"
         assert lines[1] == "evil.com,0,suspicious,local-list"
         assert lines[2].startswith("ok.com,,unknown")
+
+
+def test_cli_import_leaves_out_the_http_stack():
+    # a fresh interpreter, so no module another test imported is counted
+    src = os.path.dirname(os.path.dirname(domainsift.__file__))
+    code = "import sys, domainsift.cli; print('urllib.request' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "False"
