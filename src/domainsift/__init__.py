@@ -13,8 +13,8 @@ from .analytics import (
     histogram_pdf,
     summarize,
 )
-from .base import NotFittedError, clone, corpus_fingerprint
-from .cluster import KMeans, cluster_report
+from .base import NotFittedError, corpus_fingerprint
+from .cluster import KMeans
 from .corpus import (
     DomainError,
     DomainRecord,
@@ -30,7 +30,6 @@ from .evaluate import (
     ConfusionMatrix,
     Metrics,
     confusion,
-    cross_validate,
     evaluate_all,
     metrics,
     stratified_kfold,
@@ -85,13 +84,10 @@ __all__ = [
     "Standardizer",
     "UndefinedCorrelationError",
     "check",
-    "clone",
-    "cluster_report",
     "confusion",
     "correlation",
     "correlation_table",
     "corpus_fingerprint",
-    "cross_validate",
     "dedupe",
     "domain_features",
     "evaluate_all",

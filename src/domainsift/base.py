@@ -1,4 +1,4 @@
-"""Shared estimator plumbing: parameter handling, input validation, distinct rows."""
+"""Shared estimator plumbing: parameter names, input validation, distinct rows."""
 
 from __future__ import annotations
 
@@ -13,19 +13,11 @@ class NotFittedError(RuntimeError):
     """Raised when predict/transform is called on an unfitted estimator."""
 
 
-class BinaryClassifierMixin:
-    """Labels are always 0/1, so ``classes_`` is derived rather than stored."""
-
-    classes_ = property(lambda self: np.array([0, 1], dtype=np.int64))
-
-
 class ParamsMixin:
-    """get_params/set_params in the scikit-learn style.
+    """get_params in the scikit-learn style.
 
     Parameters are whatever the subclass accepts in ``__init__`` and stores
-    under the same attribute name, which makes these estimators clonable by
-    and composable with the wider scikit-learn ecosystem without depending
-    on it.
+    under the same attribute name; model files store them by these names.
     """
 
     @classmethod
@@ -39,17 +31,6 @@ class ParamsMixin:
 
     def get_params(self, deep=True):
         return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = self._param_names()
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(
-                    f"invalid parameter {key!r} for {type(self).__name__}; "
-                    f"valid parameters are {valid}"
-                )
-            setattr(self, key, value)
-        return self
 
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
@@ -134,11 +115,6 @@ def distinct_rows(X):
     inverse[order] = np.cumsum(starts) - 1
     first = order[starts]
     return DistinctRows(X[first], inverse, np.diff(np.flatnonzero(starts), append=n))
-
-
-def clone(estimator):
-    """Fresh unfitted copy with the same constructor parameters."""
-    return type(estimator)(**estimator.get_params())
 
 
 def corpus_fingerprint(X, y=None):

@@ -87,6 +87,8 @@ def _load_data(path, mode, max_rows=None, allow_features=True):
             table, stats = corpus.parse_labeled_csv(fh, mode=mode, max_rows=max_rows)
         else:
             table, stats = corpus.parse_domain_lines(fh, mode=mode, max_rows=max_rows)
+    for reason in stats.errors:
+        log.warning("skipped %s", reason)
     table, conflicts = corpus.dedupe(table)
     log.info(
         "parsed %d rows: %d unique domains, %d skipped, %d label conflicts",
@@ -156,6 +158,13 @@ def _out_dir(path):
     return path
 
 
+def _write_histograms(out, histogram):
+    """Write ``hist_<feature>.csv`` for each feature; ``histogram(j, name)`` builds column j's."""
+    for j, name in enumerate(FEATURE_NAMES):
+        with open(os.path.join(out, f"hist_{name}.csv"), "w", encoding="utf-8", newline="") as fh:
+            analytics.write_histogram_csv(fh, histogram(j, name))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -183,10 +192,9 @@ def cmd_analyze(args):
     with open(os.path.join(out, "correlation.csv"), "w", encoding="utf-8", newline="") as fh:
         analytics.write_correlation_csv(fh, table)
 
-    for j, name in enumerate(FEATURE_NAMES):
-        hist = analytics.histogram_pdf(data.X[:, j], data.y, feature_name=name)
-        with open(os.path.join(out, f"hist_{name}.csv"), "w", encoding="utf-8", newline="") as fh:
-            analytics.write_histogram_csv(fh, hist)
+    _write_histograms(
+        out, lambda j, name: analytics.histogram_pdf(data.X[:, j], data.y, feature_name=name)
+    )
 
     print(analytics.format_correlation_table(table))
     log.info("analysis written to %s", out)
@@ -273,10 +281,7 @@ def cmd_cluster(args):
     out = _out_dir(args.out)
     with open(os.path.join(out, "centroids.csv"), "w", encoding="utf-8", newline="") as fh:
         write_centroids_csv(fh, model)
-    for j, name in enumerate(FEATURE_NAMES):
-        hist = cluster_feature_histogram(distinct, labels, j)
-        with open(os.path.join(out, f"hist_{name}.csv"), "w", encoding="utf-8", newline="") as fh:
-            analytics.write_histogram_csv(fh, hist)
+    _write_histograms(out, lambda j, name: cluster_feature_histogram(distinct, labels, j))
     if args.model_out:
         save_model(model, args.model_out, metadata={"source": os.path.basename(args.in_path)})
         log.info("saved cluster model to %s", args.model_out)
@@ -310,10 +315,9 @@ def cmd_predict(args):
         fh.writelines(
             host + "\n" for host, label in zip(data.table.raw_host, labels.tolist()) if label
         )
-    for j, name in enumerate(FEATURE_NAMES):
-        hist = analytics.histogram_pdf(data.X[:, j], labels, feature_name=name)
-        with open(os.path.join(out, f"hist_{name}.csv"), "w", encoding="utf-8", newline="") as fh:
-            analytics.write_histogram_csv(fh, hist)
+    _write_histograms(
+        out, lambda j, name: analytics.histogram_pdf(data.X[:, j], labels, feature_name=name)
+    )
 
     flagged = int(labels.sum())
     print(f"{flagged} of {labels.size} domains flagged as DGA ({100 * flagged / labels.size:.2f}%)")

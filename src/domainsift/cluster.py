@@ -9,7 +9,6 @@ comparable across runs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +69,8 @@ class KMeans(ParamsMixin):
         Distances and assignments run once per distinct row. The sums whose
         rounding depends on row order (centroid coordinates, inertia, the
         k-means++ draw) still run over every row in order, so every fitted
-        attribute is bit-identical to assigning each row on its own.
+        attribute is bit-identical to assigning each row on its own. There
+        must be at least k distinct rows, or some cluster can never be filled.
         """
         if not isinstance(X, DistinctRows):
             X = distinct_rows(check_matrix(X))
@@ -79,8 +79,11 @@ class KMeans(ParamsMixin):
         columns = np.take(rows.T, inverse, axis=1)  # the matrix, one contiguous row per feature
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if inverse.size < self.k:
-            raise ValueError(f"need at least k={self.k} points, got {inverse.size}")
+        if rows.shape[0] < self.k:
+            raise ValueError(
+                f"need at least k={self.k} distinct feature vectors, got {rows.shape[0]}"
+                f" among {inverse.size} rows"
+            )
         if self.n_restarts < 1:
             raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
 
@@ -162,31 +165,6 @@ class KMeans(ParamsMixin):
         check_is_fitted(self, "centroids_")
         X = check_matrix(X, n_features=self.n_features_in_)
         return np.argmin(_pairwise_sq(X, self.centroids_), axis=1)
-
-    def fit_predict(self, X):
-        return self.fit(X).labels_
-
-
-@dataclass(frozen=True, slots=True)
-class ClusterReport:
-    sizes: np.ndarray
-    means: np.ndarray  # k x d per-cluster feature means, raw units
-    inertia: float
-
-
-def cluster_report(model, X):
-    """Re-assign X and report per-cluster sizes and raw-unit feature means."""
-    X = check_matrix(X, n_features=model.n_features_in_)
-    labels = model.predict(X)
-    k = model.centroids_.shape[0]
-    sizes = np.bincount(labels, minlength=k)
-    means = np.zeros_like(model.centroids_)
-    for c in range(k):
-        if sizes[c]:
-            means[c] = X[labels == c].mean(axis=0)
-    d2 = _pairwise_sq(X, model.centroids_)
-    inertia = float(d2[np.arange(X.shape[0]), labels].sum())
-    return ClusterReport(sizes=sizes, means=means, inertia=inertia)
 
 
 def write_centroids_csv(stream, model, names=FEATURE_NAMES):

@@ -1,10 +1,12 @@
 """Corpus ingestion: parse, normalize, and deduplicate domain name corpora.
 
-Two corpus shapes are supported: a labeled CSV with host/domain/class columns
-(class is "legit" or "dga") and an unlabeled census export with one
-"domain<TAB>ipv4" record per line. Parsing is single-pass streaming; malformed
-rows are skipped and counted rather than aborting million-row files. Parsers
-return a :class:`DomainTable`, the kept rows as columns.
+Three corpus shapes are supported: a labeled CSV whose header names the
+host, domain and class columns (class is "legit" or "dga"), an unlabeled
+census export with one "domain<TAB>ipv4" record per line, and a bare list of
+domains, one per line. Second-level labels are found against the bundled
+multi-part suffix list. Parsing is single-pass streaming; malformed rows are
+skipped and counted rather than aborting million-row files. Parsers return a
+:class:`DomainTable`, the kept rows as columns.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from importlib import resources
 import numpy as np
 
 log = logging.getLogger(__name__)
-
-NORMALIZE_MODES = ("full_name", "second_level_label")
 
 # CLI-friendly aliases accepted anywhere a mode is taken.
 _MODE_ALIASES = {
@@ -131,34 +131,19 @@ def builtin_suffixes():
             .joinpath("multipart_suffixes.txt")
             .read_text(encoding="utf-8")
         )
-        _BUILTIN_SUFFIXES = _parse_suffix_lines(text.splitlines())
+        entries = (line.split("#", 1)[0].strip().lower() for line in text.splitlines())
+        _BUILTIN_SUFFIXES = frozenset(e.strip(".") for e in entries if e)
     return _BUILTIN_SUFFIXES
 
 
-def _parse_suffix_lines(lines):
-    suffixes = set()
-    for line in lines:
-        entry = line.split("#", 1)[0].strip().lower()
-        if entry:
-            suffixes.add(entry.strip("."))
-    return frozenset(suffixes)
-
-
-def load_suffix_file(path):
-    """Read a user suffix file (one suffix per line, "#" comments)."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_suffix_lines(fh)
-
-
-def normalize_domain(raw, mode="second_level_label", extra_suffixes=None):
+def normalize_domain(raw, mode="second_level_label"):
     """Normalize a raw host string to the substring used for features.
 
     Lowercases, strips a URL scheme, a leading "www." label and a trailing
     dot. ``full_name`` keeps every remaining label; ``second_level_label``
     returns the label immediately left of the public suffix, with multi-part
-    suffixes (e.g. "co.uk") matched against the built-in list plus
-    ``extra_suffixes``. Names are treated as literal strings; no punycode
-    decoding is attempted.
+    suffixes (e.g. "co.uk") matched against the bundled list. Names are
+    treated as literal strings; no punycode decoding is attempted.
     """
     mode = resolve_mode(mode)
     s = raw.strip().lower()
@@ -195,8 +180,6 @@ def normalize_domain(raw, mode="second_level_label", extra_suffixes=None):
     if len(labels) == 1:
         return labels[0]
     suffixes = builtin_suffixes()
-    if extra_suffixes:
-        suffixes = suffixes | frozenset(x.strip(".").lower() for x in extra_suffixes)
     # longest multi-part suffix wins, provided a label remains to its left
     for depth in range(min(len(labels) - 1, 3), 1, -1):
         candidate = ".".join(labels[-depth:])
@@ -205,19 +188,17 @@ def normalize_domain(raw, mode="second_level_label", extra_suffixes=None):
     return labels[-2]
 
 
-def parse_labeled_csv(stream, schema=None, mode="second_level_label", extra_suffixes=None,
-                      max_rows=None):
+def parse_labeled_csv(stream, mode="second_level_label", max_rows=None):
     """Parse a labeled corpus CSV into a DomainTable plus corpus statistics.
 
     The stream must carry a header row naming the host, domain and class
-    columns (remappable through ``schema``). Class strings are matched
+    columns, in any order and letter case. Class strings are matched
     case-insensitively against "dga" (1) and "legit" (0); rows with an
     unknown class or an unnormalizable domain are skipped and counted.
     A missing required column is fatal. At most ``max_rows`` data rows are
     consumed, skipped ones included (None reads everything).
     """
     mode = resolve_mode(mode)
-    schema = {"host": "host", "domain": "domain", "class": "class", **(schema or {})}
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -225,13 +206,12 @@ def parse_labeled_csv(stream, schema=None, mode="second_level_label", extra_suff
         raise ParseError("labeled CSV is empty: no header row") from None
     index = {name.strip().lower(): i for i, name in enumerate(header)}
     columns = {}
-    for key, column_name in schema.items():
-        if column_name.lower() not in index:
+    for name in ("host", "domain", "class"):
+        if name not in index:
             raise ParseError(
-                f"labeled CSV is missing required column {column_name!r} "
-                f"(header: {header!r})"
+                f"labeled CSV is missing required column {name!r} (header: {header!r})"
             )
-        columns[key] = index[column_name.lower()]
+        columns[name] = index[name]
 
     hosts, parts, labels = [], [], []
     stats = CorpusStats()
@@ -252,7 +232,7 @@ def parse_labeled_csv(stream, schema=None, mode="second_level_label", extra_suff
             stats.record_error(f"row {row_no}: unknown class {cls!r}")
             continue
         try:
-            parts.append(normalize_domain(domain or host, mode, extra_suffixes))
+            parts.append(normalize_domain(domain or host, mode))
         except DomainError as exc:
             stats.record_error(f"row {row_no}: {exc}")
             continue
@@ -263,7 +243,7 @@ def parse_labeled_csv(stream, schema=None, mode="second_level_label", extra_suff
     return DomainTable(hosts, parts, np.array(labels, dtype=np.int64)), stats
 
 
-def parse_census_lines(stream, max_rows=None, mode="full_name", extra_suffixes=None):
+def parse_census_lines(stream, max_rows=None, mode="full_name"):
     """Parse census-export lines ("domain<TAB>ipv4") into an unlabeled DomainTable.
 
     The address is four dot-separated octets of 1 to 3 ASCII digits, each at
@@ -287,7 +267,7 @@ def parse_census_lines(stream, max_rows=None, mode="full_name", extra_suffixes=N
         stats.total_rows += 1
         host = m.group(1)
         try:
-            part = normalize_domain(host, mode, extra_suffixes)
+            part = normalize_domain(host, mode)
         except DomainError as exc:
             stats.record_error(f"line {stats.total_rows}: {exc}")
             continue
@@ -299,7 +279,7 @@ def parse_census_lines(stream, max_rows=None, mode="full_name", extra_suffixes=N
     return DomainTable(hosts, parts), stats
 
 
-def parse_domain_lines(stream, mode="second_level_label", max_rows=None, extra_suffixes=None):
+def parse_domain_lines(stream, mode="second_level_label", max_rows=None):
     """Parse a bare list of domains (one per line) into an unlabeled DomainTable."""
     mode = resolve_mode(mode)
     hosts, parts = [], []
@@ -312,7 +292,7 @@ def parse_domain_lines(stream, mode="second_level_label", max_rows=None, extra_s
             continue
         stats.total_rows += 1
         try:
-            parts.append(normalize_domain(raw, mode, extra_suffixes))
+            parts.append(normalize_domain(raw, mode))
         except DomainError as exc:
             stats.record_error(f"line {stats.total_rows}: {exc}")
             continue

@@ -13,7 +13,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .base import (
-    BinaryClassifierMixin,
     ParamsMixin,
     check_both_classes,
     check_is_fitted,
@@ -80,7 +79,7 @@ def majority(votes):
     return (2 * votes.sum(axis=1) > votes.shape[1]).astype(np.int64)
 
 
-class MajorityVoteEnsemble(ParamsMixin, BinaryClassifierMixin):
+class MajorityVoteEnsemble(ParamsMixin):
     """Five classifiers voting; 3 or more positive votes predict DGA.
 
     By default the members are the canonical five (c45, knn, logreg, nb,
@@ -165,12 +164,8 @@ class MajorityVoteEnsemble(ParamsMixin, BinaryClassifierMixin):
         return [m.name for m in self.members_]
 
     def member_predict(self, name, X):
-        """Prediction of a single member, applying the shared scaler if it uses it."""
-        check_is_fitted(self, "members_")
-        X = check_matrix(X, n_features=self.n_features_in_)
-        for member in self.members_:
-            if member.name == name:
-                if member.uses_standardizer:
-                    X = self.standardizer_.transform(X)
-                return member.estimator.predict(X)
-        raise KeyError(f"no ensemble member named {name!r}")
+        """Prediction of a single member: its column of :meth:`vote_matrix`."""
+        names = self.member_names()
+        if name not in names:
+            raise KeyError(f"no ensemble member named {name!r}")
+        return self.vote_matrix(X)[:, names.index(name)]

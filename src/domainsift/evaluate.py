@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import check_both_classes, check_labels, check_matrix, clone
+from .base import check_both_classes, check_labels, check_matrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,21 +138,15 @@ def stratified_kfold(y, n_folds=5, seed=42):
 # model comparison reports
 
 
-def _predict_with(predictor, X):
-    if callable(predictor) and not hasattr(predictor, "predict"):
-        return predictor(X)
-    return predictor.predict(X)
+def evaluate_all(estimators, X, y):
+    """Metrics for several fitted estimators on one test set.
 
-
-def evaluate_all(predictors, X, y):
-    """Metrics for several fitted predictors on one test set.
-
-    ``predictors`` is a sequence of (name, estimator-or-callable) pairs;
+    ``estimators`` is a sequence of (name, estimator) pairs;
     returns [(name, ConfusionMatrix, Metrics)] in the given order.
     """
     X = check_matrix(X)
     y = check_labels(y, n_samples=X.shape[0])
-    return score_predictions([(name, _predict_with(p, X)) for name, p in predictors], y)
+    return score_predictions([(name, est.predict(X)) for name, est in estimators], y)
 
 
 def score_predictions(named_predictions, y):
@@ -179,18 +173,6 @@ def summarize_folds(fold_metrics):
         mean=Metrics(*(float(v) for v in table.mean(axis=0))),
         std=Metrics(*(float(v) for v in table.std(axis=0))),
     )
-
-
-def cross_validate(estimator, X, y, n_folds=5, seed=42):
-    """Stratified k-fold cross-validation of an unfitted estimator."""
-    X = check_matrix(X)
-    y = check_labels(y, n_samples=X.shape[0])
-    fold_metrics = []
-    for train_idx, test_idx in stratified_kfold(y, n_folds=n_folds, seed=seed):
-        model = clone(estimator).fit(X[train_idx], y[train_idx])
-        cm = confusion(model.predict(X[test_idx]), y[test_idx])
-        fold_metrics.append(metrics(cm))
-    return summarize_folds(fold_metrics)
 
 
 def format_report(rows):

@@ -20,7 +20,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .base import (
-    BinaryClassifierMixin,
     ParamsMixin,
     check_both_classes,
     check_is_fitted,
@@ -111,7 +110,7 @@ def pessimistic_extra_errors(n, e, cf):
     return r * n - e
 
 
-class C45Tree(ParamsMixin, BinaryClassifierMixin):
+class C45Tree(ParamsMixin):
     """Binary decision tree with gain-ratio splits and pessimistic pruning.
 
     Numeric thresholds are midpoints between consecutive distinct sorted
@@ -262,7 +261,7 @@ class C45Tree(ParamsMixin, BinaryClassifierMixin):
 # k-nearest neighbours
 
 
-class KNNClassifier(ParamsMixin, BinaryClassifierMixin):
+class KNNClassifier(ParamsMixin):
     """Majority vote over the k nearest training points (Euclidean).
 
     Neighbour ties at the k-th distance resolve toward lower training-set
@@ -368,7 +367,7 @@ def _row_shares(y, share):
     return np.full(y.size, 1.0 / y.size) if share is None else share
 
 
-class LogisticRegressionGD(ParamsMixin, BinaryClassifierMixin):
+class LogisticRegressionGD(ParamsMixin):
     """L2-regularized logistic regression via full-batch gradient descent.
 
     Minimizes mean cross-entropy plus ``l2/2 * ||w||^2`` (bias excluded from
@@ -396,14 +395,12 @@ class LogisticRegressionGD(ParamsMixin, BinaryClassifierMixin):
         w = np.zeros(X.shape[1])
         b = 0.0
         losses = []
-        self.converged_ = False
         self.n_iter_ = 0
         for _ in range(self.epochs):
             losses.append(self.loss(X, y, w, b, share))
             grad_w, grad_b = self.gradient(X, y, w, b, share)
             norm = math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
             if norm < self.tol:
-                self.converged_ = True
                 break
             w -= self.lr * grad_w
             b -= self.lr * grad_b
@@ -446,7 +443,7 @@ class LogisticRegressionGD(ParamsMixin, BinaryClassifierMixin):
 # Gaussian naive Bayes
 
 
-class GaussianNaiveBayes(ParamsMixin, BinaryClassifierMixin):
+class GaussianNaiveBayes(ParamsMixin):
     """Gaussian naive Bayes on raw (unscaled) features.
 
     Per-class feature means and population variances, with every variance
@@ -504,7 +501,7 @@ class GaussianNaiveBayes(ParamsMixin, BinaryClassifierMixin):
 # linear SVM (Pegasos)
 
 
-class PegasosSVM(ParamsMixin, BinaryClassifierMixin):
+class PegasosSVM(ParamsMixin):
     """Linear soft-margin SVM trained with the Pegasos subgradient method.
 
     Pegasos (Shalev-Shwartz, Singer, Srebro and Cotter, ICML 2007; Math.

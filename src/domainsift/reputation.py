@@ -1,10 +1,8 @@
-"""Spot-verification of flagged domains against a reputation provider.
+"""Spot-verification of flagged domains against a local bad-list.
 
-Scores run 0-100; anything below 50 is treated as suspicious. One provider
-ships here, a local bad-list (membership means score 0); any object with a
-``provider_id`` and a ``lookup(domain)`` returning a score or None can take
-its place. Provider failures mark a single result unknown and never abort a
-batch.
+Scores run 0-100; anything below 50 is treated as suspicious. A listed
+domain scores 0; any other domain has no score, so its verdict is unknown
+rather than benign.
 """
 
 from __future__ import annotations
@@ -21,17 +19,12 @@ VERDICT_BENIGN = "benign"
 VERDICT_UNKNOWN = "unknown"
 
 
-class ProviderError(RuntimeError):
-    """A provider could not produce a score for a domain."""
-
-
 @dataclass(frozen=True, slots=True)
 class ReputationResult:
     domain: str
-    score: int | None  # None when the provider had no answer
+    score: int | None  # None when the domain is not listed
     verdict: str
     provider: str
-    note: str = ""
 
 
 def classify_score(score):
@@ -60,17 +53,8 @@ class LocalListProvider:
 
 
 def check(domain, provider):
-    """One domain against one provider; provider errors yield an unknown verdict."""
-    try:
-        score = provider.lookup(domain)
-    except Exception as exc:
-        return ReputationResult(
-            domain=domain,
-            score=None,
-            verdict=VERDICT_UNKNOWN,
-            provider=provider.provider_id,
-            note=str(exc),
-        )
+    """One domain against a :class:`LocalListProvider`."""
+    score = provider.lookup(domain)
     return ReputationResult(
         domain=domain,
         score=score,

@@ -251,6 +251,19 @@ def test_reputation_check_max_rows_stops_reading(tmp_path, capsys):
     assert captured.out.strip() == "suspicious: 1"
 
 
+def test_skipped_row_reasons_logged(tmp_path, capsys):
+    census = tmp_path / "census.tsv"
+    census.write_text("abc.com\t1.2.3.4\nno address here\nxyz.net\t300.1.1.1\n")
+    capsys.readouterr()
+    assert main(["extract", "--in", str(census), "--out", str(tmp_path / "f.csv")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("WARNING domainsift: ")]
+    assert warnings == [
+        "WARNING domainsift: skipped line 2: not 'domain<TAB>ipv4'",
+        "WARNING domainsift: skipped line 3: not 'domain<TAB>ipv4'",
+    ]
+
+
 def test_config_file_supplies_defaults(workdir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 5\nknn_k = 3\n")
@@ -365,6 +378,20 @@ class TestExitCodes:
         assert err == f"ERROR domainsift: {message}\n"
         assert "parsed" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_k_above_distinct_feature_vectors_refused(self, tmp_path, capsys):
+        # abc.com and cab.com share one feature vector: 4 rows, 3 distinct vectors
+        census = tmp_path / "census.tsv"
+        census.write_text("abc.com\t1.2.3.4\ncab.com\t1.2.3.5\n"
+                          "example.org\t10.0.0.1\nq9z.net\t8.8.8.8\n")
+        out = tmp_path / "clusters"
+        capsys.readouterr()
+        assert main(["cluster", "--in", str(census), "--out", str(out), "--k", "4"]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("ERROR")]
+        assert errors == ["ERROR domainsift: need at least k=4 distinct feature vectors,"
+                          " got 3 among 4 rows"]
+        assert not out.exists()
 
     def test_bad_config_is_data_error(self, workdir, tmp_path):
         cfg = tmp_path / "bad.cfg"

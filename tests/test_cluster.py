@@ -12,7 +12,6 @@ from domainsift.cluster import (
     KMeans,
     _pairwise_sq,
     cluster_feature_histogram,
-    cluster_report,
     write_centroids_csv,
 )
 
@@ -72,6 +71,12 @@ class TestKMeans:
         with pytest.raises(ValueError):
             KMeans(k=5).fit(np.zeros((3, 2)))
 
+    def test_k_exceeds_distinct_rows_rejected(self):
+        # k clusters need k distinct seeds; with fewer one cluster stays empty forever
+        X = np.array([[0.0], [0.0], [9.0], [0.0], [9.0]])
+        with pytest.raises(ValueError, match="k=3 distinct feature vectors, got 2 among 5 rows"):
+            KMeans(k=3).fit(X)
+
     def test_duplicate_points_fill_all_clusters(self):
         # more clusters than distinct points forces empty-cluster handling
         X = np.array([[0.0], [0.0], [0.0], [9.0], [9.0]])
@@ -108,14 +113,6 @@ class TestKMeans:
 
 
 class TestClusterReporting:
-    def test_report_shapes(self, rng):
-        X = rng.normal(size=(40, 3))
-        model = KMeans(k=2, seed=0).fit(X)
-        report = cluster_report(model, X)
-        assert report.sizes.sum() == 40
-        assert report.means.shape == (2, 3)
-        assert report.inertia == pytest.approx(model.inertia_)
-
     def test_centroids_csv(self, rng):
         X = np.abs(rng.normal(size=(30, 8))) + np.arange(8)
         model = KMeans(k=2, seed=0).fit(X)
@@ -141,7 +138,7 @@ class TestClusterReporting:
     @given(data=st.data())
     def test_histograms_match_all_rows(self, data):
         X = data.draw(_duplicated_matrices(), label="X")
-        k = data.draw(st.integers(1, min(4, X.shape[0])), label="k")
+        k = data.draw(st.integers(1, min(4, len(distinct_rows(X).rows))), label="k")
         model = KMeans(k=k, seed=0).fit(X)
         distinct = distinct_rows(X)
         labels = model.predict(distinct.rows)
@@ -269,7 +266,7 @@ class TestDistinctRowFit:
     @given(data=st.data())
     def test_matches_all_rows_fit(self, data):
         X = data.draw(_duplicated_matrices(), label="X")
-        k = data.draw(st.integers(1, min(5, X.shape[0])), label="k")
+        k = data.draw(st.integers(1, min(5, len(distinct_rows(X).rows))), label="k")
         restarts = data.draw(st.integers(1, 3), label="restarts")
         seed = data.draw(st.integers(0, 2**16), label="seed")
         model = KMeans(k=k, seed=seed, n_restarts=restarts).fit(X)
@@ -279,14 +276,16 @@ class TestDistinctRowFit:
             np.testing.assert_array_equal(getattr(again, name), getattr(model, name))
 
     def test_emptied_cluster_reseed(self):
-        # more clusters than distinct points: a cluster empties and is re-seeded
-        X = np.array([[0.0], [0.0], [9.0], [0.0], [9.0], [9.0], [4.0]])
-        model = KMeans(k=4, seed=3).fit(X)
+        # the first update moves a centroid away from every row: it empties and is re-seeded
+        X = np.array([[2.0, 9.0], [1.0, 1.0], [8.0, 3.0], [8.0, 3.0],
+                      [5.0, 9.0], [7.0, 2.0], [5.0, 9.0], [8.0, 1.0]])
+        model = KMeans(k=3, seed=0).fit(X)
         _assert_same_fit(model, X)
 
-    def test_all_identical_rows(self):
-        # the k-means++ draw finds no distance mass left and picks uniformly
-        X = np.full((12, 3), 2.5)
+    def test_no_distance_mass_left(self):
+        # distinct rows whose squared distances underflow to 0: the k-means++
+        # draw finds no distance mass left and picks uniformly
+        X = np.array([[0.0], [1e-200], [2e-200]])[np.arange(12) % 3]
         model = KMeans(k=3, seed=5, n_restarts=2).fit(X)
         _assert_same_fit(model, X)
 

@@ -14,7 +14,6 @@ from domainsift.corpus import (
     DomainTable,
     ParseError,
     dedupe,
-    load_suffix_file,
     normalize_domain,
     open_corpus_text,
     parse_census_lines,
@@ -70,11 +69,6 @@ class TestNormalizeDomain:
         for mode in ("full", "sld"):
             with pytest.raises(DomainError, match="cannot be in a host name"):
                 normalize_domain(raw, mode=mode)
-
-    def test_extra_suffixes(self):
-        got = normalize_domain("shop.example.internal.test", mode="sld",
-                               extra_suffixes={"internal.test"})
-        assert got == "example"
 
     def test_strips_single_www_only(self):
         assert normalize_domain("www.www.example.com", mode="full") == "www.example.com"
@@ -245,13 +239,6 @@ class TestDedupe:
 
 
 class TestSuffixAndIO:
-    def test_suffix_file_comments(self, tmp_path):
-        p = tmp_path / "suffixes.txt"
-        p.write_text("# comment\nco.uk\n\nexample.test\n")
-        suffixes = load_suffix_file(p)
-        assert "co.uk" in suffixes and "example.test" in suffixes
-        assert not any(s.startswith("#") for s in suffixes)
-
     def test_open_corpus_text_gzip(self, tmp_path):
         plain = tmp_path / "a.txt"
         plain.write_text("hello\n")

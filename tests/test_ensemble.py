@@ -18,6 +18,14 @@ from domainsift.model_io import ModelKindError, save_model
 from conftest import make_blobs, roundtrip, saved_bytes
 
 
+def direct_votes(ens, Q):
+    """Each member's own predict on Q, scaled first where the member uses the standardizer."""
+    Qs = ens.standardizer_.transform(Q)
+    return np.column_stack(
+        [m.estimator.predict(Qs if m.uses_standardizer else Q) for m in ens.members_]
+    )
+
+
 class ConstantVoter(ParamsMixin):
     """Stub member that always votes its configured label."""
 
@@ -82,6 +90,7 @@ class TestVoting:
         ens, X, y = fitted
         votes = ens.vote_matrix(X[:10])
         assert votes.shape == (10, 5)
+        np.testing.assert_array_equal(votes, direct_votes(ens, X[:10]))
         for j, name in enumerate(ens.member_names()):
             np.testing.assert_array_equal(votes[:, j], ens.member_predict(name, X[:10]))
 
@@ -98,10 +107,7 @@ class TestVoting:
         pool = data.draw(st.lists(row, min_size=1, max_size=5))
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
         Q = np.array([pool[i] for i in picks])  # few distinct rows, many copies
-        expected = np.array(
-            [[ens.member_predict(name, Q[i : i + 1])[0] for name in ens.member_names()]
-             for i in range(Q.shape[0])]
-        )
+        expected = np.vstack([direct_votes(ens, Q[i : i + 1]) for i in range(Q.shape[0])])
         np.testing.assert_array_equal(ens.vote_matrix(Q), expected)
 
     def test_predict_with_votes_consistent(self, fitted):

@@ -6,12 +6,12 @@ import pytest
 from domainsift.evaluate import (
     ConfusionMatrix,
     confusion,
-    cross_validate,
     evaluate_all,
     format_report,
     metrics,
     stratified_kfold,
     stratified_split,
+    summarize_folds,
     write_report_csv,
 )
 from domainsift.learners import C45Tree
@@ -176,7 +176,7 @@ class TestEvaluateAll:
     def test_rows_and_relabel_invariance(self, blobs):
         X, y = blobs
         model = C45Tree().fit(X, y)
-        rows = evaluate_all([("tree", model.predict)], X, y)
+        rows = evaluate_all([("tree", model)], X, y)
         assert len(rows) == 1
         name, cm, m = rows[0]
         assert name == "tree"
@@ -190,20 +190,19 @@ class TestEvaluateAll:
         assert rows[0][2].accuracy > 0.9
 
 
-class TestCrossValidate:
-    def test_folds_and_aggregates(self, blobs):
-        X, y = blobs
-        result = cross_validate(C45Tree(), X, y, n_folds=5, seed=42)
-        assert len(result.fold_metrics) == 5
-        accs = [m.accuracy for m in result.fold_metrics]
-        assert result.mean.accuracy == pytest.approx(np.mean(accs))
-        assert result.std.accuracy == pytest.approx(np.std(accs))
-
-    def test_does_not_mutate_prototype(self, blobs):
-        X, y = blobs
-        proto = C45Tree()
-        cross_validate(proto, X, y, n_folds=3, seed=0)
-        assert not hasattr(proto, "tree_")
+class TestSummarizeFolds:
+    def test_mean_and_population_std(self):
+        cms = [ConfusionMatrix(tp=50, fp=10, tn=30, fn=10),
+               ConfusionMatrix(tp=40, fp=0, tn=40, fn=20),
+               ConfusionMatrix(tp=45, fp=5, tn=45, fn=5)]
+        folds = [metrics(cm) for cm in cms]
+        result = summarize_folds(folds)
+        assert result.fold_metrics == folds
+        for field in ("accuracy", "precision", "recall", "f_score"):
+            values = [getattr(m, field) for m in folds]
+            assert getattr(result.mean, field) == pytest.approx(np.mean(values))
+            assert getattr(result.std, field) == pytest.approx(np.std(values, ddof=0))
+        assert result.std.accuracy > 0
 
 
 class TestReportFormats:

@@ -13,7 +13,6 @@ from domainsift.reputation import (
     VERDICT_SUSPICIOUS,
     VERDICT_UNKNOWN,
     LocalListProvider,
-    ProviderError,
     check,
     classify_score,
     sample_and_check,
@@ -55,51 +54,6 @@ class TestLocalListProvider:
         assert listed.verdict == VERDICT_SUSPICIOUS and listed.score == 0
         absent = check("good.com", provider)
         assert absent.verdict == VERDICT_UNKNOWN and absent.score is None
-
-
-class BoomProvider:
-    provider_id = "boom"
-
-    def lookup(self, domain):
-        raise ProviderError("service down")
-
-
-class TestErrorIsolation:
-    def test_provider_error_is_unknown_with_note(self):
-        result = check("any.com", BoomProvider())
-        assert result.verdict == VERDICT_UNKNOWN
-        assert result.score is None
-        assert "service down" in result.note
-
-    def test_batch_survives_errors(self):
-        class FlakyProvider:
-            provider_id = "flaky"
-
-            def lookup(self, domain):
-                if domain.startswith("err"):
-                    raise ProviderError("nope")
-                return 10
-
-        results = sample_and_check(["err1.com", "ok.com", "err2.com"], 3, 0,
-                                   FlakyProvider())
-        verdicts = [r.verdict for r in results]
-        assert verdicts.count(VERDICT_UNKNOWN) == 2
-        assert verdicts.count(VERDICT_SUSPICIOUS) == 1
-
-    def test_check_isolates_lookup_failure(self):
-        class UnreachableProvider:
-            provider_id = "unreachable"
-
-            def lookup(self, domain):
-                try:
-                    raise OSError("connection refused")
-                except OSError as exc:
-                    raise ProviderError(f"lookup failed for {domain!r}: {exc}") from exc
-
-        result = check("x.com", UnreachableProvider())
-        assert result.verdict == VERDICT_UNKNOWN
-        assert result.provider == "unreachable"
-        assert "connection refused" in result.note
 
 
 class TestSampling:
