@@ -24,11 +24,7 @@ import numpy as np
 from . import analytics, corpus, evaluate, reputation, synthetic
 from .base import distinct_rows
 from .cluster import KMeans, cluster_feature_histogram, write_centroids_csv
-from .config import (
-    kmeans_params_from_config,
-    load_config,
-    member_params_from_config,
-)
+from .config import hyperparameters, load_config
 from .ensemble import MajorityVoteEnsemble
 from .features import FEATURE_NAMES, extract_features, read_feature_csv, write_feature_csv
 from .model_io import ModelIOError, load_model, save_model
@@ -202,9 +198,9 @@ def cmd_analyze(args):
 
 
 def _build_ensemble(opt, args):
-    return MajorityVoteEnsemble(
-        seed=opt["seed"], member_params=member_params_from_config(args.run_config) or None
-    )
+    member_params = hyperparameters(args.run_config)
+    member_params.pop("kmeans", None)
+    return MajorityVoteEnsemble(seed=opt["seed"], member_params=member_params or None)
 
 
 def cmd_train(args):
@@ -275,7 +271,7 @@ def cmd_cluster(args):
     # from here on the rows are needed only as distinct feature vectors
     distinct = distinct_rows(_load_data(args.in_path, opt["mode"], opt["max_rows"]).X)
     model = KMeans(
-        k=opt["k"], seed=opt["seed"], **kmeans_params_from_config(args.run_config)
+        k=opt["k"], seed=opt["seed"], **hyperparameters(args.run_config).get("kmeans", {})
     ).fit(distinct)
     labels = model.predict(distinct.rows)
     out = _out_dir(args.out)

@@ -7,34 +7,32 @@ flags always win over config values, which win over built-in defaults.
 
 from __future__ import annotations
 
+# run options (same names as the CLI flags)
 CONFIG_SCHEMA = {
-    # run options (same names as the CLI flags)
     "mode": str,
     "seed": int,
     "test_fraction": float,
     "cv": int,
     "k": int,
     "max_rows": int,
-    # decision tree
-    "tree_max_depth": int,
-    "tree_min_leaf": int,
-    "tree_cf": float,
-    # k-nearest neighbours
-    "knn_k": int,
-    # logistic regression
-    "logreg_lr": float,
-    "logreg_epochs": int,
-    "logreg_l2": float,
-    "logreg_tol": float,
-    # naive Bayes
-    "nb_var_floor": float,
-    # svm
-    "svm_lambda": float,
-    "svm_epochs": int,
-    # k-means
-    "kmeans_max_iter": int,
-    "kmeans_tol": float,
-    "kmeans_restarts": int,
+}
+
+# config key -> (model kind, constructor parameter, type)
+HYPERPARAMETERS = {
+    "tree_max_depth": ("c45", "max_depth", int),
+    "tree_min_leaf": ("c45", "min_leaf", int),
+    "tree_cf": ("c45", "cf", float),
+    "knn_k": ("knn", "k", int),
+    "logreg_lr": ("logreg", "lr", float),
+    "logreg_epochs": ("logreg", "epochs", int),
+    "logreg_l2": ("logreg", "l2", float),
+    "logreg_tol": ("logreg", "tol", float),
+    "nb_var_floor": ("nb", "var_floor", float),
+    "svm_lambda": ("svm", "lam", float),
+    "svm_epochs": ("svm", "epochs", int),
+    "kmeans_max_iter": ("kmeans", "max_iter", int),
+    "kmeans_tol": ("kmeans", "tol", float),
+    "kmeans_restarts": ("kmeans", "n_restarts", int),
 }
 
 
@@ -49,12 +47,15 @@ def parse_config(lines, source="<config>"):
         key, _, raw = text.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in CONFIG_SCHEMA:
+        if key in CONFIG_SCHEMA:
+            caster = CONFIG_SCHEMA[key]
+        elif key in HYPERPARAMETERS:
+            caster = HYPERPARAMETERS[key][2]
+        else:
             raise ValueError(
                 f"{source}:{line_no}: unknown config key {key!r}; "
-                f"known keys: {sorted(CONFIG_SCHEMA)}"
+                f"known keys: {sorted([*CONFIG_SCHEMA, *HYPERPARAMETERS])}"
             )
-        caster = CONFIG_SCHEMA[key]
         try:
             values[key] = caster(raw)
         except ValueError:
@@ -69,36 +70,12 @@ def load_config(path):
         return parse_config(fh, source=str(path))
 
 
-def member_params_from_config(cfg):
-    """Per-member constructor overrides drawn from a parsed config."""
-    groups = {
-        "c45": {
-            "max_depth": cfg.get("tree_max_depth"),
-            "min_leaf": cfg.get("tree_min_leaf"),
-            "cf": cfg.get("tree_cf"),
-        },
-        "knn": {"k": cfg.get("knn_k")},
-        "logreg": {
-            "lr": cfg.get("logreg_lr"),
-            "epochs": cfg.get("logreg_epochs"),
-            "l2": cfg.get("logreg_l2"),
-            "tol": cfg.get("logreg_tol"),
-        },
-        "nb": {"var_floor": cfg.get("nb_var_floor")},
-        "svm": {"lam": cfg.get("svm_lambda"), "epochs": cfg.get("svm_epochs")},
-    }
-    out = {}
-    for kind, params in groups.items():
-        present = {k: v for k, v in params.items() if v is not None}
-        if present:
-            out[kind] = present
-    return out
-
-
-def kmeans_params_from_config(cfg):
-    mapping = {
-        "kmeans_max_iter": "max_iter",
-        "kmeans_tol": "tol",
-        "kmeans_restarts": "n_restarts",
-    }
-    return {arg: cfg[key] for key, arg in mapping.items() if key in cfg}
+def hyperparameters(cfg):
+    """Constructor overrides per model kind drawn from a parsed config,
+    e.g. ``{"knn": {"k": 3}, "kmeans": {"n_restarts": 3}}``."""
+    overrides = {}
+    for key, value in cfg.items():
+        if key in HYPERPARAMETERS:
+            kind, param, _ = HYPERPARAMETERS[key]
+            overrides.setdefault(kind, {})[param] = value
+    return overrides

@@ -238,8 +238,6 @@ def parse_labeled_csv(stream, mode="second_level_label", max_rows=None):
             continue
         hosts.append(host)
         labels.append(CLASS_LABELS[cls])
-    if stats.skipped_rows:
-        log.warning("labeled corpus: skipped %d of %d rows", stats.skipped_rows, stats.total_rows)
     return DomainTable(hosts, parts, np.array(labels, dtype=np.int64)), stats
 
 
@@ -274,8 +272,6 @@ def parse_census_lines(stream, max_rows=None, mode="full_name"):
         host = host.strip()
         hosts.append(part if part == host else host)  # one string for both when equal
         parts.append(part)
-    if stats.skipped_rows:
-        log.warning("census corpus: skipped %d of %d lines", stats.skipped_rows, stats.total_rows)
     return DomainTable(hosts, parts), stats
 
 
@@ -297,8 +293,6 @@ def parse_domain_lines(stream, mode="second_level_label", max_rows=None):
             stats.record_error(f"line {stats.total_rows}: {exc}")
             continue
         hosts.append(raw)
-    if stats.skipped_rows:
-        log.warning("domain list: skipped %d of %d lines", stats.skipped_rows, stats.total_rows)
     return DomainTable(hosts, parts), stats
 
 

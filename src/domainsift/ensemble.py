@@ -1,14 +1,13 @@
 """Majority-vote ensemble over the five base classifiers.
 
 All members train on the identical corpus; a shared standardizer is fitted
-once and applied only to the distance/margin members (knn, logreg, svm).
-Exactly five members keep the vote odd, so a majority always exists. The
-positive label wins with 3 or more of the 5 votes.
+once and applied only to the distance/margin members (knn, logreg, svm):
+a member sees standardized input exactly when its name is in
+``SCALED_KINDS``. Exactly five members keep the vote odd, so a majority
+always exists. The positive label wins with 3 or more of the 5 votes.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,17 +32,10 @@ from .preprocessing import Standardizer
 MEMBER_KINDS = ("c45", "knn", "logreg", "nb", "svm")
 SCALED_KINDS = frozenset({"knn", "logreg", "svm"})
 
-ENSEMBLE_VERSION = 1
-
-
-class Member(NamedTuple):
-    name: str
-    estimator: object
-    uses_standardizer: bool
-
 
 def default_members(seed=0, member_params=None):
-    """The canonical five members, optionally with per-kind parameter overrides.
+    """The canonical five ``(kind, estimator)`` pairs in ``MEMBER_KINDS`` order,
+    optionally with per-kind parameter overrides.
 
     ``member_params`` maps a member kind to a dict of constructor overrides,
     e.g. ``{"knn": {"k": 7}}``. The svm inherits ``seed`` unless overridden.
@@ -59,17 +51,14 @@ def default_members(seed=0, member_params=None):
         "nb": GaussianNaiveBayes(**overrides.get("nb", {})),
         "svm": PegasosSVM(**{"seed": seed, **overrides.get("svm", {})}),
     }
-    return [
-        Member(name=kind, estimator=estimators[kind], uses_standardizer=kind in SCALED_KINDS)
-        for kind in MEMBER_KINDS
-    ]
+    return list(estimators.items())
 
 
 def check_members(members):
     """Exactly five members with unique names keep the vote odd and addressable."""
     if len(members) != 5:
         raise ValueError(f"ensemble needs exactly 5 members, got {len(members)}")
-    names = [m.name for m in members]
+    names = [name for name, _ in members]
     if len(set(names)) != 5:
         raise ValueError(f"member names must be unique, got {names}")
 
@@ -83,14 +72,13 @@ class MajorityVoteEnsemble(ParamsMixin):
     """Five classifiers voting; 3 or more positive votes predict DGA.
 
     By default the members are the canonical five (c45, knn, logreg, nb,
-    svm). A custom ``members`` list of Member tuples (or (name, estimator)
-    pairs) may be injected, mainly to test the vote rule in isolation; each
-    member's ``uses_standardizer`` flag decides whether it sees standardized
-    or raw inputs, defaulting to the ``SCALED_KINDS`` convention for pairs.
+    svm). A custom ``members`` list of (name, estimator) pairs may be
+    injected, mainly to test the vote rule in isolation; a member sees
+    standardized inputs when its name is in ``SCALED_KINDS``. Only the
+    canonical five can be saved.
     """
 
     FITTED_FIELDS = (
-        ("version_", "count", ()),
         ("fingerprint_", "json", ()),
         ("standardizer_", "standardizer", ()),
         ("members_", "members", ()),
@@ -104,37 +92,24 @@ class MajorityVoteEnsemble(ParamsMixin):
     def fit(self, X, y):
         X, y = check_X_y(X, y)
         check_both_classes(y)
-        if self.members is not None:
-            named = [
-                entry if isinstance(entry, Member)
-                else Member(entry[0], entry[1], entry[0] in SCALED_KINDS)
-                for entry in self.members
-            ]
+        if self.members is None:
+            members = default_members(self.seed, self.member_params)
         else:
-            named = default_members(self.seed, self.member_params)
-        check_members(named)
+            members = [(name, estimator) for name, estimator in self.members]
+        check_members(members)
 
         scaler = Standardizer().fit(X)
         Xs = scaler.transform(X)
-        fitted = []
-        for name, estimator, scaled in named:
+        for name, estimator in members:
             try:
-                estimator.fit(Xs if scaled else X, y)
+                estimator.fit(Xs if name in SCALED_KINDS else X, y)
             except Exception as exc:
                 raise RuntimeError(f"training ensemble member {name!r} failed: {exc}") from exc
-            fitted.append(Member(name=name, estimator=estimator, uses_standardizer=scaled))
         self.standardizer_ = scaler
-        self.members_ = fitted
+        self.members_ = members
         self.fingerprint_ = corpus_fingerprint(X, y)
         self.n_features_in_ = X.shape[1]
-        self.version_ = ENSEMBLE_VERSION
         return self
-
-    def _check_state(self):
-        """The rules on members that fit enforces, plus the version, on a loaded state."""
-        if self.version_ != ENSEMBLE_VERSION:
-            raise ValueError(f"ensemble version {self.version_} is not {ENSEMBLE_VERSION}")
-        check_members(self.members_)
 
     def vote_matrix(self, X):
         """Per-member 0/1 predictions, one column per member in member order.
@@ -147,8 +122,8 @@ class MajorityVoteEnsemble(ParamsMixin):
         U, inverse, _ = distinct_rows(X)
         Us = self.standardizer_.transform(U)
         votes = np.empty((U.shape[0], len(self.members_)), dtype=np.int64)
-        for col, member in enumerate(self.members_):
-            votes[:, col] = member.estimator.predict(Us if member.uses_standardizer else U)
+        for col, (name, estimator) in enumerate(self.members_):
+            votes[:, col] = estimator.predict(Us if name in SCALED_KINDS else U)
         return votes[inverse]
 
     def predict(self, X):
@@ -161,7 +136,7 @@ class MajorityVoteEnsemble(ParamsMixin):
 
     def member_names(self):
         check_is_fitted(self, "members_")
-        return [m.name for m in self.members_]
+        return [name for name, _ in self.members_]
 
     def member_predict(self, name, X):
         """Prediction of a single member: its column of :meth:`vote_matrix`."""

@@ -225,21 +225,19 @@ class C45Tree(ParamsMixin):
     # -- pruning
 
     def _prune_node(self, node):
-        if node.is_leaf:
-            return
-        self._prune_node(node.left)
-        self._prune_node(node.right)
+        """Prune the subtree at ``node`` bottom-up; returns its pessimistic error
+        estimate, the sum of the estimates of the leaves it keeps."""
         as_leaf = node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, self.cf)
-        if as_leaf <= self._subtree_estimate(node) + 1e-9:
-            node.feature = None
-            node.threshold = None
-            node.left = None
-            node.right = None
-
-    def _subtree_estimate(self, node):
         if node.is_leaf:
-            return node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, self.cf)
-        return self._subtree_estimate(node.left) + self._subtree_estimate(node.right)
+            return as_leaf
+        subtree = self._prune_node(node.left) + self._prune_node(node.right)
+        if as_leaf > subtree + 1e-9:
+            return subtree
+        node.feature = None
+        node.threshold = None
+        node.left = None
+        node.right = None
+        return as_leaf
 
     # -- introspection
 

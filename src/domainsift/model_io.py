@@ -1,6 +1,6 @@
 """Versioned JSON serialization for every trained model kind.
 
-A file is a one-line header, ``{"format_version":4,"sha256":"<hex>"}``,
+A file is a one-line header, ``{"format_version":5,"sha256":"<hex>"}``,
 then a body: the canonical JSON of ``{"kind", "metadata", "payload"}``. The
 sha256 covers the body bytes exactly as written, so any edit to the kind,
 the metadata or the payload that does not recompute it is refused. Writing
@@ -12,12 +12,14 @@ binary64.
 The state format is written here alone. A payload is ``{"params", "state"}``;
 the state holds ``n_features_in`` and, for each ``(attribute, dtype, shape)``
 of the class's ``FITTED_FIELDS``, the attribute under its name minus the
-trailing ``_``. A dtype is a key of ``_NUMERIC``, "node", "members", "json"
-or a registered kind (stored nested). A shape entry is an int, "d" (for
-``n_features_in``), a constructor parameter, or another name: a row count
-that every field using it must agree on. Loading checks all of this, then the
-class's ``_check_state``, so a checksum-valid file loads or raises a
-``ModelFormatError`` that names the path of the refused value.
+trailing ``_``. A dtype is a key of ``_NUMERIC``, "node", "json", a
+registered kind (stored nested) or "members": the ensemble's member payloads
+keyed by exactly ``MEMBER_KINDS``, which fixes the members. A shape entry is
+an int, "d" (for ``n_features_in``), a constructor parameter, or another
+name: a row count that every field using it must agree on. Loading checks
+all of this, then the class's ``_check_state``, so a checksum-valid file
+loads or raises a ``ModelFormatError`` that names the path of the refused
+value.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .base import check_is_fitted
 from .cluster import KMeans
-from .ensemble import MEMBER_KINDS, MajorityVoteEnsemble, Member
+from .ensemble import MEMBER_KINDS, MajorityVoteEnsemble
 from .learners import (
     C45Tree,
     GaussianNaiveBayes,
@@ -44,8 +46,9 @@ from .preprocessing import Standardizer
 
 # version 1 files hold a kNN block-size parameter that KNNClassifier no longer takes;
 # versions 1 and 2 are one JSON document whose checksum covers only its payload;
-# versions 1 to 3 store every kNN training row instead of the distinct rows
-MODEL_FORMAT_VERSION = 4
+# versions 1 to 3 store every kNN training row instead of the distinct rows;
+# versions 1 to 4 store the ensemble members as a list of named, flagged entries
+MODEL_FORMAT_VERSION = 5
 MODEL_EXTENSION = ".dsmodel"
 
 KIND_REGISTRY = {
@@ -117,14 +120,18 @@ def _encode_value(dtype, value):
         keys = _LEAF if value.is_leaf else _SPLIT
         return {key: _encode_value(keys[key], getattr(value, key)) for key in keys}
     if dtype == "members":
-        return [{"name": m.name, "kind": _kind_of(m.estimator, MEMBER_KINDS),
-                 "uses_standardizer": m.uses_standardizer, **_encode(m.estimator)} for m in value]
+        found = [(name, type(estimator)) for name, estimator in value]
+        if found != [(kind, KIND_REGISTRY[kind]) for kind in MEMBER_KINDS]:
+            raise ModelKindError(
+                f"cannot save ensemble members {[(n, c.__name__) for n, c in found]}; "
+                f"saveable: the kinds {MEMBER_KINDS} in that order, each its own class")
+        return {name: _encode(estimator) for name, estimator in value}
     return _encode(value) if dtype in KIND_REGISTRY else value  # "json": stored as it is
 
 
-def _decode(cls, payload, where, d=None, extra_keys=()):
+def _decode(cls, payload, where, d=None):
     """A fitted ``cls`` from the payload at ``where``; ``d`` is the enclosing model's width."""
-    _expect_keys(payload, ("params", "state", *extra_keys), where)
+    _expect_keys(payload, ("params", "state"), where)
     params, state = payload["params"], payload["state"]
     _expect_keys(params, cls._param_names(), f"{where}.params")
     model = cls(**params)
@@ -157,7 +164,9 @@ def _decode_value(dtype, shape, value, sizes, where):
     if dtype == "node":
         return _decode_node(value, sizes, where)
     if dtype == "members":
-        return _decode_members(value, sizes["d"], where)
+        _expect_keys(value, MEMBER_KINDS, where)
+        return [(kind, _decode(KIND_REGISTRY[kind], value[kind], f"{where}.{kind}", sizes["d"]))
+                for kind in MEMBER_KINDS]
     if dtype in KIND_REGISTRY:
         return _decode(KIND_REGISTRY[dtype], value, where, sizes["d"])
     return value  # "json"
@@ -191,20 +200,6 @@ def _decode_node(value, sizes, where):
     if not node.is_leaf and node.feature >= sizes["d"]:
         raise ModelFormatError(f"{where}.feature: {node.feature} is not below {sizes['d']}")
     return node
-
-
-def _decode_members(value, d, where):
-    members = []
-    for i, entry in enumerate(value):
-        at = f"{where}[{i}]"
-        kind = entry.get("kind") if isinstance(entry, dict) else None
-        if kind not in MEMBER_KINDS:
-            raise ModelFormatError(f"{at}.kind: {kind!r} is not one of {MEMBER_KINDS}")
-        model = _decode(KIND_REGISTRY[kind], entry, at, d, ("name", "kind", "uses_standardizer"))
-        if not isinstance(entry["name"], str) or not isinstance(entry["uses_standardizer"], bool):
-            raise ModelFormatError(f"{at}: name must be a string, uses_standardizer a bool")
-        members.append(Member(entry["name"], model, entry["uses_standardizer"]))
-    return members
 
 
 def save_model(model, path, metadata=None):

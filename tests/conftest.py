@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from domainsift.ensemble import SCALED_KINDS
 from domainsift.model_io import MODEL_FORMAT_VERSION, load_model, save_model
 from domainsift.synthetic import generate_labeled_corpus
 
@@ -74,10 +75,25 @@ def write_single_document_model(path, document, version):
     }))
 
 
-def as_format_3(document):
-    """``document`` with each kNN state in the layout of format 3: all n training
-    rows in ``X`` and no ``row`` field."""
+def as_format_4(document):
+    """``document`` with an ensemble's members in the layout of format 4: a list of
+    entries that also hold ``name``, ``kind`` and ``uses_standardizer``, next to an
+    ensemble ``version`` of 1."""
     document = copy.deepcopy(document)
+    if document["kind"] == "ensemble":
+        state = document["payload"]["state"]
+        state["version"] = 1
+        state["members"] = [
+            {"name": kind, "kind": kind, "uses_standardizer": kind in SCALED_KINDS, **member}
+            for kind, member in state["members"].items()
+        ]
+    return document
+
+
+def as_format_3(document):
+    """``document`` in the layout of format 4, with each kNN state in the layout
+    of format 3: all n training rows in ``X`` and no ``row`` field."""
+    document = as_format_4(document)
     payload = document["payload"]
     knns = [payload] if document["kind"] == "knn" else [
         m for m in payload["state"].get("members", []) if m["kind"] == "knn"]

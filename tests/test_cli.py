@@ -11,6 +11,7 @@ from domainsift.features import FEATURE_NAMES
 
 from conftest import (
     as_format_3,
+    as_format_4,
     read_model_document,
     write_model_document,
     write_single_document_model,
@@ -272,8 +273,7 @@ def test_config_file_supplies_defaults(workdir, tmp_path):
                "--out", str(model), "--config", str(cfg)])
     assert rc == 0
     doc = read_model_document(model)
-    knn = next(m for m in doc["payload"]["state"]["members"] if m["kind"] == "knn")
-    assert knn["params"]["k"] == 3
+    assert doc["payload"]["state"]["members"]["knn"]["params"]["k"] == 3
 
 
 class TestExitCodes:
@@ -293,12 +293,14 @@ class TestExitCodes:
         assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
                      "--model", str(fake), "--out", str(tmp_path / "p")]) == 1
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_version_model_is_data_error(self, workdir, sld_model, tmp_path, capsys,
                                              version):
         old = tmp_path / "old.dsmodel"
         document = read_model_document(Path(sld_model))
-        if version == 3:  # a header line and a body, with every kNN training row stored
+        if version == 4:  # members as a list of named entries, and an ensemble version
+            write_model_document(old, as_format_4(document), version)
+        elif version == 3:  # a header line and a body, with every kNN training row stored
             write_model_document(old, as_format_3(document), version)
         else:
             write_single_document_model(old, document, version)

@@ -1,11 +1,7 @@
 import pytest
 
-from domainsift.config import (
-    kmeans_params_from_config,
-    load_config,
-    member_params_from_config,
-    parse_config,
-)
+from domainsift.config import HYPERPARAMETERS, hyperparameters, load_config, parse_config
+from domainsift.model_io import KIND_REGISTRY
 
 
 class TestParseConfig:
@@ -24,6 +20,8 @@ class TestParseConfig:
     def test_cast_error_names_line(self):
         with pytest.raises(ValueError, match=":2"):
             parse_config(["seed = 1", "seed = notanint"])
+        with pytest.raises(ValueError, match=":3: knn_k expects int"):
+            parse_config(["seed = 1", "", "knn_k = 2.5"])
 
     def test_missing_equals(self):
         with pytest.raises(ValueError, match="key = value"):
@@ -46,21 +44,28 @@ class TestParamMapping:
             "svm_lambda = 1e-3",
             "svm_epochs = 10",
         ])
-        mp = member_params_from_config(cfg)
-        assert mp["c45"] == {"max_depth": 10}
-        assert mp["knn"] == {"k": 3}
-        assert mp["logreg"] == {"lr": 0.05}
-        assert mp["nb"] == {"var_floor": 1e-8}
-        assert mp["svm"] == {"lam": 1e-3, "epochs": 10}
+        assert hyperparameters(cfg) == {
+            "c45": {"max_depth": 10},
+            "knn": {"k": 3},
+            "logreg": {"lr": 0.05},
+            "nb": {"var_floor": 1e-8},
+            "svm": {"lam": 1e-3, "epochs": 10},
+        }
 
     def test_empty_config_maps_empty(self):
-        assert member_params_from_config({}) == {}
-        assert kmeans_params_from_config({}) == {}
+        assert hyperparameters({}) == {}
 
     def test_kmeans_params(self):
         cfg = parse_config(["kmeans_max_iter = 50", "kmeans_restarts = 3"])
-        assert kmeans_params_from_config(cfg) == {"max_iter": 50, "n_restarts": 3}
+        assert hyperparameters(cfg) == {"kmeans": {"max_iter": 50, "n_restarts": 3}}
 
     def test_unrelated_keys_ignored(self):
         cfg = parse_config(["seed = 1", "mode = sld"])
-        assert member_params_from_config(cfg) == {}
+        assert hyperparameters(cfg) == {}
+
+    @pytest.mark.parametrize("key", sorted(HYPERPARAMETERS))
+    def test_each_key_names_a_constructor_parameter(self, key):
+        kind, param, caster = HYPERPARAMETERS[key]
+        assert param in KIND_REGISTRY[kind]._param_names()
+        default = KIND_REGISTRY[kind]().get_params()[param]
+        assert type(default) is caster

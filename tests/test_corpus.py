@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domainsift.cli import main
 from domainsift.corpus import (
     DomainError,
     DomainRecord,
@@ -207,11 +208,19 @@ class TestParseDomainLines:
         assert [r.domain_part for r in records] == ["google.com", "example.net"]
         assert stats.total_rows == 2
 
-    def test_logs_skip_count(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="domainsift.corpus"):
+    def test_logs_skip_count(self, caplog, capsys, tmp_path):
+        # the parser only counts; the CLI reports the count, once
+        with caplog.at_level(logging.DEBUG, logger="domainsift"):
             records, stats = parse_domain_lines(io.StringIO("a.com\nx,y.com\n"), mode="full")
         assert records.raw_host == ["a.com"] and stats.skipped_rows == 1
-        assert caplog.messages == ["domain list: skipped 1 of 2 lines"]
+        assert caplog.messages == []
+        listing = tmp_path / "domains.txt"
+        listing.write_text("a.com\nx,y.com\n")
+        assert main(["extract", "--in", str(listing), "--out", str(tmp_path / "f.csv")]) == 0
+        counts = [line for line in capsys.readouterr().err.splitlines()
+                  if re.search(r"skipped \d|\d skipped", line)]
+        assert counts == ["INFO domainsift: parsed 2 rows: 1 unique domains, 1 skipped, "
+                          "0 label conflicts"]
 
 
 class TestDomainTable:

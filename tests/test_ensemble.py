@@ -10,8 +10,14 @@ from domainsift.ensemble import (
     MEMBER_KINDS,
     SCALED_KINDS,
     MajorityVoteEnsemble,
-    Member,
     default_members,
+)
+from domainsift.learners import (
+    C45Tree,
+    GaussianNaiveBayes,
+    KNNClassifier,
+    LogisticRegressionGD,
+    PegasosSVM,
 )
 from domainsift.model_io import ModelKindError, save_model
 
@@ -19,10 +25,10 @@ from conftest import make_blobs, roundtrip, saved_bytes
 
 
 def direct_votes(ens, Q):
-    """Each member's own predict on Q, scaled first where the member uses the standardizer."""
+    """Each member's own predict on Q, scaled first where the member is a scaled kind."""
     Qs = ens.standardizer_.transform(Q)
     return np.column_stack(
-        [m.estimator.predict(Qs if m.uses_standardizer else Q) for m in ens.members_]
+        [estimator.predict(Qs if name in SCALED_KINDS else Q) for name, estimator in ens.members_]
     )
 
 
@@ -49,7 +55,7 @@ class FailingLearner(ParamsMixin):
 
 
 def stub_members(votes):
-    return [Member(f"m{i}", ConstantVoter(vote=v), False) for i, v in enumerate(votes)]
+    return [(f"m{i}", ConstantVoter(vote=v)) for i, v in enumerate(votes)]
 
 
 @pytest.fixture(scope="module")
@@ -61,14 +67,13 @@ def fitted(request):
 class TestMembers:
     def test_default_member_kinds(self):
         members = default_members()
-        assert tuple(m.name for m in members) == MEMBER_KINDS
-        for m in members:
-            assert m.uses_standardizer == (m.name in SCALED_KINDS)
+        assert tuple(name for name, _ in members) == MEMBER_KINDS
+        assert [type(estimator) for _, estimator in members] == [
+            C45Tree, KNNClassifier, LogisticRegressionGD, GaussianNaiveBayes, PegasosSVM]
 
     def test_member_params_forwarded(self):
         members = default_members(member_params={"knn": {"k": 3}})
-        knn = next(m for m in members if m.name == "knn")
-        assert knn.estimator.k == 3
+        assert dict(members)["knn"].k == 3
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -132,11 +137,11 @@ class TestFit:
     def test_scaled_members_see_standardized_features(self, fitted):
         ens, X, y = fitted
         # knn stores its training matrix as distinct rows; it must be the standardized one
-        knn = next(m.estimator for m in ens.members_ if m.name == "knn")
+        knn = dict(ens.members_)["knn"]
         np.testing.assert_allclose(knn.X_[knn.row_], ens.standardizer_.transform(X), atol=1e-12)
 
     def test_member_failure_names_member(self):
-        members = stub_members((0, 0, 0, 0)) + [Member("boom", FailingLearner(), False)]
+        members = stub_members((0, 0, 0, 0)) + [("boom", FailingLearner())]
         with pytest.raises(RuntimeError, match="boom"):
             MajorityVoteEnsemble(members=members).fit(np.zeros((4, 2)),
                                                       np.array([0, 1, 0, 1]))
@@ -148,7 +153,7 @@ class TestFit:
             )
 
     def test_duplicate_member_names_rejected(self):
-        members = [Member("same", ConstantVoter(), False) for _ in range(5)]
+        members = [("same", ConstantVoter()) for _ in range(5)]
         with pytest.raises(ValueError, match="unique"):
             MajorityVoteEnsemble(members=members).fit(np.zeros((2, 2)), np.array([0, 1]))
 
@@ -185,4 +190,19 @@ class TestDeterminismAndState:
         ens.fit(np.zeros((2, 2)), np.array([0, 1]))
         with pytest.raises(ModelKindError, match="ConstantVoter"):
             save_model(ens, tmp_path / "stub.dsmodel")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rearrange", [
+        lambda members: members[::-1],
+        lambda members: [(name.upper(), estimator) for name, estimator in members],
+        lambda members: [(name, members[0][1] if name == "nb" else estimator)
+                         for name, estimator in members],
+    ], ids=["reordered", "renamed", "nb_is_a_tree"])
+    def test_only_the_canonical_members_are_saveable(self, tmp_path, rearrange):
+        # the file keys members by kind in MEMBER_KINDS order, so it could not
+        # record another order, another name or another class for a kind
+        X, y = make_blobs(n_per_class=10, seed=3)
+        ens = MajorityVoteEnsemble(members=rearrange(default_members())).fit(X, y)
+        with pytest.raises(ModelKindError, match="cannot save ensemble members"):
+            save_model(ens, tmp_path / "m.dsmodel")
         assert list(tmp_path.iterdir()) == []

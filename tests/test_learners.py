@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -97,6 +98,32 @@ class TestPessimisticErrors:
         assert pessimistic_extra_errors(10, 2, 0.1) > pessimistic_extra_errors(10, 2, 0.4)
 
 
+def two_walk_prune(node, cf):
+    """Reference pruning: prune the children, then walk the pruned subtree
+    again for its pessimistic estimate (quadratic in the depth)."""
+    if node.is_leaf:
+        return
+    two_walk_prune(node.left, cf)
+    two_walk_prune(node.right, cf)
+    as_leaf = node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, cf)
+    if as_leaf <= subtree_estimate(node, cf) + 1e-9:
+        node.feature = node.threshold = node.left = node.right = None
+
+
+def subtree_estimate(node, cf):
+    if node.is_leaf:
+        return node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, cf)
+    return subtree_estimate(node.left, cf) + subtree_estimate(node.right, cf)
+
+
+def node_fields(node):
+    """Every stored field of the tree at ``node``, nested."""
+    if node.is_leaf:
+        return (node.prediction, node.n_samples, node.n_errors)
+    return (node.prediction, node.n_samples, node.n_errors, node.feature, node.threshold,
+            node_fields(node.left), node_fields(node.right))
+
+
 class TestC45Tree:
     def test_single_threshold_split(self):
         X = np.array([[1.0], [2.0], [8.0], [9.0]])
@@ -177,6 +204,23 @@ class TestC45Tree:
         a = C45Tree().fit(X, y)
         b = C45Tree().fit(X, y)
         assert saved_bytes(a, tmp_path / "a.dsmodel") == saved_bytes(b, tmp_path / "b.dsmodel")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_prune_matches_two_walk_reference(self, data):
+        n = data.draw(st.integers(1, 80), label="n")
+        d = data.draw(st.integers(1, 3), label="d")
+        cells = st.integers(0, 6).map(float)
+        X = np.array(data.draw(st.lists(st.lists(cells, min_size=d, max_size=d),
+                                        min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        params = {"min_leaf": data.draw(st.integers(1, 4), label="min_leaf"),
+                  "cf": data.draw(st.floats(0.01, 0.49), label="cf")}
+        full = C45Tree(prune=False, **params).fit(X, y)
+        expected = copy.deepcopy(full.tree_)
+        two_walk_prune(expected, params["cf"])
+        pruned = C45Tree(prune=True, **params).fit(X, y)
+        assert node_fields(pruned.tree_) == node_fields(expected)
 
 
 class TestKNN:

@@ -11,7 +11,7 @@ from domainsift import model_io
 from domainsift.base import corpus_fingerprint
 from domainsift.cli import main
 from domainsift.cluster import KMeans
-from domainsift.ensemble import MajorityVoteEnsemble
+from domainsift.ensemble import MEMBER_KINDS, MajorityVoteEnsemble
 from domainsift.learners import (
     C45Tree,
     GaussianNaiveBayes,
@@ -32,6 +32,7 @@ from domainsift.preprocessing import Standardizer
 
 from conftest import (
     as_format_3,
+    as_format_4,
     make_blobs,
     read_model_document,
     write_model_document,
@@ -111,7 +112,7 @@ class TestDocumentShape:
         loaded = load_model(path)
         assert loaded.fingerprint_ == model.fingerprint_ == corpus_fingerprint(X, y)
         for members in (model.members_, loaded.members_):
-            assert not any(hasattr(m.estimator, "fingerprint_") for m in members)
+            assert not any(hasattr(estimator, "fingerprint_") for _, estimator in members)
 
     def test_canonical_encoding_once_per_save_never_on_load(self, tmp_path, monkeypatch):
         calls = []
@@ -270,6 +271,15 @@ class TestMalformedPayload:
         with pytest.raises(ModelVersionError, match="version 3"):
             load_model(path)
 
+    def test_version_4_file_refused(self, fitted, tmp_path):
+        path = tmp_path / "ens.dsmodel"
+        save_model(MajorityVoteEnsemble(seed=0).fit(*fitted), path)
+        doc = as_format_4(read_model_document(path))
+        assert [m["name"] for m in doc["payload"]["state"]["members"]] == list(MEMBER_KINDS)
+        write_model_document(path, doc, version=4)
+        with pytest.raises(ModelVersionError, match="version 4"):
+            load_model(path)
+
     def test_unknown_param_is_format_error(self, fitted, tmp_path):
         path = tmp_path / "knn.dsmodel"
         save_model(KNNClassifier().fit(*fitted), path)
@@ -287,7 +297,7 @@ class TestMalformedPayload:
     def test_missing_member_field_is_format_error(self, fitted, tmp_path):
         path = tmp_path / "ens.dsmodel"
         save_model(MajorityVoteEnsemble(seed=0).fit(*fitted), path)
-        rewrite_payload(path, lambda p: p["state"]["members"][0]["state"].pop("tree"))
+        rewrite_payload(path, lambda p: p["state"]["members"]["c45"]["state"].pop("tree"))
         with pytest.raises(ModelFormatError):
             load_model(path, expected_kind="ensemble")
 
@@ -327,7 +337,7 @@ class TestAtomicity:
 
 
 def _member(payload, kind):
-    return next(m for m in payload["state"]["members"] if m["kind"] == kind)
+    return payload["state"]["members"][kind]
 
 
 def _set_root_feature(payload):
@@ -362,6 +372,20 @@ def _negative_nb_variance(payload):
     _member(payload, "nb")["state"]["var"][0][0] = -1
 
 
+def _rename_member(payload):
+    members = payload["state"]["members"]
+    members["KNN"] = members.pop("knn")
+
+
+def _sixth_member(payload):
+    payload["state"]["members"]["knn2"] = _member(payload, "knn")
+
+
+def _swap_logreg_and_svm(payload):
+    members = payload["state"]["members"]
+    members["logreg"], members["svm"] = members["svm"], members["logreg"]
+
+
 # checksum-valid edits of a trained ensemble that used to load and then crash,
 # mispredict or misreport; each must now be refused when the file is loaded
 STATE_EDITS = {
@@ -369,7 +393,11 @@ STATE_EDITS = {
     "knn_y_50_short": _shorten_knn_y,
     "knn_k_string": lambda p: _member(p, "knn")["params"].update(k="5"),
     "knn_k_zero": lambda p: _member(p, "knn")["params"].update(k=0),
-    "four_members": lambda p: p["state"]["members"].pop(),
+    "four_members": lambda p: p["state"]["members"].pop("svm"),
+    "six_members": _sixth_member,
+    "member_renamed_KNN": _rename_member,
+    "logreg_and_svm_swapped": _swap_logreg_and_svm,
+    "knn_uses_standardizer_false": lambda p: _member(p, "knn").update(uses_standardizer=False),
     "nb_negative_variance": _negative_nb_variance,
     "ensemble_width_string": lambda p: p["state"].update(n_features_in="8"),
     "knn_X_7_columns": _drop_knn_columns,
@@ -516,8 +544,7 @@ class TestFuzz:
     def test_mutated_knn_field(self, saved, tmp_path, field, how):
         # every kNN state field, whole and at one entry, whichever paths the sample draws
         doc, _ = saved
-        members = doc["payload"]["state"]["members"]
-        at = ("state", "members", [m["kind"] for m in members].index("knn"), "state", field)
+        at = ("state", "members", "knn", "state", field)
         for path in (at, (*at, 0), (*at, 5)):
             self.check_mutation(doc, path, how, tmp_path)
 
