@@ -4,9 +4,16 @@ Three corpus shapes are supported: a labeled CSV whose header names the
 host, domain and class columns (class is "legit" or "dga"), an unlabeled
 census export with one "domain<TAB>ipv4" record per line, and a bare list of
 domains, one per line. Second-level labels are found against the bundled
-multi-part suffix list. Parsing is single-pass streaming; malformed rows are
-skipped and counted rather than aborting million-row files. Parsers return a
-:class:`DomainTable`, the kept rows as columns.
+multi-part suffix list. Malformed rows are skipped and counted rather than
+aborting million-row files. Parsers return a :class:`DomainTable`, the kept
+rows as columns.
+
+A census is read in text blocks of whole lines, so a large file is never held
+in memory at once. One pattern finds the lines that normalization would keep
+unchanged. When it matches every line of a block, one search gives the
+block's rows; otherwise the block is read line by line, in input order, and
+only the lines the pattern does not match go through the full per-line
+parser.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import gzip
 import io
 import logging
 import re
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -40,6 +49,17 @@ _OCTET = r"(?:25[0-5]|2[0-4][0-9]|[01]?[0-9]?[0-9])"  # ASCII digits, 0-255
 _CENSUS_LINE_RE = re.compile(
     rf"([^\t]*)\t[^\S\t]*{_OCTET}(?:\.{_OCTET}){{3}}[^\S\t]*(?:\t.*)?", re.DOTALL
 )
+# a census line that parses to its own host, unchanged: 1-253 characters of
+# lowercase [a-z0-9_-] labels joined by single dots, not starting "www.", a TAB,
+# the address with optional spaces around it, then optional further fields; no
+# character class crosses a newline, so each line matches at most once
+_CLEAN_CENSUS_LINE_RE = re.compile(
+    rf"^(?!www\.)(?=[a-z0-9_.-]{{1,{MAX_NAME_LENGTH}}}\t)([a-z0-9_-]+(?:\.[a-z0-9_-]+)*)"
+    rf"\t *{_OCTET}(?:\.{_OCTET}){{3}} *(?:\t[^\n]*)?$",
+    re.M,
+)
+# characters read from a census stream at a time, before the cut at a line end
+_BLOCK_CHARS = 1 << 18
 # Unicode whitespace (the set str.isspace accepts), and every ASCII character
 # other than a letter, digit, "-", "_" or "."; other non-ASCII characters pass
 # as literal IDN
@@ -177,6 +197,11 @@ def normalize_domain(raw, mode="second_level_label"):
     labels = s.split(".")
     if "" in labels:
         raise DomainError(f"malformed domain: {raw!r} has an empty label")
+    return _second_level_label(labels)
+
+
+def _second_level_label(labels):
+    """The label left of a name's public suffix, from its non-empty labels."""
     if len(labels) == 1:
         return labels[0]
     suffixes = builtin_suffixes()
@@ -241,37 +266,77 @@ def parse_labeled_csv(stream, mode="second_level_label", max_rows=None):
     return DomainTable(hosts, parts, np.array(labels, dtype=np.int64)), stats
 
 
+def _line_blocks(stream):
+    """The stream's text in blocks of about ``_BLOCK_CHARS`` characters, each
+    cut after its last newline; only the final block may end without one."""
+    pending = []
+    while chunk := stream.read(_BLOCK_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        yield "".join(pending)
+        pending = [chunk[cut:]]
+    if tail := "".join(pending):
+        yield tail
+
+
 def parse_census_lines(stream, max_rows=None, mode="full_name"):
     """Parse census-export lines ("domain<TAB>ipv4") into an unlabeled DomainTable.
 
     The address is four dot-separated octets of 1 to 3 ASCII digits, each at
-    most 255; further TAB-separated fields are ignored. At most ``max_rows``
-    data lines are consumed (None reads everything). Malformed lines are
-    skipped and counted.
+    most 255; further TAB-separated fields are ignored. Only "\\n" ends a
+    line. At most ``max_rows`` data lines are consumed (None reads
+    everything). Malformed lines are skipped and counted.
     """
     mode = resolve_mode(mode)
     match = _CENSUS_LINE_RE.fullmatch
+    clean_match = _CLEAN_CENSUS_LINE_RE.match
     hosts, parts = [], []
     stats = CorpusStats()
-    for line in stream:
+    for block in _line_blocks(stream):
+        clean = _CLEAN_CENSUS_LINE_RE.findall(block)
+        if len(clean) == block.count("\n") + (not block.endswith("\n")):
+            if max_rows is not None:
+                del clean[max_rows - stats.total_rows:]
+            stats.total_rows += len(clean)
+            hosts += clean
+            if mode == "full_name":
+                parts += clean
+            else:
+                parts += [_second_level_label(host.split(".")) for host in clean]
+        else:
+            for line in block.split("\n"):
+                if max_rows is not None and stats.total_rows >= max_rows:
+                    break
+                m = clean_match(line)
+                if m is not None:
+                    host = m.group(1)
+                    stats.total_rows += 1
+                    hosts.append(host)
+                    parts.append(
+                        host if mode == "full_name" else _second_level_label(host.split("."))
+                    )
+                    continue
+                m = match(line)
+                if m is None:
+                    if line.strip():
+                        stats.total_rows += 1
+                        stats.record_error(f"line {stats.total_rows}: not 'domain<TAB>ipv4'")
+                    continue
+                stats.total_rows += 1
+                host = m.group(1)
+                try:
+                    part = normalize_domain(host, mode)
+                except DomainError as exc:
+                    stats.record_error(f"line {stats.total_rows}: {exc}")
+                    continue
+                host = host.strip()
+                hosts.append(part if part == host else host)  # one string for both when equal
+                parts.append(part)
         if max_rows is not None and stats.total_rows >= max_rows:
             break
-        m = match(line)
-        if m is None:
-            if line.strip():
-                stats.total_rows += 1
-                stats.record_error(f"line {stats.total_rows}: not 'domain<TAB>ipv4'")
-            continue
-        stats.total_rows += 1
-        host = m.group(1)
-        try:
-            part = normalize_domain(host, mode)
-        except DomainError as exc:
-            stats.record_error(f"line {stats.total_rows}: {exc}")
-            continue
-        host = host.strip()
-        hosts.append(part if part == host else host)  # one string for both when equal
-        parts.append(part)
     return DomainTable(hosts, parts), stats
 
 
@@ -331,10 +396,22 @@ def dedupe(table):
     return unique, conflicts
 
 
+@contextmanager
 def open_corpus_text(path):
-    """Open a corpus file as text, transparently handling gzip."""
+    """Open a corpus file as text, transparently handling gzip.
+
+    A leading UTF-8 byte-order mark is dropped. Corrupt or truncated gzip
+    data raises :class:`ParseError` naming the path, whether it is met on
+    opening or while the caller reads.
+    """
     with open(path, "rb") as probe:
         magic = probe.read(2)
-    if magic == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, encoding="utf-8")
+    try:
+        if magic == b"\x1f\x8b":
+            fh = io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8-sig")
+        else:
+            fh = open(path, encoding="utf-8-sig")
+        with fh:
+            yield fh
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ParseError(f"{path}: corrupt gzip data: {exc}") from None

@@ -1,4 +1,5 @@
 import csv
+import gzip
 import os
 import random
 from pathlib import Path
@@ -409,6 +410,48 @@ class TestExitCodes:
         assert main(["predict", "--in", features, "--model", sld_model,
                      "--out", str(tmp_path / "p")]) == 1
         assert "feature CSV" in capsys.readouterr().err
+
+
+class TestCorpusEncoding:
+    def test_bom_census_extracts_length_11(self, tmp_path):
+        census = tmp_path / "census.tsv"
+        census.write_bytes("\ufeffexample.com\t1.2.3.4\n".encode())
+        out = tmp_path / "f.csv"
+        assert main(["extract", "--in", str(census), "--out", str(out), "--mode", "full"]) == 0
+        with open(out, newline="") as fh:
+            assert [row["len"] for row in csv.DictReader(fh)] == ["11"]
+
+    def test_bom_labeled_csv_trains(self, workdir, sld_model, tmp_path):
+        labeled = tmp_path / "labeled.csv"  # the basename is in the model's metadata
+        labeled.write_bytes(b"\xef\xbb\xbf" + (workdir / "gen" / "labeled.csv").read_bytes())
+        model = tmp_path / "m.dsmodel"
+        assert main(["train", "--in", str(labeled), "--out", str(model), "--seed", "5"]) == 0
+        assert model.read_bytes() == Path(sld_model).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    @pytest.mark.parametrize("command", ["extract", "reputation-check"])
+    def test_corrupt_gzip_is_one_error_line(self, tmp_path, capsys, damage, command):
+        lines = "".join(f"host{i:05d}-{i * 7919 % 10007}.com\t1.2.3.4\n" for i in range(4000))
+        data = gzip.compress(lines.encode())
+        if damage == "truncated":  # the first line decodes; the parse meets the cut
+            data = data[: len(data) // 2]
+        else:  # the first block of deflate data is garbage
+            data = data[:10] + bytes(b ^ 0xFF for b in data[10:30]) + data[30:]
+        corpus_path = tmp_path / "census.tsv.gz"
+        corpus_path.write_bytes(data)
+        badlist = tmp_path / "bad.txt"
+        badlist.write_text("a.com\n")
+        argv = {
+            "extract": ["extract", "--out", str(tmp_path / "f.csv")],
+            "reputation-check": ["reputation-check", "--badlist", str(badlist)],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--in", str(corpus_path)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1 and "Traceback" not in err, err
+        assert errors[0].startswith(f"ERROR domainsift: corpus error: {corpus_path}: "
+                                    "corrupt gzip data: ")
 
 
 def test_console_script_installed():

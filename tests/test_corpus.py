@@ -2,12 +2,14 @@ import gzip
 import io
 import logging
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domainsift import corpus
 from domainsift.cli import main
 from domainsift.corpus import (
     DomainError,
@@ -200,6 +202,35 @@ class TestParseCensusLines:
                                         mode="sld")
         assert records.domain_part == ["example"]
 
+    def test_max_rows_truncates_inside_a_clean_block(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", 64)
+        stream = io.StringIO("".join(f"h{i}.com\t1.2.3.4\n" for i in range(1000)))
+        table, stats = parse_census_lines(stream, max_rows=3)
+        assert table.domain_part == ["h0.com", "h1.com", "h2.com"]
+        assert (stats.total_rows, stats.skipped_rows) == (3, 0)
+        assert stream.tell() <= 64  # the first block held the cap, so no second was read
+
+    @pytest.mark.parametrize("mode", ["full", "sld"])
+    def test_gzip_census_parses_like_plain(self, tmp_path, monkeypatch, mode):
+        monkeypatch.setattr(corpus, "_BLOCK_CHARS", 7)
+        text = ("\ufeffexample.com\t1.2.3.4\n"
+                + "shop.example.co.uk\t10.0.0.1\tx\r\n" * 3
+                + "Mixed.Com\t1.2.3.4\n\nbad line\nwww.a.b.com\t 8.8.8.8 \n" * 2
+                + "last.org\t9.9.9.9")
+        plain = tmp_path / "census.tsv"
+        plain.write_bytes(text.encode())
+        zipped = tmp_path / "census.tsv.gz"
+        zipped.write_bytes(gzip.compress(text.encode()))
+        with open_corpus_text(plain) as fh:
+            table, stats = parse_census_lines(fh, mode=mode)
+        with open_corpus_text(zipped) as fh:
+            zipped_table, zipped_stats = parse_census_lines(fh, mode=mode)
+        assert zipped_table.raw_host == table.raw_host
+        assert zipped_table.domain_part == table.domain_part
+        assert zipped_stats == stats
+        assert table.raw_host[:2] == ["example.com", "shop.example.co.uk"]  # no BOM
+        assert (stats.total_rows, stats.skipped_rows) == (11, 2)
+
 
 class TestParseDomainLines:
     def test_skips_blank_and_comments(self):
@@ -258,6 +289,16 @@ class TestSuffixAndIO:
             assert fh.read() == "hello\n"
         with open_corpus_text(zipped) as fh:
             assert fh.read() == "hello\n"
+
+    def test_open_corpus_text_drops_bom(self, tmp_path):
+        data = "\ufeffhost,class\n\ufeffa.com,legit\n".encode()
+        plain = tmp_path / "a.csv"
+        plain.write_bytes(data)
+        zipped = tmp_path / "a.csv.gz"
+        zipped.write_bytes(gzip.compress(data))
+        for path in (plain, zipped):
+            with open_corpus_text(path) as fh:
+                assert fh.read() == "host,class\n\ufeffa.com,legit\n"  # only a leading one
 
     def test_resolve_mode(self):
         assert resolve_mode("sld") == resolve_mode("second_level_label")
@@ -342,18 +383,42 @@ _address_line = st.builds(
     end=st.sampled_from(["\n", "\r\n"]),
 )
 _blank_line = st.sampled_from(["\n", "  \n", "\r\n", "\t\n", " \t \r\n", "\u3000\n"])
+# lines at the edge of the clean-line pattern: names it must refuse only just,
+# line separators other than "\n", and a 253- and a 254-character name
+_clean_looking_host = st.sampled_from([
+    "example.com", "a-b_c.d-e", "x", "7", "www", "wwwx.com", "www.example.com",
+    "shop.example.co.uk", "a.b.c.d.com.au", "Example.com", "EXAMPLE.COM", "a..b", "a.b.",
+    ".a.b", "-a.b", "c." * 126 + "c", "c." * 126 + "cc", "b" * 253, "b" * 254,
+    "a\x00b.com", "a\x85b.com", "a\u2028b.com", "a\x0cb.com", "a\x1cb.com", "\u0131.com",
+])
+_clean_looking_line = st.builds(
+    lambda host, pad1, octets, pad2, tail: host + "\t" + pad1 + ".".join(octets) + pad2 + tail,
+    host=_clean_looking_host,
+    pad1=st.sampled_from(["", "", " ", "  "]),
+    octets=st.lists(_in_range, min_size=4, max_size=4),
+    pad2=st.sampled_from(["", "", " "]),
+    tail=st.sampled_from(["", "", "\tfoo", "\t", "\t\x85x", "\t\u2028", "\t\x00",
+                          "\x85", "\u2028", "\x0c", "\x1c", "\x00"]),
+)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(
-    lines=st.lists(st.one_of(_address_line, _address_line, _noisy_line, _blank_line),
-                   max_size=30),
+    lines=st.lists(
+        st.one_of(_address_line, _address_line, _noisy_line, _blank_line,
+                  _clean_looking_line.map(lambda line: line + "\n"),
+                  _clean_looking_line.map(lambda line: line + "\n")),
+        max_size=30,
+    ),
+    last=st.sampled_from([""]) | _clean_looking_line,  # a last line without a newline
     max_rows=st.none() | st.integers(0, 30),
     mode=st.sampled_from(["full", "sld"]),
+    block=st.integers(1, 64),
 )
-def test_census_parser_matches_oracle(lines, max_rows, mode):
-    text = "".join(lines)
-    table, stats = parse_census_lines(io.StringIO(text), max_rows=max_rows, mode=mode)
+def test_census_parser_matches_oracle(lines, last, max_rows, mode, block):
+    text = "".join(lines) + last
+    with mock.patch.object(corpus, "_BLOCK_CHARS", block):  # blocks that split lines
+        table, stats = parse_census_lines(io.StringIO(text), max_rows=max_rows, mode=mode)
     hosts, parts, total, errors = census_oracle(io.StringIO(text), max_rows, resolve_mode(mode))
     assert table.raw_host == hosts
     assert table.domain_part == parts
