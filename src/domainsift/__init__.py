@@ -13,11 +13,10 @@ from .analytics import (
     histogram_pdf,
     summarize,
 )
-from .base import NotFittedError, corpus_fingerprint
+from .base import NotFittedError
 from .cluster import KMeans
 from .corpus import (
     DomainError,
-    DomainRecord,
     DomainTable,
     ParseError,
     dedupe,
@@ -64,7 +63,6 @@ __all__ = [
     "C45Tree",
     "ConfusionMatrix",
     "DomainError",
-    "DomainRecord",
     "DomainTable",
     "FEATURE_NAMES",
     "GaussianNaiveBayes",
@@ -87,7 +85,6 @@ __all__ = [
     "confusion",
     "correlation",
     "correlation_table",
-    "corpus_fingerprint",
     "dedupe",
     "domain_features",
     "evaluate_all",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 from typing import NamedTuple
 
@@ -115,19 +114,3 @@ def distinct_rows(X):
     inverse[order] = np.cumsum(starts) - 1
     first = order[starts]
     return DistinctRows(X[first], inverse, np.diff(np.flatnonzero(starts), append=n))
-
-
-def corpus_fingerprint(X, y=None):
-    """Row count plus content hash identifying a training corpus.
-
-    Hashes the raw float64/int64 bytes, so any change to values, order, or
-    shape produces a different fingerprint.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    h = hashlib.sha256()
-    h.update(str(X.shape).encode())
-    h.update(X.tobytes())
-    if y is not None:
-        y = np.ascontiguousarray(y, dtype=np.int64)
-        h.update(y.tobytes())
-    return {"n_rows": int(X.shape[0]), "sha256": h.hexdigest()}

@@ -77,29 +77,16 @@ class DomainError(ValueError):
     """A single domain string could not be normalized."""
 
 
-@dataclass(frozen=True, slots=True)
-class DomainRecord:
-    """One normalized domain with optional ground-truth class.
-
-    ``domain_part`` is the normalized substring features are computed from:
-    non-empty, lowercase, no scheme, no leading "www." label, no trailing
-    dot, and no whitespace or ASCII character other than a letter, digit,
-    "-", "_" or ".". ``label`` is 1 for DGA, 0 for legitimate, None when
-    unknown.
-    """
-
-    raw_host: str
-    domain_part: str
-    label: int | None = None
-
-
 @dataclass(slots=True, eq=False)
 class DomainTable:
     """Corpus rows as aligned columns, one entry per row.
 
-    ``raw_host`` and ``domain_part`` are lists of str with the meaning of the
-    :class:`DomainRecord` fields; ``label`` is an int64 array (1 DGA,
-    0 legitimate), or None for an unlabeled corpus.
+    ``raw_host`` is the host as the corpus gave it. ``domain_part`` is the
+    normalized substring features are computed from: non-empty, lowercase,
+    no scheme, no leading "www." label, no trailing dot, and no whitespace or
+    ASCII character other than a letter, digit, "-", "_" or ".". Both are
+    lists of str. ``label`` is an int64 array (1 DGA, 0 legitimate), or None
+    for an unlabeled corpus.
     """
 
     raw_host: list
@@ -108,11 +95,6 @@ class DomainTable:
 
     def __len__(self):
         return len(self.domain_part)
-
-    def __iter__(self):
-        """One DomainRecord per row, built on demand."""
-        labels = [None] * len(self) if self.label is None else self.label.tolist()
-        return map(DomainRecord, self.raw_host, self.domain_part, labels)
 
 
 @dataclass(slots=True)
@@ -401,8 +383,8 @@ def open_corpus_text(path):
     """Open a corpus file as text, transparently handling gzip.
 
     A leading UTF-8 byte-order mark is dropped. Corrupt or truncated gzip
-    data raises :class:`ParseError` naming the path, whether it is met on
-    opening or while the caller reads.
+    data, and bytes that are not UTF-8, raise :class:`ParseError` naming the
+    path, whether they are met on opening or while the caller reads.
     """
     with open(path, "rb") as probe:
         magic = probe.read(2)
@@ -415,3 +397,7 @@ def open_corpus_text(path):
             yield fh
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ParseError(f"{path}: corrupt gzip data: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+        ) from None

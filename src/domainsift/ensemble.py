@@ -17,7 +17,6 @@ from .base import (
     check_is_fitted,
     check_matrix,
     check_X_y,
-    corpus_fingerprint,
     distinct_rows,
 )
 from .learners import (
@@ -79,7 +78,6 @@ class MajorityVoteEnsemble(ParamsMixin):
     """
 
     FITTED_FIELDS = (
-        ("fingerprint_", "json", ()),
         ("standardizer_", "standardizer", ()),
         ("members_", "members", ()),
     )
@@ -107,7 +105,6 @@ class MajorityVoteEnsemble(ParamsMixin):
                 raise RuntimeError(f"training ensemble member {name!r} failed: {exc}") from exc
         self.standardizer_ = scaler
         self.members_ = members
-        self.fingerprint_ = corpus_fingerprint(X, y)
         self.n_features_in_ = X.shape[1]
         return self
 
@@ -132,15 +129,4 @@ class MajorityVoteEnsemble(ParamsMixin):
     def predict_with_votes(self, X):
         """Labels plus the vote breakdown: (labels, votes, member_names)."""
         votes = self.vote_matrix(X)
-        return majority(votes), votes, self.member_names()
-
-    def member_names(self):
-        check_is_fitted(self, "members_")
-        return [name for name, _ in self.members_]
-
-    def member_predict(self, name, X):
-        """Prediction of a single member: its column of :meth:`vote_matrix`."""
-        names = self.member_names()
-        if name not in names:
-            raise KeyError(f"no ensemble member named {name!r}")
-        return self.vote_matrix(X)[:, names.index(name)]
+        return majority(votes), votes, [name for name, _ in self.members_]

@@ -67,22 +67,19 @@ def domain_features(domain):
     )
 
 
-def extract_features(records_or_domains):
-    """Feature matrix for a DomainTable, DomainRecords or plain strings, plus labels.
+def extract_features(table_or_domains):
+    """Feature matrix for a DomainTable or plain strings, plus labels.
 
     Returns ``(X, y)``: ``X`` has one row per input row in the order of
     :data:`FEATURE_NAMES`, equal to :func:`domain_features` of each domain.
-    ``y`` is the int64 label vector when every row carries a label, else None.
+    ``y`` is a table's label vector, or None for plain strings.
     """
-    if isinstance(records_or_domains, str):
+    if isinstance(table_or_domains, str):
         raise TypeError("domains must be a sequence of strings, not a single str")
-    if isinstance(records_or_domains, DomainTable):
-        domains, y = records_or_domains.domain_part, records_or_domains.label
+    if isinstance(table_or_domains, DomainTable):
+        domains, y = table_or_domains.domain_part, table_or_domains.label
     else:
-        rows = list(records_or_domains)
-        domains = [getattr(item, "domain_part", item) for item in rows]
-        labels = [getattr(item, "label", None) for item in rows]
-        y = None if None in labels else np.asarray(labels, dtype=np.int64)
+        domains, y = list(table_or_domains), None
     X = _feature_matrix(domains)
     return X, (y if len(domains) else None)
 

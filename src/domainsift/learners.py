@@ -392,10 +392,8 @@ class LogisticRegressionGD(ParamsMixin):
         X, y, share = rows[:, :-1], rows[:, -1], counts / y.size
         w = np.zeros(X.shape[1])
         b = 0.0
-        losses = []
         self.n_iter_ = 0
         for _ in range(self.epochs):
-            losses.append(self.loss(X, y, w, b, share))
             grad_w, grad_b = self.gradient(X, y, w, b, share)
             norm = math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
             if norm < self.tol:
@@ -405,7 +403,6 @@ class LogisticRegressionGD(ParamsMixin):
             self.n_iter_ += 1
         self.coef_ = w
         self.intercept_ = float(b)
-        self.loss_curve_ = np.asarray(losses)
         return self
 
     def loss(self, X, y, w, b, share=None):
@@ -428,10 +425,6 @@ class LogisticRegressionGD(ParamsMixin):
         X = _validate_predict(self, X)
         check_is_fitted(self, "coef_")
         return X @ self.coef_ + self.intercept_
-
-    def predict_proba(self, X):
-        """Probability of the positive class, shape (n,)."""
-        return _sigmoid(self.decision_function(X))
 
     def predict(self, X):
         return (self.decision_function(X) >= 0.0).astype(np.int64)
@@ -482,13 +475,6 @@ class GaussianNaiveBayes(ParamsMixin):
             quad = -0.5 * np.sum((X - self.theta_[cls]) ** 2 / self.var_[cls], axis=1)
             jll[:, cls] = math.log(self.class_prior_[cls]) + log_norm + quad
         return jll
-
-    def predict_proba(self, X):
-        """Probability of the positive class, shape (n,)."""
-        jll = self.joint_log_likelihood(X)
-        m = jll.max(axis=1, keepdims=True)
-        norm = np.exp(jll - m)
-        return norm[:, 1] / norm.sum(axis=1)
 
     def predict(self, X):
         jll = self.joint_log_likelihood(X)
@@ -555,12 +541,3 @@ class PegasosSVM(ParamsMixin):
 
     def predict(self, X):
         return (self.decision_function(X) > 0.0).astype(np.int64)
-
-    def hinge_objective(self, X, y):
-        """Regularized hinge loss of the fitted weights on (X, y)."""
-        X, y = check_X_y(X, y, n_features=self.n_features_in_)
-        check_is_fitted(self, "coef_")
-        y_pm = 2.0 * y - 1.0
-        margins = y_pm * (X @ self.coef_ + self.intercept_)
-        hinge = np.maximum(0.0, 1.0 - margins).mean()
-        return 0.5 * self.lam * float(self.coef_ @ self.coef_) + float(hinge)

@@ -1,6 +1,6 @@
 """Versioned JSON serialization for every trained model kind.
 
-A file is a one-line header, ``{"format_version":5,"sha256":"<hex>"}``,
+A file is a one-line header, ``{"format_version":6,"sha256":"<hex>"}``,
 then a body: the canonical JSON of ``{"kind", "metadata", "payload"}``. The
 sha256 covers the body bytes exactly as written, so any edit to the kind,
 the metadata or the payload that does not recompute it is refused. Writing
@@ -12,8 +12,8 @@ binary64.
 The state format is written here alone. A payload is ``{"params", "state"}``;
 the state holds ``n_features_in`` and, for each ``(attribute, dtype, shape)``
 of the class's ``FITTED_FIELDS``, the attribute under its name minus the
-trailing ``_``. A dtype is a key of ``_NUMERIC``, "node", "json", a
-registered kind (stored nested) or "members": the ensemble's member payloads
+trailing ``_``. A dtype is a key of ``_NUMERIC``, "node", a registered
+kind (stored nested) or "members": the ensemble's member payloads
 keyed by exactly ``MEMBER_KINDS``, which fixes the members. A shape entry is
 an int, "d" (for ``n_features_in``), a constructor parameter, or another
 name: a row count that every field using it must agree on. Loading checks
@@ -47,8 +47,9 @@ from .preprocessing import Standardizer
 # version 1 files hold a kNN block-size parameter that KNNClassifier no longer takes;
 # versions 1 and 2 are one JSON document whose checksum covers only its payload;
 # versions 1 to 3 store every kNN training row instead of the distinct rows;
-# versions 1 to 4 store the ensemble members as a list of named, flagged entries
-MODEL_FORMAT_VERSION = 5
+# versions 1 to 4 store the ensemble members as a list of named, flagged entries;
+# versions 1 to 5 store the fingerprint of the ensemble's training corpus
+MODEL_FORMAT_VERSION = 6
 MODEL_EXTENSION = ".dsmodel"
 
 KIND_REGISTRY = {
@@ -126,7 +127,7 @@ def _encode_value(dtype, value):
                 f"cannot save ensemble members {[(n, c.__name__) for n, c in found]}; "
                 f"saveable: the kinds {MEMBER_KINDS} in that order, each its own class")
         return {name: _encode(estimator) for name, estimator in value}
-    return _encode(value) if dtype in KIND_REGISTRY else value  # "json": stored as it is
+    return _encode(value)
 
 
 def _decode(cls, payload, where, d=None):
@@ -167,9 +168,7 @@ def _decode_value(dtype, shape, value, sizes, where):
         _expect_keys(value, MEMBER_KINDS, where)
         return [(kind, _decode(KIND_REGISTRY[kind], value[kind], f"{where}.{kind}", sizes["d"]))
                 for kind in MEMBER_KINDS]
-    if dtype in KIND_REGISTRY:
-        return _decode(KIND_REGISTRY[dtype], value, where, sizes["d"])
-    return value  # "json"
+    return _decode(KIND_REGISTRY[dtype], value, where, sizes["d"])
 
 
 def _decode_numeric(dtype, shape, value, sizes, where):

@@ -32,11 +32,3 @@ class Standardizer(ParamsMixin):
         check_is_fitted(self, "mean_")
         X = check_matrix(X, n_features=self.n_features_in_, allow_1d=True)
         return (X - self.mean_) / self.scale_
-
-    def fit_transform(self, X, y=None):
-        return self.fit(X).transform(X)
-
-    def inverse_transform(self, X):
-        check_is_fitted(self, "mean_")
-        X = check_matrix(X, n_features=self.n_features_in_, allow_1d=True)
-        return X * self.scale_ + self.mean_

@@ -64,17 +64,14 @@ def check(domain, provider):
 
 
 def sample_and_check(flagged, n, seed, provider):
-    """Check a seeded uniform sample (without replacement) of flagged domains.
-
-    ``flagged`` holds domain strings or records with a ``domain_part``.
-    Results keep the input order of the sampled entries.
+    """Check a seeded uniform sample (without replacement) of a sequence of
+    flagged domain strings. Results keep the input order of the sampled entries.
     """
-    domains = [d if isinstance(d, str) else d.domain_part for d in flagged]
-    if n > len(domains):
-        raise ValueError(f"cannot sample {n} of {len(domains)} flagged domains")
+    if n > len(flagged):
+        raise ValueError(f"cannot sample {n} of {len(flagged)} flagged domains")
     rng = np.random.default_rng(seed)
-    picked = np.sort(rng.choice(len(domains), size=n, replace=False))
-    return [check(domains[i], provider) for i in picked]
+    picked = np.sort(rng.choice(len(flagged), size=n, replace=False))
+    return [check(flagged[i], provider) for i in picked]
 
 
 def write_reputation_csv(stream, results):

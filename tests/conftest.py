@@ -75,11 +75,22 @@ def write_single_document_model(path, document, version):
     }))
 
 
-def as_format_4(document):
-    """``document`` with an ensemble's members in the layout of format 4: a list of
-    entries that also hold ``name``, ``kind`` and ``uses_standardizer``, next to an
-    ensemble ``version`` of 1."""
+def as_format_5(document):
+    """``document`` with an ensemble's state in the layout of format 5: it also holds
+    the ``fingerprint`` of the training corpus, a row count and a sha256."""
     document = copy.deepcopy(document)
+    if document["kind"] == "ensemble":
+        state = document["payload"]["state"]
+        n_rows = len(state["members"]["knn"]["state"]["y"])
+        state["fingerprint"] = {"n_rows": n_rows, "sha256": hashlib.sha256(b"corpus").hexdigest()}
+    return document
+
+
+def as_format_4(document):
+    """``document`` in the layout of format 5, with an ensemble's members in the
+    layout of format 4: a list of entries that also hold ``name``, ``kind`` and
+    ``uses_standardizer``, next to an ensemble ``version`` of 1."""
+    document = as_format_5(document)
     if document["kind"] == "ensemble":
         state = document["payload"]["state"]
         state["version"] = 1

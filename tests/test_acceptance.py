@@ -31,7 +31,7 @@ from domainsift.corpus import (
     parse_census_lines,
     parse_labeled_csv,
 )
-from domainsift.ensemble import MEMBER_KINDS, MajorityVoteEnsemble
+from domainsift.ensemble import MajorityVoteEnsemble
 from domainsift.evaluate import (
     confusion,
     evaluate_all,
@@ -102,11 +102,10 @@ def test_labeled_corpus_benchmark():
     started = time.perf_counter()
     train, test = stratified_split(y, test_fraction=0.3, seed=SEED)
     model = MajorityVoteEnsemble(seed=SEED).fit(X[train], y[train])
-    m = metrics(confusion(model.predict(X[test]), y[test]))
+    labels, votes, names = model.predict_with_votes(X[test])
+    m = metrics(confusion(labels, y[test]))
     linear_acc = {
-        name: metrics(
-            confusion(model.member_predict(name, X[test]), y[test])
-        ).accuracy
+        name: metrics(confusion(votes[:, names.index(name)], y[test])).accuracy
         for name in ("logreg", "svm")
     }
     elapsed = time.perf_counter() - started
@@ -133,13 +132,12 @@ def test_synthetic_benchmark(corpus, split_fit):
     model, _, test = split_fit
     table = correlation_table(X, y)
     top = table[0]
+    labels, votes, names = model.predict_with_votes(X[test])
     base_acc = {
-        name: metrics(
-            confusion(model.member_predict(name, X[test]), y[test])
-        ).accuracy
-        for name in MEMBER_KINDS
+        name: metrics(confusion(column, y[test])).accuracy
+        for name, column in zip(names, votes.T)
     }
-    ensemble_acc = metrics(confusion(model.predict(X[test]), y[test])).accuracy
+    ensemble_acc = metrics(confusion(labels, y[test])).accuracy
     median_acc = float(np.median(list(base_acc.values())))
     ok = (
         top.name in ("uniq_chars", "len")
@@ -208,8 +206,8 @@ def test_census_contraction(full_fit):
         records, _ = dedupe(records)
         X_full_r, _ = extract_features(records)
         slds_r = [
-            normalize_domain(rec.raw_host, mode="second_level_label")
-            for rec in records
+            normalize_domain(host, mode="second_level_label")
+            for host in records.raw_host
         ]
         X_sld_r, _ = extract_features(slds_r)
         flags_r = int(full_fit.predict(X_sld_r).sum())

@@ -6,13 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from domainsift.cli import main
-from domainsift.features import FEATURE_NAMES
+from domainsift.features import FEATURE_NAMES, read_feature_csv
 
 from conftest import (
     as_format_3,
     as_format_4,
+    as_format_5,
     read_model_document,
     write_model_document,
     write_single_document_model,
@@ -294,12 +297,14 @@ class TestExitCodes:
         assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
                      "--model", str(fake), "--out", str(tmp_path / "p")]) == 1
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_old_version_model_is_data_error(self, workdir, sld_model, tmp_path, capsys,
                                              version):
         old = tmp_path / "old.dsmodel"
         document = read_model_document(Path(sld_model))
-        if version == 4:  # members as a list of named entries, and an ensemble version
+        if version == 5:  # the ensemble state also holds the training corpus fingerprint
+            write_model_document(old, as_format_5(document), version)
+        elif version == 4:  # members as a list of named entries, and an ensemble version
             write_model_document(old, as_format_4(document), version)
         elif version == 3:  # a header line and a body, with every kNN training row stored
             write_model_document(old, as_format_3(document), version)
@@ -452,6 +457,89 @@ class TestCorpusEncoding:
         assert len(errors) == 1 and "Traceback" not in err, err
         assert errors[0].startswith(f"ERROR domainsift: corpus error: {corpus_path}: "
                                     "corrupt gzip data: ")
+
+    @pytest.mark.parametrize("wrap", ["plain", "gzip"])
+    @pytest.mark.parametrize("command", ["extract", "cluster"])
+    def test_non_utf8_is_one_error_line(self, tmp_path, capsys, wrap, command):
+        # the bad byte is far enough in that the format sniffing reads past none of it
+        lines = "".join(f"host{i:05d}-{i * 7919 % 10007}.com\t1.2.3.4\n" for i in range(4000))
+        data = lines.encode() + b"bad\xffname.com\t1.2.3.5\n"
+        corpus_path = tmp_path / ("census.tsv.gz" if wrap == "gzip" else "census.tsv")
+        corpus_path.write_bytes(gzip.compress(data) if wrap == "gzip" else data)
+        capsys.readouterr()
+        assert main([command, "--in", str(corpus_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1 and "Traceback" not in err, err
+        assert errors == [f"ERROR domainsift: corpus error: {corpus_path}: "
+                          "not UTF-8 text: byte 0xff: invalid start byte"]
+
+
+# census lines the parser keeps, skips or normalizes, for the extract fuzz test
+FUZZ_LINES = [
+    "example.com\t1.2.3.4",
+    "www.Shop.co.uk\t10.0.0.1",
+    "a1b2c3d4e5.net\t 8.8.8.8 \textra field",
+    "http://x.org/path\t1.1.1.1",
+    "qxz-07_k.example.org\t255.255.255.255",
+    "no-address.com",
+    "bad..dots.com\t1.2.3.4",
+    "ümlaut.de\t9.9.9.9",
+    "domain\tip",
+    "",
+]
+
+
+@st.composite
+def mutated_census(draw):
+    """Census bytes: valid and malformed lines, then byte-level damage, maybe gzipped."""
+    data = "\n".join(draw(st.lists(st.sampled_from(FUZZ_LINES), max_size=12))).encode()
+    if draw(st.booleans()):
+        data += b"\n"
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        insert = draw(st.one_of(
+            st.sampled_from([b"\xff", b"\x00", b"\xef\xbb\xbf", b"\r\n", b"\r", b"\t"]),
+            st.binary(min_size=1, max_size=6),
+        ))
+        data = data[:at] + insert + data[at:]
+    if draw(st.booleans()):
+        data = data.replace(b"\n", b"\r\n")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.booleans()):
+        data = gzip.compress(data, mtime=0)
+        damage = draw(st.sampled_from(["none", "truncate", "flip"]))
+        if damage == "truncate":
+            data = data[: draw(st.integers(0, len(data) - 1))]
+        elif damage == "flip":
+            at = draw(st.integers(0, len(data) - 1))
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    return data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_census(), mode=st.sampled_from(["full", "sld"]))
+def test_extract_on_mutated_census(tmp_path, capsys, data, mode):
+    """extract either writes a feature CSV that reads back, or exits 1 with one
+    ERROR line that names the input, and never shows a traceback."""
+    corpus_path, out = tmp_path / "census.tsv", tmp_path / "features.csv"
+    corpus_path.write_bytes(data)
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(["extract", "--in", str(corpus_path), "--out", str(out), "--mode", mode])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, err
+    errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+    if code == 0:
+        assert errors == []
+        with open(out, newline="", encoding="utf-8") as fh:
+            X, y = read_feature_csv(fh)
+        assert X.shape[0] >= 1 and y is None
+    else:
+        assert code == 1
+        assert len(errors) == 1 and str(corpus_path) in errors[0], err
 
 
 def test_console_script_installed():

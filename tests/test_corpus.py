@@ -13,7 +13,6 @@ from domainsift import corpus
 from domainsift.cli import main
 from domainsift.corpus import (
     DomainError,
-    DomainRecord,
     DomainTable,
     ParseError,
     dedupe,
@@ -92,8 +91,7 @@ class TestParseLabeledCsv:
 
     def test_basic(self):
         records, stats = parse_labeled_csv(io.StringIO(self.CSV), mode="sld")
-        assert [r.domain_part for r in records] == ["google", "mykings"]
-        assert [r.label for r in records] == [0, 1]
+        assert records.domain_part == ["google", "mykings"]
         assert records.raw_host == ["www.google.com", "up.mykings.pw"]
         assert stats.total_rows == 2
         assert records.label.dtype == np.int64 and records.label.tolist() == [0, 1]
@@ -101,7 +99,7 @@ class TestParseLabeledCsv:
     def test_class_case_insensitive(self):
         csv = "host,domain,class\na.com,a.com,LEGIT\nb.com,b.com,DgA\n"
         records, _ = parse_labeled_csv(io.StringIO(csv), mode="full")
-        assert [r.label for r in records] == [0, 1]
+        assert records.label.tolist() == [0, 1]
 
     def test_unknown_class_skipped_and_counted(self):
         csv = "host,domain,class\na.com,a.com,legit\nb.com,b.com,weird\n"
@@ -126,7 +124,7 @@ class TestParseLabeledCsv:
     def test_malformed_domain_rows_skipped(self):
         csv = "host,domain,class\n...,...,legit\nb.com,b.com,dga\n"
         records, stats = parse_labeled_csv(io.StringIO(csv), mode="full")
-        assert [r.domain_part for r in records] == ["b.com"]
+        assert records.domain_part == ["b.com"]
         assert stats.skipped_rows == 1
 
     def test_max_rows_counts_skipped_rows_and_stops_reading(self):
@@ -138,7 +136,7 @@ class TestParseLabeledCsv:
             raise AssertionError("read to the end of the stream")
 
         records, stats = parse_labeled_csv(stream(), mode="full", max_rows=3)
-        assert [r.domain_part for r in records] == ["a.com", "c.com"]
+        assert records.domain_part == ["a.com", "c.com"]
         assert (stats.total_rows, stats.skipped_rows) == (3, 1)
         records, stats = parse_labeled_csv(io.StringIO("\n".join(rows)), max_rows=0)
         assert len(records) == 0 and stats.total_rows == 0
@@ -149,21 +147,20 @@ class TestParseCensusLines:
 
     def test_basic(self):
         records, stats = parse_census_lines(io.StringIO(self.LINES))
-        assert [r.domain_part for r in records] == ["example.com", "qrvmappzgdrz.net"]
-        assert all(r.label is None for r in records)
+        assert records.domain_part == ["example.com", "qrvmappzgdrz.net"]
         assert records.raw_host == ["example.com", "qrvmappzgdrz.net"] and records.label is None
         assert stats.total_rows == 2
 
     def test_bad_ip_skipped(self):
         lines = "a.com\t999.1.1.1\nb.com\t1.2.3.4\nc.com\tnot-an-ip\n"
         records, stats = parse_census_lines(io.StringIO(lines))
-        assert [r.domain_part for r in records] == ["b.com"]
+        assert records.domain_part == ["b.com"]
         assert stats.skipped_rows == 2
 
     def test_non_host_characters_skipped(self):
         lines = "x,y.com\t1.2.3.4\nb.com\t1.2.3.4\na<b>.com\t1.2.3.4\n"
         records, stats = parse_census_lines(io.StringIO(lines))
-        assert [r.domain_part for r in records] == ["b.com"]
+        assert records.domain_part == ["b.com"]
         assert stats.skipped_rows == 2
         assert all("\n" not in e and "cannot be in a host name" in e for e in stats.errors)
 
@@ -236,7 +233,7 @@ class TestParseDomainLines:
     def test_skips_blank_and_comments(self):
         text = "# top sites\n\ngoogle.com\nexample.net\n"
         records, stats = parse_domain_lines(io.StringIO(text), mode="full")
-        assert [r.domain_part for r in records] == ["google.com", "example.net"]
+        assert records.domain_part == ["google.com", "example.net"]
         assert stats.total_rows == 2
 
     def test_logs_skip_count(self, caplog, capsys, tmp_path):
@@ -255,12 +252,10 @@ class TestParseDomainLines:
 
 
 class TestDomainTable:
-    def test_iterates_records(self):
-        table = DomainTable(["www.a.com", "b.com"], ["a", "b"], np.array([1, 0]))
-        assert list(table) == [DomainRecord("www.a.com", "a", 1), DomainRecord("b.com", "b", 0)]
-        assert all(type(r.label) is int for r in table)
-        assert list(DomainTable(["a.com"], ["a"])) == [DomainRecord("a.com", "a")]
-        assert len(table) == 2
+    def test_len_is_row_count(self):
+        assert len(DomainTable(["www.a.com", "b.com"], ["a", "b"], np.array([1, 0]))) == 2
+        assert len(DomainTable(["a.com"], ["a"])) == 1
+        assert len(DomainTable([], [])) == 0
 
 
 class TestDedupe:
@@ -268,7 +263,7 @@ class TestDedupe:
         table = DomainTable(["a.com", "a2.com", "b.com", "a3.com", "b2.com"],
                             ["a", "a", "b", "a", "b"], np.array([0, 1, 1, 0, 0]))
         unique, conflicts = dedupe(table)
-        assert [r.domain_part for r in unique] == ["a", "b"]
+        assert unique.domain_part == ["a", "b"]
         assert unique.raw_host == ["a.com", "b.com"]
         assert unique.label.tolist() == [0, 1]  # first occurrence wins
         assert conflicts == [("a", 0, 1), ("b", 1, 0)]

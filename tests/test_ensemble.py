@@ -96,8 +96,9 @@ class TestVoting:
         votes = ens.vote_matrix(X[:10])
         assert votes.shape == (10, 5)
         np.testing.assert_array_equal(votes, direct_votes(ens, X[:10]))
-        for j, name in enumerate(ens.member_names()):
-            np.testing.assert_array_equal(votes[:, j], ens.member_predict(name, X[:10]))
+        _, votes_with_names, names = ens.predict_with_votes(X[:10])
+        assert names == [name for name, _ in ens.members_]
+        np.testing.assert_array_equal(votes_with_names, votes)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -128,12 +129,6 @@ class TestFit:
         ens, X, y = fitted
         assert (ens.predict(X) == y).mean() >= 0.95
 
-    def test_fingerprint_is_raw_not_scaled(self, fitted):
-        from domainsift.base import corpus_fingerprint
-
-        ens, X, y = fitted
-        assert ens.fingerprint_["sha256"] == corpus_fingerprint(X, y)["sha256"]
-
     def test_scaled_members_see_standardized_features(self, fitted):
         ens, X, y = fitted
         # knn stores its training matrix as distinct rows; it must be the standardized one
@@ -160,11 +155,6 @@ class TestFit:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             MajorityVoteEnsemble().fit(np.zeros((3, 2)), np.zeros(3, dtype=np.int64))
-
-    def test_unknown_member_name_in_predict(self, fitted):
-        ens, X, y = fitted
-        with pytest.raises(KeyError):
-            ens.member_predict("nope", X)
 
     def test_predict_before_fit(self):
         with pytest.raises(NotFittedError):

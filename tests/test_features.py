@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from domainsift import features
-from domainsift.corpus import DomainRecord, DomainTable
+from domainsift.corpus import DomainTable
 from domainsift.features import (
     FEATURE_NAMES,
     N_FEATURES,
@@ -129,27 +129,19 @@ class TestExtractFeatures:
         np.testing.assert_array_equal(X, np.stack([domain_features(d) for d in domains]))
 
     def test_labeled_records(self):
-        records = [
-            DomainRecord("a.com", "mydaily", label=0),
-            DomainRecord("b.com", "qx7r1z9k2m4p", label=1),
-        ]
-        X, y = extract_features(records)
+        table = DomainTable(["a.com", "b.com"], ["mydaily", "qx7r1z9k2m4p"],
+                            label=np.array([0, 1]))
+        X, y = extract_features(table)
         assert X.shape == (2, 8)
         assert y.tolist() == [0, 1]
 
     def test_unlabeled_records_give_no_y(self):
-        records = [DomainRecord("a.com", "mydaily")]
-        X, y = extract_features(records)
-        assert y is None
+        X, y = extract_features(DomainTable(["a.com"], ["mydaily"]))
+        assert X.shape == (1, 8) and y is None
 
     def test_plain_strings(self):
         X, y = extract_features(["mydaily", "paypa1"])
         assert X.shape == (2, 8) and y is None
-
-    def test_mixed_labels_give_no_y(self):
-        records = [DomainRecord("a.com", "aa", label=0), DomainRecord("b.com", "bb")]
-        _, y = extract_features(records)
-        assert y is None
 
 
 class TestFeatureCsv:

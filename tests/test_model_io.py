@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from domainsift import model_io
-from domainsift.base import corpus_fingerprint
 from domainsift.cli import main
 from domainsift.cluster import KMeans
 from domainsift.ensemble import MEMBER_KINDS, MajorityVoteEnsemble
@@ -33,6 +32,7 @@ from domainsift.preprocessing import Standardizer
 from conftest import (
     as_format_3,
     as_format_4,
+    as_format_5,
     make_blobs,
     read_model_document,
     write_model_document,
@@ -103,16 +103,12 @@ class TestDocumentShape:
         assert info["bytes"] == len(raw)
         assert info["sha256"] == hashlib.sha256(raw.split(b"\n", 1)[1]).hexdigest()
 
-    def test_fingerprint_stored_once(self, tmp_path):
+    def test_ensemble_state_fields(self, tmp_path):
         X, y = make_blobs(n_per_class=20, seed=1)
-        model = MajorityVoteEnsemble(seed=0).fit(X, y)
         path = tmp_path / "ens.dsmodel"
-        save_model(model, path)
-        assert read_model_document(path)["payload"]["state"]["fingerprint"] == model.fingerprint_
-        loaded = load_model(path)
-        assert loaded.fingerprint_ == model.fingerprint_ == corpus_fingerprint(X, y)
-        for members in (model.members_, loaded.members_):
-            assert not any(hasattr(estimator, "fingerprint_") for _, estimator in members)
+        save_model(MajorityVoteEnsemble(seed=0).fit(X, y), path)
+        state = read_model_document(path)["payload"]["state"]
+        assert sorted(state) == ["members", "n_features_in", "standardizer"]
 
     def test_canonical_encoding_once_per_save_never_on_load(self, tmp_path, monkeypatch):
         calls = []
@@ -280,6 +276,15 @@ class TestMalformedPayload:
         with pytest.raises(ModelVersionError, match="version 4"):
             load_model(path)
 
+    def test_version_5_file_refused(self, fitted, tmp_path):
+        path = tmp_path / "ens.dsmodel"
+        save_model(MajorityVoteEnsemble(seed=0).fit(*fitted), path)
+        doc = as_format_5(read_model_document(path))
+        assert doc["payload"]["state"]["fingerprint"]["n_rows"] == 40
+        write_model_document(path, doc, version=5)
+        with pytest.raises(ModelVersionError, match="version 5"):
+            load_model(path)
+
     def test_unknown_param_is_format_error(self, fitted, tmp_path):
         path = tmp_path / "knn.dsmodel"
         save_model(KNNClassifier().fit(*fitted), path)
@@ -407,6 +412,7 @@ STATE_EDITS = {
     "knn_row_negative": _set_knn_row(lambda m: -1),
     "knn_row_one_short": lambda p: _member(p, "knn")["state"]["row"].pop(),
     "knn_k_above_n": _knn_k_above_n,
+    "fingerprint": lambda p: p["state"].update(fingerprint={"n_rows": 500, "sha256": "0" * 64}),
 }
 
 

@@ -11,12 +11,12 @@ class TestStandardizer:
     def test_known_two_point(self):
         # {0, 2}: mean 1, population std 1 -> {-1, +1}
         X = np.array([[0.0], [2.0]])
-        got = Standardizer().fit_transform(X)
+        got = Standardizer().fit(X).transform(X)
         np.testing.assert_allclose(got, [[-1.0], [1.0]])
 
     def test_output_moments(self, rng):
         X = rng.normal(loc=5.0, scale=3.0, size=(200, 4))
-        Z = Standardizer().fit_transform(X)
+        Z = Standardizer().fit(X).transform(X)
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-6)
 
@@ -25,11 +25,6 @@ class TestStandardizer:
         s = Standardizer().fit(X)
         assert s.scale_[0] == STD_FLOOR
         np.testing.assert_allclose(s.transform(X), 0.0)
-
-    def test_inverse_roundtrip(self, rng):
-        X = rng.normal(size=(30, 3)) * 10 + 2
-        s = Standardizer().fit(X)
-        np.testing.assert_allclose(s.inverse_transform(s.transform(X)), X, atol=1e-9)
 
     def test_single_vector_promoted_to_row(self):
         s = Standardizer().fit(np.array([[0.0, 10.0], [2.0, 20.0]]))

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import domainsift
-from domainsift.corpus import DomainRecord
+from domainsift.corpus import DomainTable
 from domainsift.reputation import (
     SUSPICION_THRESHOLD,
     VERDICT_BENIGN,
@@ -74,8 +74,8 @@ class TestSampling:
 
     def test_accepts_records(self):
         provider = LocalListProvider({"evil"})
-        records = [DomainRecord("www.evil.com", "evil"), DomainRecord("ok.com", "ok")]
-        results = sample_and_check(records, 2, 0, provider)
+        table = DomainTable(["www.evil.com", "ok.com"], ["evil", "ok"])
+        results = sample_and_check(table.domain_part, 2, 0, provider)
         assert {r.domain for r in results} == {"evil", "ok"}
 
     def test_oversample_rejected(self):
