@@ -49,12 +49,6 @@ from .learners import (
 )
 from .model_io import ModelFormatError, ModelIOError, load_model, save_model
 from .preprocessing import Standardizer
-from .reputation import (
-    LocalListProvider,
-    ReputationResult,
-    check,
-    sample_and_check,
-)
 from .synthetic import generate_labeled_corpus
 
 __version__ = "0.1.0"
@@ -68,7 +62,6 @@ __all__ = [
     "GaussianNaiveBayes",
     "KMeans",
     "KNNClassifier",
-    "LocalListProvider",
     "LogisticRegressionGD",
     "MajorityVoteEnsemble",
     "Metrics",
@@ -78,10 +71,8 @@ __all__ = [
     "NotFittedError",
     "ParseError",
     "PegasosSVM",
-    "ReputationResult",
     "Standardizer",
     "UndefinedCorrelationError",
-    "check",
     "confusion",
     "correlation",
     "correlation_table",
@@ -96,7 +87,6 @@ __all__ = [
     "normalize_domain",
     "parse_census_lines",
     "parse_labeled_csv",
-    "sample_and_check",
     "save_model",
     "stratified_kfold",
     "stratified_split",

@@ -28,7 +28,7 @@ class ParamsMixin:
             if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
         ]
 
-    def get_params(self, deep=True):
+    def get_params(self):
         return {name: getattr(self, name) for name in self._param_names()}
 
     def __repr__(self):

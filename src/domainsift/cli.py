@@ -327,16 +327,15 @@ def cmd_reputation_check(args):
     with corpus.open_corpus_text(args.in_path) as fh:
         lines = (line.strip() for line in fh if line.strip() and not line.startswith("#"))
         domains = list(itertools.islice(lines, opt["max_rows"]))
-    provider = reputation.LocalListProvider.from_file(args.badlist)
-    n = args.sample if args.sample is not None else len(domains)
-    results = reputation.sample_and_check(domains, n, opt["seed"], provider)
+    badlist = reputation.read_badlist(args.badlist)
+    if args.sample is not None:
+        domains = reputation.sample(domains, args.sample, opt["seed"])
+    listed = [domain.lower() in badlist for domain in domains]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            reputation.write_reputation_csv(fh, results)
-    counts = {}
-    for r in results:
-        counts[r.verdict] = counts.get(r.verdict, 0) + 1
-    print(", ".join(f"{verdict}: {count}" for verdict, count in sorted(counts.items())))
+            reputation.write_reputation_csv(fh, domains, listed)
+    counts = {"suspicious": sum(listed), "unknown": len(listed) - sum(listed)}
+    print(", ".join(f"{verdict}: {count}" for verdict, count in counts.items() if count))
     return 0
 
 
@@ -379,11 +378,14 @@ def cmd_generate(args):
 # parser
 
 
-def _add_common(sp, *, out_required=True, out_help="output path"):
+def _add_common(sp, *, out_required=True, out_help="output path", with_mode=True,
+                with_seed=True):
     sp.add_argument("--in", dest="in_path", required=True, help="input corpus path")
     sp.add_argument("--out", required=out_required, help=out_help)
-    sp.add_argument("--mode", choices=("full", "sld"), help="domain normalization mode")
-    sp.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
+    if with_mode:
+        sp.add_argument("--mode", choices=("full", "sld"), help="domain normalization mode")
+    if with_seed:
+        sp.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
     sp.add_argument("--max-rows", dest="max_rows", type=int, help="cap on corpus rows read")
     sp.add_argument("--config", help="key=value config file with option defaults")
 
@@ -396,11 +398,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     sp = sub.add_parser("extract", help="compute the 8 lexical features of a corpus")
-    _add_common(sp, out_help="feature CSV to write")
+    _add_common(sp, out_help="feature CSV to write", with_seed=False)
     sp.set_defaults(func=cmd_extract)
 
     sp = sub.add_parser("analyze", help="summary stats, histograms, correlation table")
-    _add_common(sp, out_help="output directory for analysis CSVs")
+    _add_common(sp, out_help="output directory for analysis CSVs", with_seed=False)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("train", help="train the 5-member voting ensemble")
@@ -422,12 +424,12 @@ def build_parser():
     sp.set_defaults(func=cmd_cluster)
 
     sp = sub.add_parser("predict", help="ensemble prediction over an unlabeled corpus")
-    _add_common(sp, out_help="output directory for predictions")
+    _add_common(sp, out_help="output directory for predictions", with_seed=False)
     sp.add_argument("--model", required=True, help="trained ensemble .dsmodel")
     sp.set_defaults(func=cmd_predict)
 
     sp = sub.add_parser("reputation-check", help="spot-check flagged domains against a bad-list")
-    _add_common(sp, out_required=False, out_help="results CSV to write")
+    _add_common(sp, out_required=False, out_help="results CSV to write", with_mode=False)
     sp.add_argument("--badlist", required=True, help="local bad-list file (one domain per line)")
     sp.add_argument("--sample", type=int, help="check a seeded sample of this size (default all)")
     sp.set_defaults(func=cmd_reputation_check)

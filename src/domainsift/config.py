@@ -1,11 +1,14 @@
 """key=value configuration files for CLI runs.
 
-Plain text, one ``key = value`` per line, "#" comments. Keys cover the
+Text read like a corpus file (UTF-8, a leading byte-order mark dropped,
+gzip ok), one ``key = value`` per line, "#" comments. Keys cover the
 common run options plus every learner and clustering hyperparameter; CLI
 flags always win over config values, which win over built-in defaults.
 """
 
 from __future__ import annotations
+
+from .corpus import open_corpus_text
 
 # run options (same names as the CLI flags)
 CONFIG_SCHEMA = {
@@ -66,7 +69,7 @@ def parse_config(lines, source="<config>"):
 
 
 def load_config(path):
-    with open(path, encoding="utf-8") as fh:
+    with open_corpus_text(path) as fh:
         return parse_config(fh, source=str(path))
 
 

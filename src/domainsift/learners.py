@@ -242,17 +242,11 @@ class C45Tree(ParamsMixin):
     # -- introspection
 
     n_nodes_ = property(lambda self: self._count_nodes(self.tree_))
-    depth_ = property(lambda self: self._depth(self.tree_))
 
     def _count_nodes(self, node):
         if node.is_leaf:
             return 1
         return 1 + self._count_nodes(node.left) + self._count_nodes(node.right)
-
-    def _depth(self, node):
-        if node.is_leaf:
-            return 0
-        return 1 + max(self._depth(node.left), self._depth(node.right))
 
 
 # ---------------------------------------------------------------------------

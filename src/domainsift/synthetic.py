@@ -22,7 +22,7 @@ DGA_MAX_LEN = 25
 DEFAULT_N_LEGIT = 20_000
 DEFAULT_N_DGA = 13_000
 
-DEFAULT_TLDS = (".com", ".net", ".org", ".info", ".biz")
+TLDS = (".com", ".net", ".org", ".info", ".biz")
 
 _WORDS = None
 
@@ -45,11 +45,9 @@ def load_wordlist():
     return _WORDS
 
 
-def generate_legit_domains(n, rng, words=None):
+def generate_legit_domains(n, rng):
     """n unique word-concatenation domains (2-3 words each)."""
-    words = tuple(words) if words is not None else load_wordlist()
-    if len(words) < 2:
-        raise ValueError("need at least 2 words to build domains")
+    words = load_wordlist()
     out = []
     seen = set()
     while len(out) < n:
@@ -89,7 +87,7 @@ def generate_labeled_corpus(n_legit=DEFAULT_N_LEGIT, n_dga=DEFAULT_N_DGA, seed=0
     return [domains[i] for i in order], labels[order]
 
 
-def generate_census(n=30_000, dga_fraction=0.1, seed=0, tlds=DEFAULT_TLDS):
+def generate_census(n=30_000, dga_fraction=0.1, seed=0):
     """Census-style unlabeled mix with planted ground truth.
 
     Returns ``(hosts, ips, truth)`` where hosts carry a TLD (census exports
@@ -107,7 +105,7 @@ def generate_census(n=30_000, dga_fraction=0.1, seed=0, tlds=DEFAULT_TLDS):
     truth = np.concatenate(
         [np.zeros(n_legit, dtype=np.int64), np.ones(n_dga, dtype=np.int64)]
     )
-    hosts = [name + tlds[int(rng.integers(len(tlds)))] for name in names]
+    hosts = [name + TLDS[int(rng.integers(len(TLDS)))] for name in names]
     octets = rng.integers(1, 255, size=(n, 4))
     ips = [".".join(str(v) for v in row) for row in octets]
     order = rng.permutation(n)

@@ -287,6 +287,17 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert main(["extract", "--bogus"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--seed", "3"],
+        ["analyze", "--seed", "3"],
+        ["predict", "--model", "m.dsmodel", "--seed", "3"],
+        ["reputation-check", "--badlist", "bad.txt", "--mode", "full"],
+    ], ids=["extract_seed", "analyze_seed", "predict_seed", "reputation_check_mode"])
+    def test_option_the_command_never_reads_is_usage_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--in", "in.txt", "--out", str(tmp_path / "o")]) == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["extract", "--in", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o.csv")]) == 1
@@ -474,6 +485,45 @@ class TestCorpusEncoding:
         assert errors == [f"ERROR domainsift: corpus error: {corpus_path}: "
                           "not UTF-8 text: byte 0xff: invalid start byte"]
 
+    def test_bom_badlist_flags_its_first_name(self, tmp_path, capsys):
+        flagged = tmp_path / "flagged.txt"
+        flagged.write_text("yewtulip.biz\nquartzfern.com\nmossgate.net\n")
+        badlist = tmp_path / "bad.txt"
+        badlist.write_bytes("\ufeffyewtulip.biz\n".encode())
+        capsys.readouterr()
+        assert main(["reputation-check", "--in", str(flagged), "--badlist", str(badlist)]) == 0
+        assert capsys.readouterr().out == "suspicious: 1, unknown: 2\n"
+
+    def test_bom_config_is_read(self, tmp_path, capsys):
+        domains = tmp_path / "domains.txt"
+        domains.write_text("example.com\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("\ufeffseed = 4\n".encode())
+        capsys.readouterr()
+        assert main(["extract", "--in", str(domains), "--out", str(tmp_path / "f.csv"),
+                     "--config", str(cfg)]) == 0
+        assert ("INFO domainsift: resolved options: {'mode': 'sld', 'seed': 4, 'max_rows': None}"
+                in capsys.readouterr().err.splitlines())
+
+    @pytest.mark.parametrize("which", ["badlist", "config"])
+    def test_non_utf8_user_file_is_one_error_line(self, tmp_path, capsys, which):
+        domains = tmp_path / "domains.txt"
+        domains.write_text("example.com\n")
+        user_file = tmp_path / f"{which}.txt"
+        argv = {
+            "badlist": ["reputation-check", "--badlist", str(user_file)],
+            "config": ["extract", "--out", str(tmp_path / "f.csv"), "--config", str(user_file)],
+        }[which]
+        user_file.write_bytes({"badlist": b"example.com\n", "config": b"seed = 4\n"}[which]
+                              + b"\xff\n")
+        capsys.readouterr()
+        assert main([*argv, "--in", str(domains)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1 and "Traceback" not in err, err
+        assert errors == [f"ERROR domainsift: corpus error: {user_file}: "
+                          "not UTF-8 text: byte 0xff: invalid start byte"]
+
 
 # census lines the parser keeps, skips or normalizes, for the extract fuzz test
 FUZZ_LINES = [
@@ -490,10 +540,19 @@ FUZZ_LINES = [
 ]
 
 
+# bad-list lines: names, comments and blanks
+FUZZ_BADLIST_LINES = ["evil.com", "EVIL.com  # seen in 2020", "# a comment", "ümlaut.de", ""]
+
+# config lines with keys extract accepts at any value its type allows; an out-of-range
+# mode or max_rows is an option error that names the option, not the file
+FUZZ_CONFIG_LINES = ["seed = 4", "knn_k = 3  # trailing", "tree_cf = 0.25", "svm_lambda = 1e-4",
+                     "# run settings", ""]
+
+
 @st.composite
-def mutated_census(draw):
-    """Census bytes: valid and malformed lines, then byte-level damage, maybe gzipped."""
-    data = "\n".join(draw(st.lists(st.sampled_from(FUZZ_LINES), max_size=12))).encode()
+def mutated_bytes(draw, lines):
+    """File bytes: some of ``lines``, then byte-level damage, maybe gzipped."""
+    data = "\n".join(draw(st.lists(st.sampled_from(lines), max_size=12))).encode()
     if draw(st.booleans()):
         data += b"\n"
     for _ in range(draw(st.integers(0, 3))):
@@ -520,7 +579,7 @@ def mutated_census(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=mutated_census(), mode=st.sampled_from(["full", "sld"]))
+@given(data=mutated_bytes(FUZZ_LINES), mode=st.sampled_from(["full", "sld"]))
 def test_extract_on_mutated_census(tmp_path, capsys, data, mode):
     """extract either writes a feature CSV that reads back, or exits 1 with one
     ERROR line that names the input, and never shows a traceback."""
@@ -540,6 +599,62 @@ def test_extract_on_mutated_census(tmp_path, capsys, data, mode):
     else:
         assert code == 1
         assert len(errors) == 1 and str(corpus_path) in errors[0], err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_bytes(FUZZ_BADLIST_LINES))
+def test_reputation_check_on_mutated_badlist(tmp_path, capsys, data):
+    """reputation-check either writes a CSV that reads back and agrees with the printed
+    counts, or exits 1 with one ERROR line that names the bad-list."""
+    flagged, badlist, out = tmp_path / "flagged.txt", tmp_path / "bad.txt", tmp_path / "rep.csv"
+    flagged.write_text("evil.com\nEVIL.COM\nok.net\nümlaut.de\n", encoding="utf-8")
+    badlist.write_bytes(data)
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(["reputation-check", "--in", str(flagged), "--badlist", str(badlist),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err, captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
+    if code == 0:
+        assert errors == []
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["domain"] for row in rows] == ["evil.com", "EVIL.COM", "ok.net", "ümlaut.de"]
+        assert rows[0]["verdict"] == rows[1]["verdict"]  # case is ignored
+        counts = {}
+        for row in rows:
+            counts[row["verdict"]] = counts.get(row["verdict"], 0) + 1
+        assert captured.out == ", ".join(f"{v}: {n}" for v, n in sorted(counts.items())) + "\n"
+    else:
+        assert code == 1
+        assert len(errors) == 1 and str(badlist) in errors[0], captured.err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_bytes(FUZZ_CONFIG_LINES))
+def test_extract_on_mutated_config(tmp_path, capsys, data):
+    """extract with a damaged --config either writes a feature CSV that reads back,
+    or exits 1 with one ERROR line that names the config file."""
+    domains, cfg, out = tmp_path / "domains.txt", tmp_path / "run.cfg", tmp_path / "f.csv"
+    domains.write_text("example.com\nqxz07k.net\n")
+    cfg.write_bytes(data)
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(["extract", "--in", str(domains), "--out", str(out), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, err
+    errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+    if code == 0:
+        assert errors == []
+        with open(out, newline="", encoding="utf-8") as fh:
+            X, _ = read_feature_csv(fh)
+        assert X.shape[0] == 2
+    else:
+        assert code == 1
+        assert len(errors) == 1 and str(cfg) in errors[0], err
 
 
 def test_console_script_installed():

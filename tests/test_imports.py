@@ -1,6 +1,8 @@
-"""Every module in the package uses each name it imports.
+"""Every module in the package uses each name it imports, and reads text
+files only through ``corpus.open_corpus_text``.
 
-``__init__.py`` is left out: it imports names to re-export them.
+``__init__.py`` is left out of the import check: it imports names to
+re-export them.
 """
 
 import ast
@@ -46,3 +48,49 @@ def test_check_finds_unused_imports():
         "    x: int = 0\n"
     )
     assert unused_imports(source) == [(4, "fld")]
+
+
+def text_reads(source):
+    """(line, enclosing function) of each call to the builtin ``open`` in ``source``
+    whose mode reads text: no mode, or a constant mode without "b", "w", "a" or "x"."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and set("bwax") & set(mode.value)):
+                found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_text_files_are_read_only_through_open_corpus_text(path):
+    """One function decides how a user's text file is decoded: gzip, the BOM and
+    the error that names the file."""
+    allowed = ["open_corpus_text"] if path.name == "corpus.py" else []
+    assert [function for _, function in text_reads(path.read_text(encoding="utf-8"))] == allowed
+
+
+def test_check_finds_text_reads():
+    source = (
+        "def a(p):\n"
+        "    open(p)\n"
+        "    open(p, encoding='utf-8')\n"
+        "    open(p, 'rt')\n"
+        "    open(p, mode='r', newline='')\n"
+        "    open(p, 'rb')\n"
+        "    open(p, 'w', encoding='utf-8')\n"
+        "    open(p, mode='ab')\n"
+        "    gzip.open(p)\n"
+        "def b(p, m):\n"
+        "    open(p, m)\n"
+    )
+    assert text_reads(source) == [(2, "a"), (3, "a"), (4, "a"), (5, "a"), (11, "b")]

@@ -116,6 +116,13 @@ def subtree_estimate(node, cf):
     return subtree_estimate(node.left, cf) + subtree_estimate(node.right, cf)
 
 
+def depth(node):
+    """Edges on the longest root-to-leaf path of the tree at ``node``."""
+    if node.is_leaf:
+        return 0
+    return 1 + max(depth(node.left), depth(node.right))
+
+
 def node_fields(node):
     """Every stored field of the tree at ``node``, nested."""
     if node.is_leaf:
@@ -129,21 +136,21 @@ class TestC45Tree:
         X = np.array([[1.0], [2.0], [8.0], [9.0]])
         y = np.array([0, 0, 1, 1])
         tree = C45Tree().fit(X, y)
-        assert tree.depth_ == 1 and tree.n_nodes_ == 3
+        assert depth(tree.tree_) == 1 and tree.n_nodes_ == 3
         assert tree.tree_.threshold == pytest.approx(5.0)
         assert (tree.predict(X) == y).all()
 
     def test_constant_labels(self):
         X = np.arange(8.0).reshape(-1, 1)
         tree = C45Tree().fit(X, np.ones(8, dtype=np.int64))
-        assert tree.depth_ == 0
+        assert depth(tree.tree_) == 0
         assert (tree.predict(X) == 1).all()
 
     def test_xor(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
         tree = C45Tree().fit(X, y)
-        assert tree.depth_ == 2
+        assert depth(tree.tree_) == 2
         assert (tree.predict(X) == y).all()
 
     def test_single_sample(self):
@@ -161,7 +168,7 @@ class TestC45Tree:
         y = rng.integers(0, 2, size=200)
         y[:2] = [0, 1]
         tree = C45Tree(max_depth=3, prune=False).fit(X, y)
-        assert tree.depth_ <= 3
+        assert depth(tree.tree_) <= 3
 
     def test_min_leaf_respected_on_large_nodes(self, rng):
         X = rng.normal(size=(300, 3))
@@ -190,7 +197,7 @@ class TestC45Tree:
         X = np.array([[1.0], [2.0], [8.0], [9.0]] * 10)
         y = np.array([0, 0, 1, 1] * 10)
         tree = C45Tree(prune=True).fit(X, y)
-        assert tree.depth_ >= 1
+        assert depth(tree.tree_) >= 1
         assert (tree.predict(X) == y).all()
 
     def test_invalid_params(self):

@@ -1,98 +1,100 @@
+import gzip
 import io
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import domainsift
-from domainsift.corpus import DomainTable
-from domainsift.reputation import (
-    SUSPICION_THRESHOLD,
-    VERDICT_BENIGN,
-    VERDICT_SUSPICIOUS,
-    VERDICT_UNKNOWN,
-    LocalListProvider,
-    check,
-    classify_score,
-    sample_and_check,
-    write_reputation_csv,
-)
+from domainsift.corpus import DomainTable, ParseError
+from domainsift.reputation import read_badlist, sample, write_reputation_csv
+
+
+def _rows(badlist, domains):
+    buf = io.StringIO()
+    write_reputation_csv(buf, domains, [d in badlist for d in domains])
+    return [line.split(",") for line in buf.getvalue().splitlines()[1:]]
 
 
 class TestClassifyScore:
-    def test_boundary(self):
-        assert SUSPICION_THRESHOLD == 50
-        assert classify_score(49) == VERDICT_SUSPICIOUS
-        assert classify_score(50) == VERDICT_BENIGN
-
-    def test_extremes(self):
-        assert classify_score(0) == VERDICT_SUSPICIOUS
-        assert classify_score(100) == VERDICT_BENIGN
-
     def test_absent_score_is_unknown_not_benign(self):
-        assert classify_score(None) == VERDICT_UNKNOWN
+        [(domain, score, verdict, _)] = _rows(frozenset(), ["good.com"])
+        assert (domain, score, verdict) == ("good.com", "", "unknown")
 
 
 class TestLocalListProvider:
     def test_listed_scores_zero(self):
-        provider = LocalListProvider({"evil.com"})
-        assert provider.lookup("evil.com") == 0
-        assert provider.lookup("good.com") is None
+        rows = _rows(frozenset({"evil.com"}), ["evil.com", "good.com"])
+        assert [score for _, score, _, _ in rows] == ["0", ""]
 
+    def test_check_verdicts(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("evil.com\n")
+        rows = _rows(read_badlist(p), ["evil.com", "good.com"])
+        assert [(verdict, score) for _, score, verdict, _ in rows] == [
+            ("suspicious", "0"), ("unknown", "")]
+
+
+class TestReadBadlist:
     def test_from_file(self, tmp_path):
         p = tmp_path / "bad.txt"
-        p.write_text("# known bad\nevil.com\n\nworse.net\n")
-        provider = LocalListProvider.from_file(p)
-        assert provider.lookup("evil.com") == 0
-        assert provider.lookup("worse.net") == 0
-        assert provider.lookup("# known bad") is None
+        p.write_text("# known bad\nevil.com\n\nworse.net  # seen 2020\n")
+        assert read_badlist(p) == {"evil.com", "worse.net"}
 
-    def test_check_verdicts(self):
-        provider = LocalListProvider({"evil.com"})
-        listed = check("evil.com", provider)
-        assert listed.verdict == VERDICT_SUSPICIOUS and listed.score == 0
-        absent = check("good.com", provider)
-        assert absent.verdict == VERDICT_UNKNOWN and absent.score is None
+    def test_names_are_lowercased_and_stripped(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("  Evil.COM \r\n")
+        assert read_badlist(p) == {"evil.com"}
+
+    def test_leading_bom_is_dropped(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"\xef\xbb\xbfevil.com\nworse.net\n")
+        assert read_badlist(p) == {"evil.com", "worse.net"}
+
+    def test_gzip_is_read(self, tmp_path):
+        p = tmp_path / "bad.txt.gz"
+        p.write_bytes(gzip.compress(b"evil.com\n"))
+        assert read_badlist(p) == {"evil.com"}
+
+    def test_non_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"evil.com\n\xff\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}: not UTF-8 text: byte 0xff")):
+            read_badlist(p)
 
 
 class TestSampling:
     def test_deterministic(self):
-        provider = LocalListProvider(set())
         domains = [f"d{i}.com" for i in range(50)]
-        a = [r.domain for r in sample_and_check(domains, 10, 7, provider)]
-        b = [r.domain for r in sample_and_check(domains, 10, 7, provider)]
-        assert a == b
+        a = sample(domains, 10, 7)
+        assert a == sample(domains, 10, 7)
         assert len(set(a)) == 10
 
     def test_preserves_input_order(self):
-        provider = LocalListProvider(set())
         domains = [f"d{i:02d}.com" for i in range(30)]
-        got = [r.domain for r in sample_and_check(domains, 10, 3, provider)]
-        indexes = [domains.index(d) for d in got]
+        indexes = [domains.index(d) for d in sample(domains, 10, 3)]
         assert indexes == sorted(indexes)
 
     def test_accepts_records(self):
-        provider = LocalListProvider({"evil"})
         table = DomainTable(["www.evil.com", "ok.com"], ["evil", "ok"])
-        results = sample_and_check(table.domain_part, 2, 0, provider)
-        assert {r.domain for r in results} == {"evil", "ok"}
+        assert set(sample(table.domain_part, 2, 0)) == {"evil", "ok"}
 
     def test_oversample_rejected(self):
         with pytest.raises(ValueError):
-            sample_and_check(["a.com"], 2, 0, LocalListProvider(set()))
+            sample(["a.com"], 2, 0)
 
 
 class TestCsv:
     def test_format(self):
-        provider = LocalListProvider({"evil.com"})
-        results = [check("evil.com", provider), check("ok.com", provider)]
         buf = io.StringIO()
-        write_reputation_csv(buf, results)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "domain,score,verdict,provider"
-        assert lines[1] == "evil.com,0,suspicious,local-list"
-        assert lines[2].startswith("ok.com,,unknown")
+        write_reputation_csv(buf, ["evil.com", "ok.com"], [True, False])
+        assert buf.getvalue().splitlines() == [
+            "domain,score,verdict,provider",
+            "evil.com,0,suspicious,local-list",
+            "ok.com,,unknown,local-list",
+        ]
 
 
 def test_cli_import_leaves_out_the_http_stack():
