@@ -24,7 +24,7 @@ import numpy as np
 from . import analytics, corpus, evaluate, reputation, synthetic
 from .base import distinct_rows
 from .cluster import KMeans, cluster_feature_histogram, write_centroids_csv
-from .config import hyperparameters, load_config
+from .config import load_config
 from .ensemble import MajorityVoteEnsemble
 from .features import FEATURE_NAMES, extract_features, read_feature_csv, write_feature_csv
 from .model_io import ModelIOError, load_model, save_model
@@ -113,7 +113,10 @@ def _resolve(args, name, default):
 
 
 def _prepare(args, mode_default="sld"):
-    args.run_config = load_config(args.config) if getattr(args, "config", None) else {}
+    try:
+        args.run_config = load_config(args.config) if getattr(args, "config", None) else {}
+    except corpus.ParseError as exc:  # main would call it a corpus error
+        raise ValueError(f"config error: {exc}") from None
     resolved = {
         "mode": _resolve(args, "mode", mode_default),
         "seed": _resolve(args, "seed", DEFAULT_SEED),
@@ -121,6 +124,8 @@ def _prepare(args, mode_default="sld"):
     }
     if resolved["max_rows"] is not None and resolved["max_rows"] < 1:
         raise ValueError(f"max_rows must be at least 1, got {resolved['max_rows']}")
+    if hasattr(args, "seed") and resolved["seed"] < 0:
+        raise ValueError(f"--seed must be at least 0, got {resolved['seed']}")
     if hasattr(args, "test_fraction"):
         resolved["test_fraction"] = _resolve(args, "test_fraction", 0.3)
         if not 0 < resolved["test_fraction"] < 1:
@@ -197,17 +202,11 @@ def cmd_analyze(args):
     return 0
 
 
-def _build_ensemble(opt, args):
-    member_params = hyperparameters(args.run_config)
-    member_params.pop("kmeans", None)
-    return MajorityVoteEnsemble(seed=opt["seed"], member_params=member_params or None)
-
-
 def cmd_train(args):
     opt = _prepare(args, mode_default="sld")
     data = _load_data(args.in_path, opt["mode"], opt["max_rows"])
     _require_labels(data, args.in_path)
-    model = _build_ensemble(opt, args).fit(data.X, data.y)
+    model = MajorityVoteEnsemble(seed=opt["seed"]).fit(data.X, data.y)
     meta = {
         "source": os.path.basename(args.in_path),
         "mode": opt["mode"],
@@ -233,7 +232,7 @@ def cmd_evaluate(args):
     _require_labels(data, args.in_path)
 
     if opt["cv"]:
-        results = _cross_validate_members(args, opt, data)
+        results = _cross_validate_members(opt, data)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 evaluate.write_cv_csv(fh, results)
@@ -248,7 +247,7 @@ def cmd_evaluate(args):
         data.y, test_fraction=opt["test_fraction"], seed=opt["seed"]
     )
     if model is None:
-        model = _build_ensemble(opt, args).fit(data.X[train_idx], data.y[train_idx])
+        model = MajorityVoteEnsemble(seed=opt["seed"]).fit(data.X[train_idx], data.y[train_idx])
     rows = _member_rows(model, data.X[test_idx], data.y[test_idx])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -257,10 +256,10 @@ def cmd_evaluate(args):
     return 0
 
 
-def _cross_validate_members(args, opt, data):
+def _cross_validate_members(opt, data):
     per_name = {}
     for train_idx, test_idx in evaluate.stratified_kfold(data.y, opt["cv"], seed=opt["seed"]):
-        model = _build_ensemble(opt, args).fit(data.X[train_idx], data.y[train_idx])
+        model = MajorityVoteEnsemble(seed=opt["seed"]).fit(data.X[train_idx], data.y[train_idx])
         for name, _, m in _member_rows(model, data.X[test_idx], data.y[test_idx]):
             per_name.setdefault(name, []).append(m)
     return [(name, evaluate.summarize_folds(folds)) for name, folds in per_name.items()]
@@ -270,9 +269,7 @@ def cmd_cluster(args):
     opt = _prepare(args, mode_default="full")
     # from here on the rows are needed only as distinct feature vectors
     distinct = distinct_rows(_load_data(args.in_path, opt["mode"], opt["max_rows"]).X)
-    model = KMeans(
-        k=opt["k"], seed=opt["seed"], **hyperparameters(args.run_config).get("kmeans", {})
-    ).fit(distinct)
+    model = KMeans(k=opt["k"], seed=opt["seed"]).fit(distinct)
     labels = model.predict(distinct.rows)
     out = _out_dir(args.out)
     with open(os.path.join(out, "centroids.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -327,7 +324,10 @@ def cmd_reputation_check(args):
     with corpus.open_corpus_text(args.in_path) as fh:
         lines = (line.strip() for line in fh if line.strip() and not line.startswith("#"))
         domains = list(itertools.islice(lines, opt["max_rows"]))
-    badlist = reputation.read_badlist(args.badlist)
+    try:
+        badlist = reputation.read_badlist(args.badlist)
+    except corpus.ParseError as exc:  # main would call it a corpus error
+        raise ValueError(f"bad-list error: {exc}") from None
     if args.sample is not None:
         domains = reputation.sample(domains, args.sample, opt["seed"])
     listed = [domain.lower() in badlist for domain in domains]

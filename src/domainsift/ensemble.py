@@ -32,36 +32,6 @@ MEMBER_KINDS = ("c45", "knn", "logreg", "nb", "svm")
 SCALED_KINDS = frozenset({"knn", "logreg", "svm"})
 
 
-def default_members(seed=0, member_params=None):
-    """The canonical five ``(kind, estimator)`` pairs in ``MEMBER_KINDS`` order,
-    optionally with per-kind parameter overrides.
-
-    ``member_params`` maps a member kind to a dict of constructor overrides,
-    e.g. ``{"knn": {"k": 7}}``. The svm inherits ``seed`` unless overridden.
-    """
-    overrides = dict(member_params or {})
-    unknown = set(overrides) - set(MEMBER_KINDS)
-    if unknown:
-        raise ValueError(f"unknown member kinds in overrides: {sorted(unknown)}")
-    estimators = {
-        "c45": C45Tree(**overrides.get("c45", {})),
-        "knn": KNNClassifier(**overrides.get("knn", {})),
-        "logreg": LogisticRegressionGD(**overrides.get("logreg", {})),
-        "nb": GaussianNaiveBayes(**overrides.get("nb", {})),
-        "svm": PegasosSVM(**{"seed": seed, **overrides.get("svm", {})}),
-    }
-    return list(estimators.items())
-
-
-def check_members(members):
-    """Exactly five members with unique names keep the vote odd and addressable."""
-    if len(members) != 5:
-        raise ValueError(f"ensemble needs exactly 5 members, got {len(members)}")
-    names = [name for name, _ in members]
-    if len(set(names)) != 5:
-        raise ValueError(f"member names must be unique, got {names}")
-
-
 def majority(votes):
     """1 where more than half of a row's member votes are 1 (3 of 5), else 0."""
     return (2 * votes.sum(axis=1) > votes.shape[1]).astype(np.int64)
@@ -70,11 +40,9 @@ def majority(votes):
 class MajorityVoteEnsemble(ParamsMixin):
     """Five classifiers voting; 3 or more positive votes predict DGA.
 
-    By default the members are the canonical five (c45, knn, logreg, nb,
-    svm). A custom ``members`` list of (name, estimator) pairs may be
-    injected, mainly to test the vote rule in isolation; a member sees
-    standardized inputs when its name is in ``SCALED_KINDS``. Only the
-    canonical five can be saved.
+    The members are the canonical five (c45, knn, logreg, nb, svm) at
+    their default hyperparameters; ``seed`` seeds the svm. A member sees
+    standardized inputs when its name is in ``SCALED_KINDS``.
     """
 
     FITTED_FIELDS = (
@@ -82,20 +50,19 @@ class MajorityVoteEnsemble(ParamsMixin):
         ("members_", "members", ()),
     )
 
-    def __init__(self, seed=0, member_params=None, members=None):
+    def __init__(self, seed=0):
         self.seed = seed
-        self.member_params = member_params
-        self.members = members
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
         check_both_classes(y)
-        if self.members is None:
-            members = default_members(self.seed, self.member_params)
-        else:
-            members = [(name, estimator) for name, estimator in self.members]
-        check_members(members)
-
+        members = [
+            ("c45", C45Tree()),
+            ("knn", KNNClassifier()),
+            ("logreg", LogisticRegressionGD()),
+            ("nb", GaussianNaiveBayes()),
+            ("svm", PegasosSVM(seed=self.seed)),
+        ]
         scaler = Standardizer().fit(X)
         Xs = scaler.transform(X)
         for name, estimator in members:

@@ -1,6 +1,6 @@
 """Versioned JSON serialization for every trained model kind.
 
-A file is a one-line header, ``{"format_version":6,"sha256":"<hex>"}``,
+A file is a one-line header, ``{"format_version":7,"sha256":"<hex>"}``,
 then a body: the canonical JSON of ``{"kind", "metadata", "payload"}``. The
 sha256 covers the body bytes exactly as written, so any edit to the kind,
 the metadata or the payload that does not recompute it is refused. Writing
@@ -48,8 +48,9 @@ from .preprocessing import Standardizer
 # versions 1 and 2 are one JSON document whose checksum covers only its payload;
 # versions 1 to 3 store every kNN training row instead of the distinct rows;
 # versions 1 to 4 store the ensemble members as a list of named, flagged entries;
-# versions 1 to 5 store the fingerprint of the ensemble's training corpus
-MODEL_FORMAT_VERSION = 6
+# versions 1 to 5 store the fingerprint of the ensemble's training corpus;
+# versions 1 to 6 store the ensemble's member_params and members parameters
+MODEL_FORMAT_VERSION = 7
 MODEL_EXTENSION = ".dsmodel"
 
 KIND_REGISTRY = {
@@ -121,11 +122,6 @@ def _encode_value(dtype, value):
         keys = _LEAF if value.is_leaf else _SPLIT
         return {key: _encode_value(keys[key], getattr(value, key)) for key in keys}
     if dtype == "members":
-        found = [(name, type(estimator)) for name, estimator in value]
-        if found != [(kind, KIND_REGISTRY[kind]) for kind in MEMBER_KINDS]:
-            raise ModelKindError(
-                f"cannot save ensemble members {[(n, c.__name__) for n, c in found]}; "
-                f"saveable: the kinds {MEMBER_KINDS} in that order, each its own class")
         return {name: _encode(estimator) for name, estimator in value}
     return _encode(value)
 

@@ -75,10 +75,20 @@ def write_single_document_model(path, document, version):
     }))
 
 
-def as_format_5(document):
-    """``document`` with an ensemble's state in the layout of format 5: it also holds
-    the ``fingerprint`` of the training corpus, a row count and a sha256."""
+def as_format_6(document):
+    """``document`` with an ensemble's parameters in the layout of format 6: they also
+    hold ``member_params`` and ``members``, both null."""
     document = copy.deepcopy(document)
+    if document["kind"] == "ensemble":
+        document["payload"]["params"].update(member_params=None, members=None)
+    return document
+
+
+def as_format_5(document):
+    """``document`` in the layout of format 6, with an ensemble's state in the layout
+    of format 5: it also holds the ``fingerprint`` of the training corpus, a row count
+    and a sha256."""
+    document = as_format_6(document)
     if document["kind"] == "ensemble":
         state = document["payload"]["state"]
         n_rows = len(state["members"]["knn"]["state"]["y"])

@@ -31,7 +31,7 @@ from domainsift.corpus import (
     parse_census_lines,
     parse_labeled_csv,
 )
-from domainsift.ensemble import MajorityVoteEnsemble
+from domainsift.ensemble import MEMBER_KINDS, MajorityVoteEnsemble
 from domainsift.evaluate import (
     confusion,
     evaluate_all,
@@ -245,16 +245,10 @@ def _naive_tally(s):
 
 
 class _ConstVoter:
-    """Fixed-output stand-in used to enumerate vote patterns."""
+    """Fixed-output stand-in for a fitted member, used to enumerate vote patterns."""
 
     def __init__(self, bit=0):
         self.bit = bit
-
-    def get_params(self):
-        return {"bit": self.bit}
-
-    def fit(self, X, y):
-        return self
 
     def predict(self, X):
         return np.full(np.asarray(X).shape[0], self.bit, dtype=np.int64)
@@ -297,13 +291,13 @@ def test_oracle_equivalences():
         )
     parts["metrics"] = exact
 
-    X_fit = np.zeros((2, 8))
-    y_fit = np.array([0, 1])
+    X_fit = np.random.default_rng(SEED).normal(size=(20, 8))
+    y_fit = np.repeat([0, 1], 10)
+    model = MajorityVoteEnsemble(seed=0).fit(X_fit, y_fit)
     votes_ok = True
     for pattern in range(32):
         bits = [(pattern >> i) & 1 for i in range(5)]
-        members = [(f"m{i}", _ConstVoter(bit)) for i, bit in enumerate(bits)]
-        model = MajorityVoteEnsemble(members=members, seed=0).fit(X_fit, y_fit)
+        model.members_ = [(kind, _ConstVoter(bit)) for kind, bit in zip(MEMBER_KINDS, bits)]
         got = int(model.predict(np.zeros((1, 8)))[0])
         votes_ok &= got == (1 if sum(bits) >= 3 else 0)
     parts["vote"] = votes_ok

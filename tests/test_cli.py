@@ -16,10 +16,17 @@ from conftest import (
     as_format_3,
     as_format_4,
     as_format_5,
+    as_format_6,
     read_model_document,
     write_model_document,
     write_single_document_model,
 )
+
+
+# config keys that set learner and k-means hyperparameters before model format 7
+FORMER_KEYS = ["tree_max_depth", "tree_min_leaf", "tree_cf", "knn_k", "logreg_lr",
+               "logreg_epochs", "logreg_l2", "logreg_tol", "nb_var_floor", "svm_lambda",
+               "svm_epochs", "kmeans_max_iter", "kmeans_tol", "kmeans_restarts"]
 
 
 @pytest.fixture(scope="module")
@@ -271,13 +278,15 @@ def test_skipped_row_reasons_logged(tmp_path, capsys):
 
 def test_config_file_supplies_defaults(workdir, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 5\nknn_k = 3\n")
+    cfg.write_text("seed = 5\nmode = full\n")
     model = tmp_path / "m.dsmodel"
     rc = main(["train", "--in", str(workdir / "gen" / "labeled.csv"),
                "--out", str(model), "--config", str(cfg)])
     assert rc == 0
     doc = read_model_document(model)
-    assert doc["payload"]["state"]["members"]["knn"]["params"]["k"] == 3
+    assert doc["metadata"]["mode"] == "full"
+    assert doc["payload"]["params"] == {"seed": 5}
+    assert doc["payload"]["state"]["members"]["svm"]["params"]["seed"] == 5
 
 
 class TestExitCodes:
@@ -308,12 +317,14 @@ class TestExitCodes:
         assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
                      "--model", str(fake), "--out", str(tmp_path / "p")]) == 1
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_old_version_model_is_data_error(self, workdir, sld_model, tmp_path, capsys,
                                              version):
         old = tmp_path / "old.dsmodel"
         document = read_model_document(Path(sld_model))
-        if version == 5:  # the ensemble state also holds the training corpus fingerprint
+        if version == 6:  # the ensemble parameters also hold member_params and members
+            write_model_document(old, as_format_6(document), version)
+        elif version == 5:  # the ensemble state also holds the training corpus fingerprint
             write_model_document(old, as_format_5(document), version)
         elif version == 4:  # members as a list of named entries, and an ensemble version
             write_model_document(old, as_format_4(document), version)
@@ -397,6 +408,45 @@ class TestExitCodes:
         assert err == f"ERROR domainsift: {message}\n"
         assert "parsed" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--n-legit", "20", "--n-dga", "20", "--census-n", "20"],
+        ["train", "--in", "{missing}"],
+        ["evaluate", "--in", "{missing}"],
+        ["cluster", "--in", "{missing}"],
+        ["reputation-check", "--in", "{missing}", "--badlist", "{missing}", "--sample", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_refused_before_reading(self, tmp_path, capsys, argv, source):
+        # the input does not exist, so reading it first would give another error
+        argv = [a.format(missing=tmp_path / "missing.txt") for a in argv]
+        argv += ["--out", str(tmp_path / "o")]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text("seed = -1\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "ERROR domainsift: --seed must be at least 0, got -1\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        *((f"{key} = 1", f"unknown config key {key!r}; known keys: ") for key in FORMER_KEYS),
+        ("mode = bogus", "mode: unknown normalization mode 'bogus'; expected one of "),
+        ("mode = full\x00", "mode: unknown normalization mode 'full\\x00'; expected one of "),
+    ], ids=[*FORMER_KEYS, "mode_bogus", "mode_nul"])
+    def test_bad_config_line_refused_before_reading(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 3\n{line}\n")
+        out = tmp_path / "m.dsmodel"
+        capsys.readouterr()
+        assert main(["train", "--in", str(tmp_path / "missing.csv"), "--out", str(out),
+                     "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR domainsift: {cfg}:2: {message}"), err
+        assert len(err.splitlines()) == 1, err
+        assert not out.exists()
 
     def test_k_above_distinct_feature_vectors_refused(self, tmp_path, capsys):
         # abc.com and cab.com share one feature vector: 4 rows, 3 distinct vectors
@@ -521,7 +571,8 @@ class TestCorpusEncoding:
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("ERROR")]
         assert len(errors) == 1 and "Traceback" not in err, err
-        assert errors == [f"ERROR domainsift: corpus error: {user_file}: "
+        role = {"badlist": "bad-list", "config": "config"}[which]
+        assert errors == [f"ERROR domainsift: {role} error: {user_file}: "
                           "not UTF-8 text: byte 0xff: invalid start byte"]
 
 
@@ -543,10 +594,11 @@ FUZZ_LINES = [
 # bad-list lines: names, comments and blanks
 FUZZ_BADLIST_LINES = ["evil.com", "EVIL.com  # seen in 2020", "# a comment", "ümlaut.de", ""]
 
-# config lines with keys extract accepts at any value its type allows; an out-of-range
-# mode or max_rows is an option error that names the option, not the file
-FUZZ_CONFIG_LINES = ["seed = 4", "knn_k = 3  # trailing", "tree_cf = 0.25", "svm_lambda = 1e-4",
-                     "# run settings", ""]
+# config lines with run options: extract reads mode, which is checked where the file is
+# parsed, and takes any value of the types of seed, k, cv and test_fraction. max_rows is
+# left out: an out-of-range value is an option error that names the option, not the file
+FUZZ_CONFIG_LINES = ["seed = 4", "mode = full  # trailing", "k = 3", "cv = 5",
+                     "test_fraction = 0.25", "# run settings", ""]
 
 
 @st.composite

@@ -1,7 +1,13 @@
+import argparse
+
 import pytest
 
-from domainsift.config import HYPERPARAMETERS, hyperparameters, load_config, parse_config
-from domainsift.model_io import KIND_REGISTRY
+from domainsift.cli import build_parser
+from domainsift.config import CONFIG_SCHEMA, load_config, parse_config
+
+# flags that a config file cannot set: paths, and per-command sizes and switches
+NOT_RUN_OPTIONS = {"help", "in_path", "out", "config", "model", "model_out", "badlist",
+                   "sample", "n_legit", "n_dga", "census_n", "dga_fraction", "gzip"}
 
 
 class TestParseConfig:
@@ -20,52 +26,38 @@ class TestParseConfig:
     def test_cast_error_names_line(self):
         with pytest.raises(ValueError, match=":2"):
             parse_config(["seed = 1", "seed = notanint"])
-        with pytest.raises(ValueError, match=":3: knn_k expects int"):
-            parse_config(["seed = 1", "", "knn_k = 2.5"])
+        with pytest.raises(ValueError, match=":3: k expects int"):
+            parse_config(["seed = 1", "", "k = 2.5"])
 
     def test_missing_equals(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config(["just some text"])
 
+    @pytest.mark.parametrize("mode", ["full", "sld", "full_name", "second_level_label"])
+    def test_mode_name_stored_as_written(self, mode):
+        assert parse_config([f"mode = {mode}"]) == {"mode": mode}
+
+    @pytest.mark.parametrize("mode", ["bogus", "FULL", "full\x00", ""])
+    def test_unknown_mode_names_line(self, mode):
+        with pytest.raises(ValueError, match=r"^run\.cfg:2: mode: unknown normalization mode"):
+            parse_config(["seed = 1", f"mode = {mode}"], source="run.cfg")
+
     def test_load_config(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("# run settings\nk = 4\nkmeans_tol = 1e-5\n")
+        p.write_text("# run settings\nk = 4\ntest_fraction = 0.2\n")
         cfg = load_config(p)
-        assert cfg == {"k": 4, "kmeans_tol": 1e-5}
+        assert cfg == {"k": 4, "test_fraction": 0.2}
 
 
-class TestParamMapping:
-    def test_member_params(self):
-        cfg = parse_config([
-            "tree_max_depth = 10",
-            "knn_k = 3",
-            "logreg_lr = 0.05",
-            "nb_var_floor = 1e-8",
-            "svm_lambda = 1e-3",
-            "svm_epochs = 10",
-        ])
-        assert hyperparameters(cfg) == {
-            "c45": {"max_depth": 10},
-            "knn": {"k": 3},
-            "logreg": {"lr": 0.05},
-            "nb": {"var_floor": 1e-8},
-            "svm": {"lam": 1e-3, "epochs": 10},
-        }
-
-    def test_empty_config_maps_empty(self):
-        assert hyperparameters({}) == {}
-
-    def test_kmeans_params(self):
-        cfg = parse_config(["kmeans_max_iter = 50", "kmeans_restarts = 3"])
-        assert hyperparameters(cfg) == {"kmeans": {"max_iter": 50, "n_restarts": 3}}
-
-    def test_unrelated_keys_ignored(self):
-        cfg = parse_config(["seed = 1", "mode = sld"])
-        assert hyperparameters(cfg) == {}
-
-    @pytest.mark.parametrize("key", sorted(HYPERPARAMETERS))
-    def test_each_key_names_a_constructor_parameter(self, key):
-        kind, param, caster = HYPERPARAMETERS[key]
-        assert param in KIND_REGISTRY[kind]._param_names()
-        default = KIND_REGISTRY[kind]().get_params()[param]
-        assert type(default) is caster
+def test_schema_keys_are_the_run_option_flags():
+    """Every config key is the dest of a CLI flag of the same type, and every
+    flag but the ones listed in NOT_RUN_OPTIONS has a config key."""
+    flags = {}
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in subparsers.choices.values():
+        for action in sub._actions:
+            flags.setdefault(action.dest, set()).add(action.type or str)
+    assert set(flags) - NOT_RUN_OPTIONS == set(CONFIG_SCHEMA)
+    for key, caster in CONFIG_SCHEMA.items():
+        assert flags[key] == {caster}, key

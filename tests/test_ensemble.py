@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domainsift.base import NotFittedError, ParamsMixin
-from domainsift.ensemble import (
-    MEMBER_KINDS,
-    SCALED_KINDS,
-    MajorityVoteEnsemble,
-    default_members,
-)
+from domainsift.base import NotFittedError
+from domainsift.ensemble import MEMBER_KINDS, SCALED_KINDS, MajorityVoteEnsemble
 from domainsift.learners import (
     C45Tree,
     GaussianNaiveBayes,
@@ -19,7 +14,6 @@ from domainsift.learners import (
     LogisticRegressionGD,
     PegasosSVM,
 )
-from domainsift.model_io import ModelKindError, save_model
 
 from conftest import make_blobs, roundtrip, saved_bytes
 
@@ -32,30 +26,14 @@ def direct_votes(ens, Q):
     )
 
 
-class ConstantVoter(ParamsMixin):
-    """Stub member that always votes its configured label."""
+class ConstantVoter:
+    """Stand-in for a fitted member that always votes its configured label."""
 
     def __init__(self, vote=0):
         self.vote = vote
 
-    def fit(self, X, y):
-        self.n_features_in_ = X.shape[1]
-        return self
-
     def predict(self, X):
         return np.full(X.shape[0], self.vote, dtype=np.int64)
-
-
-class FailingLearner(ParamsMixin):
-    def fit(self, X, y):
-        raise ValueError("synthetic failure")
-
-    def predict(self, X):  # pragma: no cover
-        return np.zeros(X.shape[0], dtype=np.int64)
-
-
-def stub_members(votes):
-    return [(f"m{i}", ConstantVoter(vote=v)) for i, v in enumerate(votes)]
 
 
 @pytest.fixture(scope="module")
@@ -65,31 +43,25 @@ def fitted(request):
 
 
 class TestMembers:
-    def test_default_member_kinds(self):
-        members = default_members()
-        assert tuple(name for name, _ in members) == MEMBER_KINDS
-        assert [type(estimator) for _, estimator in members] == [
+    def test_default_member_kinds(self, fitted):
+        ens, _, _ = fitted
+        assert tuple(name for name, _ in ens.members_) == MEMBER_KINDS
+        assert [type(estimator) for _, estimator in ens.members_] == [
             C45Tree, KNNClassifier, LogisticRegressionGD, GaussianNaiveBayes, PegasosSVM]
-
-    def test_member_params_forwarded(self):
-        members = default_members(member_params={"knn": {"k": 3}})
-        assert dict(members)["knn"].k == 3
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="bogus"):
-            default_members(member_params={"bogus": {}})
+        defaults = [C45Tree(), KNNClassifier(), LogisticRegressionGD(), GaussianNaiveBayes(),
+                    PegasosSVM(seed=0)]
+        assert [e.get_params() for _, e in ens.members_] == [d.get_params() for d in defaults]
 
 
 class TestVoting:
-    def test_all_32_vote_patterns(self):
-        # oracle: popcount >= 3 -> DGA
-        X = np.zeros((1, 2))
-        y_any = np.array([0, 1])
-        X_fit = np.zeros((2, 2))
+    def test_all_32_vote_patterns(self, fitted):
+        # oracle: popcount >= 3 -> DGA; a fit of its own, as its members_ are replaced
+        _, X, y = fitted
+        ens = MajorityVoteEnsemble(seed=0).fit(X, y)
         for pattern in itertools.product((0, 1), repeat=5):
-            ens = MajorityVoteEnsemble(members=stub_members(pattern)).fit(X_fit, y_any)
+            ens.members_ = [(kind, ConstantVoter(v)) for kind, v in zip(MEMBER_KINDS, pattern)]
             want = 1 if sum(pattern) >= 3 else 0
-            assert ens.predict(X)[0] == want, pattern
+            assert ens.predict(X[:1])[0] == want, pattern
 
     def test_vote_matrix_columns_match_members(self, fitted):
         ens, X, y = fitted
@@ -136,21 +108,10 @@ class TestFit:
         np.testing.assert_allclose(knn.X_[knn.row_], ens.standardizer_.transform(X), atol=1e-12)
 
     def test_member_failure_names_member(self):
-        members = stub_members((0, 0, 0, 0)) + [("boom", FailingLearner())]
-        with pytest.raises(RuntimeError, match="boom"):
-            MajorityVoteEnsemble(members=members).fit(np.zeros((4, 2)),
-                                                      np.array([0, 1, 0, 1]))
-
-    def test_requires_exactly_five_members(self):
-        with pytest.raises(ValueError, match="5"):
-            MajorityVoteEnsemble(members=stub_members((0, 1, 0))).fit(
-                np.zeros((2, 2)), np.array([0, 1])
-            )
-
-    def test_duplicate_member_names_rejected(self):
-        members = [("same", ConstantVoter()) for _ in range(5)]
-        with pytest.raises(ValueError, match="unique"):
-            MajorityVoteEnsemble(members=members).fit(np.zeros((2, 2)), np.array([0, 1]))
+        # 4 training rows are fewer than knn's k=5 neighbours
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
+        with pytest.raises(RuntimeError, match="member 'knn' failed: k=5 exceeds"):
+            MajorityVoteEnsemble().fit(X, np.array([0, 1, 0, 1]))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
@@ -174,25 +135,3 @@ class TestDeterminismAndState:
         Q = rng.normal(size=(50, X.shape[1])) * X.std(axis=0) + X.mean(axis=0)
         np.testing.assert_array_equal(ens.predict(Q), clone.predict(Q))
         np.testing.assert_array_equal(ens.vote_matrix(Q), clone.vote_matrix(Q))
-
-    def test_stub_members_not_serializable(self, tmp_path):
-        ens = MajorityVoteEnsemble(members=stub_members((0, 0, 0, 1, 1)))
-        ens.fit(np.zeros((2, 2)), np.array([0, 1]))
-        with pytest.raises(ModelKindError, match="ConstantVoter"):
-            save_model(ens, tmp_path / "stub.dsmodel")
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("rearrange", [
-        lambda members: members[::-1],
-        lambda members: [(name.upper(), estimator) for name, estimator in members],
-        lambda members: [(name, members[0][1] if name == "nb" else estimator)
-                         for name, estimator in members],
-    ], ids=["reordered", "renamed", "nb_is_a_tree"])
-    def test_only_the_canonical_members_are_saveable(self, tmp_path, rearrange):
-        # the file keys members by kind in MEMBER_KINDS order, so it could not
-        # record another order, another name or another class for a kind
-        X, y = make_blobs(n_per_class=10, seed=3)
-        ens = MajorityVoteEnsemble(members=rearrange(default_members())).fit(X, y)
-        with pytest.raises(ModelKindError, match="cannot save ensemble members"):
-            save_model(ens, tmp_path / "m.dsmodel")
-        assert list(tmp_path.iterdir()) == []

@@ -33,6 +33,7 @@ from conftest import (
     as_format_3,
     as_format_4,
     as_format_5,
+    as_format_6,
     make_blobs,
     read_model_document,
     write_model_document,
@@ -283,6 +284,20 @@ class TestMalformedPayload:
         assert doc["payload"]["state"]["fingerprint"]["n_rows"] == 40
         write_model_document(path, doc, version=5)
         with pytest.raises(ModelVersionError, match="version 5"):
+            load_model(path)
+
+    def test_version_6_file_refused(self, fitted, tmp_path):
+        path = tmp_path / "ens.dsmodel"
+        save_model(MajorityVoteEnsemble(seed=0).fit(*fitted), path)
+        doc = as_format_6(read_model_document(path))
+        assert doc["payload"]["params"] == {"member_params": None, "members": None, "seed": 0}
+        write_model_document(path, doc, version=6)
+        with pytest.raises(ModelVersionError, match="version 6"):
+            load_model(path)
+        # under the current header, the old parameters are unknown ones
+        write_model_document(path, doc)
+        with pytest.raises(ModelFormatError, match=r"payload\.params: missing \[\], unknown "
+                                                   r"\['member_params', 'members'\]"):
             load_model(path)
 
     def test_unknown_param_is_format_error(self, fitted, tmp_path):

@@ -1,10 +1,11 @@
-"""The README's Python API example, run as written."""
+"""The README's examples, run or parsed as written."""
 
 import re
 import shlex
 from pathlib import Path
 
 from domainsift.cli import main
+from domainsift.config import parse_config
 from domainsift.model_io import MODEL_FORMAT_VERSION
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -25,6 +26,12 @@ def _section(title):
     found = re.search(rf"\n## {title}\n(.*?)\n## ", README.read_text(encoding="utf-8"), re.S)
     assert found, f"README.md has no {title} section"
     return found.group(1)
+
+
+def test_config_example_parses():
+    found = re.search(r"```\n(.*?)```", _section("Config files"), re.S)
+    assert found, "README.md has no config example"
+    assert parse_config(found.group(1).splitlines(), source="README.md")
 
 
 def test_model_files_name_the_current_format_version():
