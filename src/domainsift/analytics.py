@@ -55,17 +55,15 @@ class CorrelationRow:
     correlation: float | None  # None when undefined (constant column)
 
 
-def correlation_table(X, y, names=FEATURE_NAMES):
+def correlation_table(X, y):
     """Feature/label correlations sorted descending, undefined columns last.
 
     Ties (and all undefined rows) keep the original feature order.
     """
-    X = check_matrix(X)
+    X = check_matrix(X, n_features=len(FEATURE_NAMES))
     y = check_labels(y, n_samples=X.shape[0])
-    if X.shape[1] != len(names):
-        raise ValueError(f"X has {X.shape[1]} columns but {len(names)} names were given")
     rows = []
-    for j, name in enumerate(names):
+    for j, name in enumerate(FEATURE_NAMES):
         try:
             value = correlation(X[:, j], y)
         except UndefinedCorrelationError:
@@ -114,22 +112,20 @@ class SummaryReport:
     per_class: dict  # class label -> list[FeatureSummary]
 
 
-def summarize(X, y=None, names=FEATURE_NAMES):
+def summarize(X, y=None):
     """Per-feature mean/std/min/max, overall and (with labels) per class."""
-    X = check_matrix(X)
-    if X.shape[1] != len(names):
-        raise ValueError(f"X has {X.shape[1]} columns but {len(names)} names were given")
+    X = check_matrix(X, n_features=len(FEATURE_NAMES))
     per_class = {}
     if y is not None:
         y = check_labels(y, n_samples=X.shape[0])
         for cls in (0, 1):
             sub = X[y == cls]
             if sub.shape[0]:
-                per_class[cls] = _column_summaries(sub, names)
-    return SummaryReport(overall=_column_summaries(X, names), per_class=per_class)
+                per_class[cls] = _column_summaries(sub)
+    return SummaryReport(overall=_column_summaries(X), per_class=per_class)
 
 
-def _column_summaries(X, names):
+def _column_summaries(X):
     return [
         FeatureSummary(
             name=name,
@@ -138,7 +134,7 @@ def _column_summaries(X, names):
             min=float(X[:, j].min()),
             max=float(X[:, j].max()),
         )
-        for j, name in enumerate(names)
+        for j, name in enumerate(FEATURE_NAMES)
     ]
 
 

@@ -1,8 +1,7 @@
-"""Shared estimator plumbing: parameter names, input validation, distinct rows."""
+"""Shared estimator plumbing: input validation, distinct rows."""
 
 from __future__ import annotations
 
-import inspect
 from typing import NamedTuple
 
 import numpy as np
@@ -12,30 +11,6 @@ class NotFittedError(RuntimeError):
     """Raised when predict/transform is called on an unfitted estimator."""
 
 
-class ParamsMixin:
-    """get_params in the scikit-learn style.
-
-    Parameters are whatever the subclass accepts in ``__init__`` and stores
-    under the same attribute name; model files store them by these names.
-    """
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [
-            p.name
-            for p in sig.parameters.values()
-            if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
-
-    def get_params(self):
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
-
-
 def check_is_fitted(estimator, attribute):
     if not hasattr(estimator, attribute):
         raise NotFittedError(
@@ -43,21 +18,17 @@ def check_is_fitted(estimator, attribute):
         )
 
 
-def check_matrix(X, n_features=None, allow_1d=False, name="X"):
-    """Coerce to a finite 2-D float64 array; 1-D input becomes a single row."""
+def check_matrix(X, n_features=None):
+    """Coerce to a finite 2-D float64 array."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        if not allow_1d:
-            raise ValueError(f"{name} must be 2-dimensional, got 1-dimensional")
-        X = X.reshape(1, -1)
     if X.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got {X.ndim} dimensions")
+        raise ValueError(f"X must be 2-dimensional, got {X.ndim} dimensions")
     if X.shape[0] == 0:
-        raise ValueError(f"{name} is empty")
+        raise ValueError("X is empty")
     if not np.all(np.isfinite(X)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise ValueError("X contains non-finite values")
     if n_features is not None and X.shape[1] != n_features:
-        raise ValueError(f"{name} has {X.shape[1]} features, expected {n_features}")
+        raise ValueError(f"X has {X.shape[1]} features, expected {n_features}")
     return X
 
 
@@ -80,11 +51,9 @@ def check_X_y(X, y, n_features=None):
     return X, y
 
 
-def check_both_classes(y, name="y"):
+def check_both_classes(y):
     if not (np.any(y == 0) and np.any(y == 1)):
-        raise ValueError(
-            f"{name} must contain both classes; got only class {int(y[0])}"
-        )
+        raise ValueError(f"y must contain both classes; got only class {int(y[0])}")
 
 
 class DistinctRows(NamedTuple):

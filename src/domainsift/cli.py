@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import logging
 import os
@@ -47,42 +48,64 @@ class LoadedData:
     y: np.ndarray | None
 
 
-def _sniff_format(path):
-    with corpus.open_corpus_text(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if "\t" in line:
-                return "census"
-            head = [cell.strip().lower() for cell in line.split(",")]
-            if head[: len(FEATURE_NAMES)] == list(FEATURE_NAMES):
-                return "features"
-            if "class" in head and ("host" in head or "domain" in head):
-                return "labeled"
-            return "domains"
+class _Replayed:
+    """A text stream with the lines already read from it put back in front, for a
+    parser that reads it by ``read(size)`` or line by line."""
+
+    def __init__(self, head, rest):
+        self._head, self._rest = head, rest
+
+    def read(self, size):
+        head, self._head = self._head, ""
+        return head or self._rest.read(size)
+
+    def __iter__(self):
+        yield from io.StringIO(self._head)
+        self._head = ""
+        yield from self._rest
+
+
+def _sniff_format(fh, path):
+    """The corpus format of text stream ``fh``, from its first non-blank line, and
+    the text read from ``fh`` to find it."""
+    head = []
+    while line := fh.readline():
+        head.append(line)
+        line = line.strip()
+        if not line:
+            continue
+        cells = [cell.strip().lower() for cell in line.split(",")]
+        if "\t" in line:
+            fmt = "census"
+        elif cells[: len(FEATURE_NAMES)] == list(FEATURE_NAMES):
+            fmt = "features"
+        elif "class" in cells and ("host" in cells or "domain" in cells):
+            fmt = "labeled"
+        else:
+            fmt = "domains"
+        return fmt, "".join(head)
     raise corpus.ParseError(f"{path}: file is empty")
 
 
 def _load_data(path, mode, max_rows=None, allow_features=True):
-    fmt = _sniff_format(path)
-    log.info("input %s detected as %s corpus", path, fmt)
-    if fmt == "features":
-        if not allow_features:
-            raise corpus.ParseError(
-                f"{path} is a feature CSV; this command needs a domain corpus"
-            )
-        with corpus.open_corpus_text(path) as fh:
-            X, y = read_feature_csv(fh)
-        return LoadedData(table=None, X=X, y=y)
-
+    # the file is opened once, so a pipe works: the parser reads the sniffed lines again
     with corpus.open_corpus_text(path) as fh:
+        fmt, head = _sniff_format(fh, path)
+        log.info("input %s detected as %s corpus", path, fmt)
+        stream = _Replayed(head, fh)
+        if fmt == "features":
+            if not allow_features:
+                raise corpus.ParseError(
+                    f"{path} is a feature CSV; this command needs a domain corpus"
+                )
+            X, y = read_feature_csv(stream)
+            return LoadedData(table=None, X=X, y=y)
         if fmt == "census":
-            table, stats = corpus.parse_census_lines(fh, max_rows=max_rows, mode=mode)
+            table, stats = corpus.parse_census_lines(stream, max_rows=max_rows, mode=mode)
         elif fmt == "labeled":
-            table, stats = corpus.parse_labeled_csv(fh, mode=mode, max_rows=max_rows)
+            table, stats = corpus.parse_labeled_csv(stream, mode=mode, max_rows=max_rows)
         else:
-            table, stats = corpus.parse_domain_lines(fh, mode=mode, max_rows=max_rows)
+            table, stats = corpus.parse_domain_lines(stream, mode=mode, max_rows=max_rows)
     for reason in stats.errors:
         log.warning("skipped %s", reason)
     table, conflicts = corpus.dedupe(table)
@@ -113,31 +136,26 @@ def _resolve(args, name, default):
 
 
 def _prepare(args, mode_default="sld"):
+    """The run options the command's own flags name, each from its flag, the config
+    file or its default, checked before any input is read."""
     try:
         args.run_config = load_config(args.config) if getattr(args, "config", None) else {}
     except corpus.ParseError as exc:  # main would call it a corpus error
         raise ValueError(f"config error: {exc}") from None
-    resolved = {
-        "mode": _resolve(args, "mode", mode_default),
-        "seed": _resolve(args, "seed", DEFAULT_SEED),
-        "max_rows": _resolve(args, "max_rows", None),
-    }
-    if resolved["max_rows"] is not None and resolved["max_rows"] < 1:
+    defaults = {"mode": mode_default, "seed": DEFAULT_SEED, "max_rows": None,
+                "test_fraction": 0.3, "cv": 0, "k": 2}
+    resolved = {name: _resolve(args, name, default)
+                for name, default in defaults.items() if hasattr(args, name)}
+    if resolved.get("max_rows") is not None and resolved["max_rows"] < 1:
         raise ValueError(f"max_rows must be at least 1, got {resolved['max_rows']}")
-    if hasattr(args, "seed") and resolved["seed"] < 0:
+    if resolved.get("seed", 0) < 0:
         raise ValueError(f"--seed must be at least 0, got {resolved['seed']}")
-    if hasattr(args, "test_fraction"):
-        resolved["test_fraction"] = _resolve(args, "test_fraction", 0.3)
-        if not 0 < resolved["test_fraction"] < 1:
-            raise ValueError(f"--test-fraction must be in (0, 1), got {resolved['test_fraction']}")
-    if hasattr(args, "cv"):
-        resolved["cv"] = _resolve(args, "cv", 0)
-        if resolved["cv"] < 0 or resolved["cv"] == 1:
-            raise ValueError(f"--cv must be 0 or at least 2, got {resolved['cv']}")
-    if hasattr(args, "k"):
-        resolved["k"] = _resolve(args, "k", 2)
-        if resolved["k"] < 1:
-            raise ValueError(f"--k must be at least 1, got {resolved['k']}")
+    if not 0 < resolved.get("test_fraction", 0.3) < 1:
+        raise ValueError(f"--test-fraction must be in (0, 1), got {resolved['test_fraction']}")
+    if resolved.get("cv", 0) < 0 or resolved.get("cv") == 1:
+        raise ValueError(f"--cv must be 0 or at least 2, got {resolved['cv']}")
+    if resolved.get("k", 1) < 1:
+        raise ValueError(f"--k must be at least 1, got {resolved['k']}")
     log.info("resolved options: %s", resolved)
     return resolved
 
@@ -276,7 +294,8 @@ def cmd_cluster(args):
         write_centroids_csv(fh, model)
     _write_histograms(out, lambda j, name: cluster_feature_histogram(distinct, labels, j))
     if args.model_out:
-        save_model(model, args.model_out, metadata={"source": os.path.basename(args.in_path)})
+        meta = {"source": os.path.basename(args.in_path), "seed": opt["seed"]}
+        save_model(model, args.model_out, metadata=meta)
         log.info("saved cluster model to %s", args.model_out)
     sizes = ", ".join(
         f"cluster {c + 1}: {int(s)}" for c, s in enumerate(model.sizes_)

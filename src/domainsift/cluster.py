@@ -12,9 +12,12 @@ import csv
 
 import numpy as np
 
-from .base import DistinctRows, ParamsMixin, check_is_fitted, check_matrix, distinct_rows
+from .base import DistinctRows, check_is_fitted, check_matrix, distinct_rows
 from .features import FEATURE_NAMES
 from .analytics import Histogram, default_binning, histogram_pdf
+
+MAX_ITER = 300  # most centroid update passes
+TOL = 1e-4  # relative centroid displacement at which the passes stop
 
 
 def _pairwise_sq(X, C):
@@ -34,14 +37,13 @@ def _assign(rows, inverse, centroids):
     return near[inverse], d2[np.arange(rows.shape[0]), near][inverse]
 
 
-class KMeans(ParamsMixin):
-    """Lloyd's k-means with k-means++ initialization and seeded restarts.
+class KMeans:
+    """Lloyd's k-means with seeded k-means++ initialization.
 
     Convergence: the largest relative centroid displacement
-    ``|new - old| / (1 + |old|)`` drops below ``tol``, or ``max_iter`` update
+    ``|new - old| / (1 + |old|)`` drops below ``TOL``, or ``MAX_ITER`` update
     passes run. An emptied cluster is re-seeded with the point farthest from
-    its assigned centroid. With ``n_restarts > 1`` the run with the lowest
-    final inertia wins (restart r uses seed + r).
+    its assigned centroid.
 
     Fitted attributes: ``centroids_`` (k x d, raw units), ``labels_``,
     ``sizes_``, ``inertia_``, ``inertia_path_`` (one value per assignment
@@ -56,12 +58,9 @@ class KMeans(ParamsMixin):
         ("n_iter_", "count", ()),
     )
 
-    def __init__(self, k=2, seed=0, max_iter=300, tol=1e-4, n_restarts=1):
+    def __init__(self, k=2, seed=0):
         self.k = k
         self.seed = seed
-        self.max_iter = max_iter
-        self.tol = tol
-        self.n_restarts = n_restarts
 
     def fit(self, X):
         """Fit on a matrix X, or on its :func:`~domainsift.base.distinct_rows`.
@@ -84,33 +83,12 @@ class KMeans(ParamsMixin):
                 f"need at least k={self.k} distinct feature vectors, got {rows.shape[0]}"
                 f" among {inverse.size} rows"
             )
-        if self.n_restarts < 1:
-            raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
 
-        best = None
-        for r in range(self.n_restarts):
-            run = self._run(rows, inverse, columns, self.seed + r)
-            if best is None or run["inertia"] < best["inertia"]:
-                best = run
-
-        order = np.lexsort([best["centroids"][:, j] for j in range(rows.shape[1] - 1, -1, -1)])
-        rank = np.empty(self.k, dtype=np.int64)
-        rank[order] = np.arange(self.k)
-        self.centroids_ = best["centroids"][order]
-        self.labels_ = rank[best["labels"]]
-        self.sizes_ = np.bincount(self.labels_, minlength=self.k)
-        self.inertia_ = best["inertia"]
-        self.inertia_path_ = np.asarray(best["path"])
-        self.n_iter_ = best["n_iter"]
-        self.n_features_in_ = rows.shape[1]
-        return self
-
-    def _run(self, rows, inverse, columns, seed):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(self.seed)
         centroids = self._init_kmeanspp(rows, inverse, rng)
         path = []
         n_iter = 0
-        for _ in range(self.max_iter):
+        for _ in range(MAX_ITER):
             labels, own = _assign(rows, inverse, centroids)
             path.append(float(own.sum()))
             n_iter += 1
@@ -129,18 +107,23 @@ class KMeans(ParamsMixin):
             shift = np.sqrt(np.sum((new - centroids) ** 2, axis=1))
             scale = 1.0 + np.sqrt(np.sum(centroids**2, axis=1))
             centroids = new
-            if empties.size == 0 and float(np.max(shift / scale)) < self.tol:
+            if empties.size == 0 and float(np.max(shift / scale)) < TOL:
                 break
 
         labels, own = _assign(rows, inverse, centroids)
         path.append(float(own.sum()))
-        return {
-            "centroids": centroids,
-            "labels": labels,
-            "inertia": path[-1],
-            "path": path,
-            "n_iter": n_iter,
-        }
+
+        order = np.lexsort([centroids[:, j] for j in range(rows.shape[1] - 1, -1, -1)])
+        rank = np.empty(self.k, dtype=np.int64)
+        rank[order] = np.arange(self.k)
+        self.centroids_ = centroids[order]
+        self.labels_ = rank[labels]
+        self.sizes_ = np.bincount(self.labels_, minlength=self.k)
+        self.inertia_ = path[-1]
+        self.inertia_path_ = np.asarray(path)
+        self.n_iter_ = n_iter
+        self.n_features_in_ = rows.shape[1]
+        return self
 
     def _init_kmeanspp(self, rows, inverse, rng):
         n = inverse.size
@@ -167,32 +150,31 @@ class KMeans(ParamsMixin):
         return np.argmin(_pairwise_sq(X, self.centroids_), axis=1)
 
 
-def write_centroids_csv(stream, model, names=FEATURE_NAMES):
+def write_centroids_csv(stream, model):
     """Centroid table, one feature per row and one cluster per column."""
     check_is_fitted(model, "centroids_")
-    k = model.centroids_.shape[0]
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["feature"] + [f"cluster_{c + 1}" for c in range(k)])
-    for j, name in enumerate(names[: model.centroids_.shape[1]]):
-        writer.writerow([name] + [f"{model.centroids_[c, j]:.6f}" for c in range(k)])
+    writer.writerow(["feature"] + [f"cluster_{c + 1}" for c in range(len(model.centroids_))])
+    for name, column in zip(FEATURE_NAMES, model.centroids_.T):
+        writer.writerow([name] + [f"{value:.6f}" for value in column])
     writer.writerow(["size"] + [str(int(s)) for s in model.sizes_])
 
 
-def cluster_feature_histogram(distinct, labels, feature_index, names=FEATURE_NAMES):
+def cluster_feature_histogram(distinct, labels, feature_index):
     """Density histogram of one feature, one curve per cluster, shared bins.
 
     ``distinct`` is the :func:`~domainsift.base.distinct_rows` of the
     clustered matrix and ``labels`` the cluster of each of its distinct rows;
     each distinct value is binned once, weighted by the rows that hold it.
     """
+    name = FEATURE_NAMES[feature_index]
     column = distinct.rows[:, feature_index]
     binning = default_binning(column)
     densities = {}
     for c in np.unique(labels).tolist():
         mine = labels == c
         part = histogram_pdf(
-            column[mine], binning=binning, feature_name=names[feature_index],
-            weights=distinct.counts[mine],
+            column[mine], binning=binning, feature_name=name, weights=distinct.counts[mine]
         )
         densities[c] = part.densities[None]
-    return Histogram(feature_name=names[feature_index], binning=binning, densities=densities)
+    return Histogram(feature_name=name, binning=binning, densities=densities)

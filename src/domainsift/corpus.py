@@ -382,22 +382,20 @@ def dedupe(table):
 def open_corpus_text(path):
     """Open a corpus file as text, transparently handling gzip.
 
-    A leading UTF-8 byte-order mark is dropped. Corrupt or truncated gzip
-    data, and bytes that are not UTF-8, raise :class:`ParseError` naming the
-    path, whether they are met on opening or while the caller reads.
+    The path is opened once, and the gzip magic is peeked from that handle's
+    buffer, so a pipe or a process substitution reads like a regular file. A
+    leading UTF-8 byte-order mark is dropped. Corrupt or truncated gzip data,
+    and bytes that are not UTF-8, raise :class:`ParseError` naming the path,
+    whether they are met on opening or while the caller reads.
     """
-    with open(path, "rb") as probe:
-        magic = probe.read(2)
-    try:
-        if magic == b"\x1f\x8b":
-            fh = io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8-sig")
-        else:
-            fh = open(path, encoding="utf-8-sig")
-        with fh:
-            yield fh
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise ParseError(f"{path}: corrupt gzip data: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
-        ) from None
+    with open(path, "rb") as raw:
+        try:
+            binary = gzip.GzipFile(fileobj=raw) if raw.peek(2)[:2] == b"\x1f\x8b" else raw
+            with io.TextIOWrapper(binary, encoding="utf-8-sig") as fh:
+                yield fh
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ParseError(f"{path}: corrupt gzip data: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+            ) from None

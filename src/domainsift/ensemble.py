@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (
-    ParamsMixin,
     check_both_classes,
     check_is_fitted,
     check_matrix,
@@ -37,12 +36,13 @@ def majority(votes):
     return (2 * votes.sum(axis=1) > votes.shape[1]).astype(np.int64)
 
 
-class MajorityVoteEnsemble(ParamsMixin):
+class MajorityVoteEnsemble:
     """Five classifiers voting; 3 or more positive votes predict DGA.
 
-    The members are the canonical five (c45, knn, logreg, nb, svm) at
-    their default hyperparameters; ``seed`` seeds the svm. A member sees
-    standardized inputs when its name is in ``SCALED_KINDS``.
+    The members are the canonical five (c45, knn, logreg, nb, svm), each
+    at the hyperparameters fixed in :mod:`~domainsift.learners`; ``seed``
+    seeds the svm. A member sees standardized inputs when its name is in
+    ``SCALED_KINDS``.
     """
 
     FITTED_FIELDS = (

@@ -13,14 +13,12 @@ layer applies for them.
 from __future__ import annotations
 
 import math
-import numbers
 from operator import add, mul
 from statistics import NormalDist
 
 import numpy as np
 
 from .base import (
-    ParamsMixin,
     check_both_classes,
     check_is_fitted,
     check_matrix,
@@ -32,6 +30,19 @@ _EPS = 1e-12
 
 # cells of the query-by-stored-row distance block kNN holds at once (32 MB of float64)
 KNN_BLOCK_CELLS = 4_000_000
+
+# the learners' hyperparameters, fixed by the method
+TREE_MAX_DEPTH = 25  # most edges from the root to a leaf
+TREE_MIN_LEAF = 5  # rows each child of a split must hold
+TREE_CF = 0.25  # pruning confidence factor, in (0, 0.5)
+KNN_K = 5  # neighbours that vote; odd, so a vote cannot tie
+LOGREG_LR = 0.1  # gradient-descent step size
+LOGREG_EPOCHS = 500  # most full-batch steps
+LOGREG_L2 = 1e-4  # weight of the L2 penalty
+LOGREG_TOL = 1e-6  # gradient norm at which descent stops
+NB_VAR_FLOOR = 1e-9  # variance floor, as a share of the largest feature variance
+SVM_LAMBDA = 1e-4  # Pegasos regularization strength
+SVM_EPOCHS = 50  # passes over the training rows
 
 
 def _validate_fit(estimator, X, y, require_both_classes=False):
@@ -110,7 +121,7 @@ def pessimistic_extra_errors(n, e, cf):
     return r * n - e
 
 
-class C45Tree(ParamsMixin):
+class C45Tree:
     """Binary decision tree with gain-ratio splits and pessimistic pruning.
 
     Numeric thresholds are midpoints between consecutive distinct sorted
@@ -119,10 +130,11 @@ class C45Tree(ParamsMixin):
     are permitted (required for parity problems, where no single feature has
     positive gain) and pruning later removes the useless ones. Pruning
     replaces a subtree by a leaf when the leaf's pessimistic error estimate
-    at confidence ``cf`` does not exceed the subtree's.
+    at confidence ``TREE_CF`` does not exceed the subtree's. No split is
+    made below depth ``TREE_MAX_DEPTH``.
 
-    Each child of a split must hold at least ``min_leaf`` samples; on nodes
-    smaller than ``2 * min_leaf`` the requirement relaxes to half the node
+    Each child of a split must hold at least ``TREE_MIN_LEAF`` samples; on
+    nodes smaller than twice that the requirement relaxes to half the node
     size, so tiny datasets can still be partitioned down to pure leaves.
 
     Single-class and even single-row training data are legal and produce a
@@ -131,21 +143,10 @@ class C45Tree(ParamsMixin):
 
     FITTED_FIELDS = (("tree_", "node", ()),)
 
-    def __init__(self, max_depth=25, min_leaf=5, cf=0.25, prune=True):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.cf = cf
-        self.prune = prune
-
     def fit(self, X, y):
-        if self.min_leaf < 1:
-            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if not 0.0 < self.cf < 0.5:
-            raise ValueError(f"cf must be in (0, 0.5), got {self.cf}")
         X, y = _validate_fit(self, X, y)
         self.tree_ = self._build(X, y, depth=0)
-        if self.prune:
-            self._prune_node(self.tree_)
+        self._prune_node(self.tree_)
         return self
 
     def predict(self, X):
@@ -165,13 +166,9 @@ class C45Tree(ParamsMixin):
         counts = np.bincount(y, minlength=2)
         pred = 0 if counts[0] >= counts[1] else 1
         node = _Node(prediction=pred, n_samples=y.size, n_errors=int(y.size - counts[pred]))
-        if (
-            counts[pred] == y.size
-            or y.size < 2
-            or (self.max_depth is not None and depth >= self.max_depth)
-        ):
+        if counts[pred] == y.size or y.size < 2 or depth >= TREE_MAX_DEPTH:
             return node
-        split = self._best_split(X, y, max(1, min(self.min_leaf, y.size // 2)))
+        split = self._best_split(X, y, max(1, min(TREE_MIN_LEAF, y.size // 2)))
         if split is None:
             return node
         feature, threshold = split
@@ -227,7 +224,7 @@ class C45Tree(ParamsMixin):
     def _prune_node(self, node):
         """Prune the subtree at ``node`` bottom-up; returns its pessimistic error
         estimate, the sum of the estimates of the leaves it keeps."""
-        as_leaf = node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, self.cf)
+        as_leaf = node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, TREE_CF)
         if node.is_leaf:
             return as_leaf
         subtree = self._prune_node(node.left) + self._prune_node(node.right)
@@ -253,12 +250,11 @@ class C45Tree(ParamsMixin):
 # k-nearest neighbours
 
 
-class KNNClassifier(ParamsMixin):
-    """Majority vote over the k nearest training points (Euclidean).
+class KNNClassifier:
+    """Majority vote over the k = ``KNN_K`` nearest training points (Euclidean).
 
     Neighbour ties at the k-th distance resolve toward lower training-set
-    indices, so predictions are deterministic. A tied vote (possible only
-    for even k) falls back to class 0. Expects standardized features.
+    indices, so predictions are deterministic. Expects standardized features.
 
     The training set is stored as its m distinct rows ``X_`` plus, for each
     of the n training rows in order, its row number ``row_`` and label
@@ -274,27 +270,16 @@ class KNNClassifier(ParamsMixin):
         ("y_", "label", ("n",)),
     )
 
-    def __init__(self, k=5):
-        self.k = k
-
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y)
-        self._check_k(X.shape[0])
+        _check_k(X.shape[0])
         self.X_, self.row_, _ = distinct_rows(X)
         self.y_ = y
         return self
 
-    def _check_k(self, n_train):
-        if not isinstance(self.k, numbers.Integral) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if self.k > n_train:
-            raise ValueError(
-                f"k={self.k} exceeds the {n_train} training samples; use a smaller k"
-            )
-
     def _check_state(self):
         """The rule on ``k`` that fit enforces, and every row number naming a stored row."""
-        self._check_k(self.y_.size)
+        _check_k(self.y_.size)
         m = self.X_.shape[0]
         if (self.row_ >= m).any():
             raise ValueError(f"row: values must be below the {m} stored rows")
@@ -322,7 +307,7 @@ class KNNClassifier(ParamsMixin):
         d2 += np.sum(X * X, axis=1)[:, None]
         d2 += np.sum(X_ * X_, axis=1)
         np.maximum(d2, 0.0, out=d2)
-        k = self.k
+        k = KNN_K
         last = min(k, d2.shape[1]) - 1
         out = np.empty(X.shape[0], dtype=np.int64)
         for i, row in enumerate(d2):
@@ -342,6 +327,11 @@ class KNNClassifier(ParamsMixin):
         return out
 
 
+def _check_k(n_train):
+    if KNN_K > n_train:
+        raise ValueError(f"k={KNN_K} exceeds the {n_train} training samples; use a smaller k")
+
+
 # ---------------------------------------------------------------------------
 # logistic regression (full-batch gradient descent)
 
@@ -359,12 +349,13 @@ def _row_shares(y, share):
     return np.full(y.size, 1.0 / y.size) if share is None else share
 
 
-class LogisticRegressionGD(ParamsMixin):
+class LogisticRegressionGD:
     """L2-regularized logistic regression via full-batch gradient descent.
 
-    Minimizes mean cross-entropy plus ``l2/2 * ||w||^2`` (bias excluded from
-    the penalty). Deterministic: no sampling, fixed zero initialization.
-    Stops early when the full gradient norm drops below ``tol``. Descent
+    Minimizes mean cross-entropy plus ``LOGREG_L2/2 * ||w||^2`` (bias
+    excluded from the penalty), with at most ``LOGREG_EPOCHS`` steps of size
+    ``LOGREG_LR``. Deterministic: no sampling, fixed zero initialization.
+    Stops early when the full gradient norm drops below ``LOGREG_TOL``. Descent
     runs over the distinct (features, label) rows, each weighted by its
     share of the training rows: the mean loss and gradient are sums over
     rows, so this is the same objective, at a fraction of the cost on
@@ -374,12 +365,6 @@ class LogisticRegressionGD(ParamsMixin):
 
     FITTED_FIELDS = (("coef_", "float", ("d",)), ("intercept_", "float", ()))
 
-    def __init__(self, lr=0.1, epochs=500, l2=1e-4, tol=1e-6):
-        self.lr = lr
-        self.epochs = epochs
-        self.l2 = l2
-        self.tol = tol
-
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y, require_both_classes=True)
         rows, _, counts = distinct_rows(np.column_stack([X, y]))
@@ -387,13 +372,13 @@ class LogisticRegressionGD(ParamsMixin):
         w = np.zeros(X.shape[1])
         b = 0.0
         self.n_iter_ = 0
-        for _ in range(self.epochs):
+        for _ in range(LOGREG_EPOCHS):
             grad_w, grad_b = self.gradient(X, y, w, b, share)
             norm = math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
-            if norm < self.tol:
+            if norm < LOGREG_TOL:
                 break
-            w -= self.lr * grad_w
-            b -= self.lr * grad_b
+            w -= LOGREG_LR * grad_w
+            b -= LOGREG_LR * grad_b
             self.n_iter_ += 1
         self.coef_ = w
         self.intercept_ = float(b)
@@ -408,12 +393,12 @@ class LogisticRegressionGD(ParamsMixin):
         z = X @ w + b
         # logaddexp keeps the cross-entropy finite for large |z|
         ce = float((np.logaddexp(0.0, z) - y * z) @ _row_shares(y, share))
-        return ce + 0.5 * self.l2 * float(w @ w)
+        return ce + 0.5 * LOGREG_L2 * float(w @ w)
 
     def gradient(self, X, y, w, b, share=None):
         """Analytic gradient of :meth:`loss` at (w, b): ``(grad_w, grad_b)``."""
         residual = (_sigmoid(X @ w + b) - y) * _row_shares(y, share)
-        return X.T @ residual + self.l2 * w, float(residual.sum())
+        return X.T @ residual + LOGREG_L2 * w, float(residual.sum())
 
     def decision_function(self, X):
         X = _validate_predict(self, X)
@@ -428,11 +413,11 @@ class LogisticRegressionGD(ParamsMixin):
 # Gaussian naive Bayes
 
 
-class GaussianNaiveBayes(ParamsMixin):
+class GaussianNaiveBayes:
     """Gaussian naive Bayes on raw (unscaled) features.
 
     Per-class feature means and population variances, with every variance
-    floored by ``var_floor`` times the largest overall feature variance so
+    floored by ``NB_VAR_FLOOR`` times the largest overall feature variance so
     constant columns stay usable.
     """
 
@@ -442,14 +427,11 @@ class GaussianNaiveBayes(ParamsMixin):
         ("class_prior_", "positive", (2,)),
     )
 
-    def __init__(self, var_floor=1e-9):
-        self.var_floor = var_floor
-
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y, require_both_classes=True)
-        eps = self.var_floor * float(X.var(axis=0).max())
+        eps = NB_VAR_FLOOR * float(X.var(axis=0).max())
         if eps <= 0.0:
-            eps = self.var_floor
+            eps = NB_VAR_FLOOR
         self.theta_ = np.empty((2, X.shape[1]))
         self.var_ = np.empty((2, X.shape[1]))
         self.class_prior_ = np.empty(2)
@@ -479,7 +461,7 @@ class GaussianNaiveBayes(ParamsMixin):
 # linear SVM (Pegasos)
 
 
-class PegasosSVM(ParamsMixin):
+class PegasosSVM:
     """Linear soft-margin SVM trained with the Pegasos subgradient method.
 
     Pegasos (Shalev-Shwartz, Singer, Srebro and Cotter, ICML 2007; Math.
@@ -492,37 +474,34 @@ class PegasosSVM(ParamsMixin):
 
     The bias rides along as an extra always-on input inside the regularized
     weight vector; a separately updated bias is unstable at the 1/(lambda*t)
-    step sizes Pegasos uses. Visit order is reshuffled every epoch from
-    ``seed``, so training is reproducible. Expects standardized features.
+    step sizes Pegasos uses. Training runs ``SVM_EPOCHS`` passes at lambda =
+    ``SVM_LAMBDA``; the visit order is reshuffled every pass from ``seed``,
+    so training is reproducible. Expects standardized features.
     """
 
     FITTED_FIELDS = (("coef_", "float", ("d",)), ("intercept_", "float", ()))
 
-    def __init__(self, lam=1e-4, epochs=50, seed=0):
-        self.lam = lam
-        self.epochs = epochs
+    def __init__(self, seed=0):
         self.seed = seed
 
     def fit(self, X, y):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
         X, y = _validate_fit(self, X, y, require_both_classes=True)
         n = X.shape[0]
         # each row signed by its label, with the always-on bias input last
         signed = (2.0 * y - 1.0)[:, None] * np.column_stack([X, np.ones(n)])
         rows, inverse, _ = distinct_rows(signed)
         rows = rows.tolist()
-        lam = self.lam
+        lam = SVM_LAMBDA
         u = [0.0] * len(rows[0])
         rng = np.random.default_rng(self.seed)
         t = 0  # steps taken so far
-        for _ in range(self.epochs):
+        for _ in range(SVM_EPOCHS):
             for i in inverse[rng.permutation(n)].tolist():
                 r = rows[i]
                 if t == 0 or sum(map(mul, r, u)) < lam * t:
                     u = list(map(add, u, r))
                 t += 1
-        w = np.asarray(u) / (lam * max(t, 1))  # u is still 0 when epochs is 0
+        w = np.asarray(u) / (lam * t)
         self.coef_ = w[:-1]
         self.intercept_ = float(w[-1])
         self.n_iter_ = t

@@ -1,6 +1,6 @@
 """Versioned JSON serialization for every trained model kind.
 
-A file is a one-line header, ``{"format_version":7,"sha256":"<hex>"}``,
+A file is a one-line header, ``{"format_version":8,"sha256":"<hex>"}``,
 then a body: the canonical JSON of ``{"kind", "metadata", "payload"}``. The
 sha256 covers the body bytes exactly as written, so any edit to the kind,
 the metadata or the payload that does not recompute it is refused. Writing
@@ -9,17 +9,18 @@ identical models, so saved files can be diffed and content-addressed.
 Floats are stored via Python's shortest round-trip repr, which is exact for
 binary64.
 
-The state format is written here alone. A payload is ``{"params", "state"}``;
-the state holds ``n_features_in`` and, for each ``(attribute, dtype, shape)``
-of the class's ``FITTED_FIELDS``, the attribute under its name minus the
-trailing ``_``. A dtype is a key of ``_NUMERIC``, "node", a registered
-kind (stored nested) or "members": the ensemble's member payloads
+The state format is written here alone. A payload is the model's fitted
+state and nothing else: ``n_features_in`` and, for each ``(attribute, dtype,
+shape)`` of the class's ``FITTED_FIELDS``, the attribute under its name
+minus the trailing ``_``. A dtype is a key of ``_NUMERIC``, "node", a
+registered kind (stored nested) or "members": the ensemble's member payloads
 keyed by exactly ``MEMBER_KINDS``, which fixes the members. A shape entry is
-an int, "d" (for ``n_features_in``), a constructor parameter, or another
-name: a row count that every field using it must agree on. Loading checks
-all of this, then the class's ``_check_state``, so a checksum-valid file
-loads or raises a ``ModelFormatError`` that names the path of the refused
-value.
+an int, "d" (for ``n_features_in``), or another name: a row count that every
+field using it must agree on. Loading checks all of this, then the class's
+``_check_state``, so a checksum-valid file loads or raises a
+``ModelFormatError`` that names the path of the refused value. A loaded
+model is built without its constructor, so it holds no constructor value
+(such as a seed) that the file does not store.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ from .preprocessing import Standardizer
 # versions 1 to 3 store every kNN training row instead of the distinct rows;
 # versions 1 to 4 store the ensemble members as a list of named, flagged entries;
 # versions 1 to 5 store the fingerprint of the ensemble's training corpus;
-# versions 1 to 6 store the ensemble's member_params and members parameters
-MODEL_FORMAT_VERSION = 7
+# versions 1 to 6 store the ensemble's member_params and members parameters;
+# versions 1 to 7 store each model's constructor parameters next to its state
+MODEL_FORMAT_VERSION = 8
 MODEL_EXTENSION = ".dsmodel"
 
 KIND_REGISTRY = {
@@ -107,12 +109,12 @@ def _kind_of(model, kinds):
 
 
 def _encode(model):
-    """The ``{"params", "state"}`` payload of a fitted model."""
+    """The payload of a fitted model: its fitted state."""
     check_is_fitted(model, "n_features_in_")
     state = {"n_features_in": int(model.n_features_in_)}
     for attr, dtype, _ in type(model).FITTED_FIELDS:
         state[attr[:-1]] = _encode_value(dtype, getattr(model, attr))
-    return {"params": model.get_params(), "state": state}
+    return state
 
 
 def _encode_value(dtype, value):
@@ -126,19 +128,15 @@ def _encode_value(dtype, value):
     return _encode(value)
 
 
-def _decode(cls, payload, where, d=None):
+def _decode(cls, state, where, d=None):
     """A fitted ``cls`` from the payload at ``where``; ``d`` is the enclosing model's width."""
-    _expect_keys(payload, ("params", "state"), where)
-    params, state = payload["params"], payload["state"]
-    _expect_keys(params, cls._param_names(), f"{where}.params")
-    model = cls(**params)
-    where += ".state"
     _expect_keys(state, ["n_features_in", *(f[0][:-1] for f in cls.FITTED_FIELDS)], where)
     n = state["n_features_in"]
     if type(n) is not int or n < 1 or (d is not None and n != d):
         raise ModelFormatError(f"{where}.n_features_in: {n!r} is not {d or 'an int >= 1'}")
+    model = cls.__new__(cls)
     model.n_features_in_ = n
-    sizes = {**params, "d": n}
+    sizes = {"d": n}
     for attr, dtype, shape in cls.FITTED_FIELDS:
         at = f"{where}.{attr[:-1]}"
         setattr(model, attr, _decode_value(dtype, shape, state[attr[:-1]], sizes, at))
@@ -238,9 +236,9 @@ def load_model(path, expected_kind=None):
     """Read a model file back into a fitted estimator.
 
     Verifies the format version, the checksum of the body, (when
-    ``expected_kind`` is given) the model kind, and every parameter name and
-    state field (see the module docstring). The saved metadata is restored
-    onto the model as ``metadata_``.
+    ``expected_kind`` is given) the model kind, and every state field (see
+    the module docstring). The saved metadata is restored onto the model as
+    ``metadata_``.
     """
     try:
         with open(path, "rb") as fh:
@@ -274,8 +272,8 @@ def load_model(path, expected_kind=None):
         raise ModelFormatError(f"corrupt model file {path!r}: metadata is not an object")
     try:
         model = _decode(KIND_REGISTRY[kind], document["payload"], "payload")
-    # the decoders raise ModelFormatError; _check_state raises TypeError or ValueError
-    except (ModelFormatError, KeyError, RecursionError, TypeError, ValueError) as exc:
+    # the decoders raise ModelFormatError; _check_state raises ValueError
+    except (ModelFormatError, RecursionError, ValueError) as exc:
         raise ModelFormatError(f"malformed {kind!r} model in {path!r}: {exc}") from None
     model.metadata_ = document["metadata"]
     return model

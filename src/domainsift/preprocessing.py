@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ParamsMixin, check_is_fitted, check_matrix
+from .base import check_is_fitted, check_matrix
 
 # lower bound on the per-column scale; keeps constant columns at exactly 0
 STD_FLOOR = 1e-9
 
 
-class Standardizer(ParamsMixin):
+class Standardizer:
     """Column-wise z-scoring with the population standard deviation.
 
     The scale of each column is floored at ``STD_FLOOR``, so a constant
@@ -30,5 +30,5 @@ class Standardizer(ParamsMixin):
 
     def transform(self, X):
         check_is_fitted(self, "mean_")
-        X = check_matrix(X, n_features=self.n_features_in_, allow_1d=True)
+        X = check_matrix(X, n_features=self.n_features_in_)
         return (X - self.mean_) / self.scale_

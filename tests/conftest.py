@@ -64,8 +64,8 @@ def write_model_document(path, document, version=MODEL_FORMAT_VERSION):
 
 
 def write_single_document_model(path, document, version):
-    """``document`` in the layout of format versions 1 and 2: one JSON object
-    whose checksum covers its payload alone."""
+    """``document``, in the layout of format 7, written in the layout of format
+    versions 1 and 2: one JSON object whose checksum covers its payload alone."""
     payload = json.dumps(document["payload"], sort_keys=True, separators=(",", ":"))
     path.write_text(json.dumps({
         **document,
@@ -75,10 +75,47 @@ def write_single_document_model(path, document, version):
     }))
 
 
-def as_format_6(document):
-    """``document`` with an ensemble's parameters in the layout of format 6: they also
-    hold ``member_params`` and ``members``, both null."""
+# the constructor parameters format 7 stored next to each fitted state, at the values
+# every model was built with; a seed is the one in the file's metadata
+FORMAT_7_PARAMS = {
+    "standardizer": {},
+    "c45": {"cf": 0.25, "max_depth": 25, "min_leaf": 5, "prune": True},
+    "knn": {"k": 5},
+    "logreg": {"epochs": 500, "l2": 1e-4, "lr": 0.1, "tol": 1e-6},
+    "nb": {"var_floor": 1e-9},
+    "svm": {"epochs": 50, "lam": 1e-4, "seed": None},
+    "ensemble": {"seed": None},
+    "kmeans": {"k": None, "max_iter": 300, "n_restarts": 1, "seed": None, "tol": 1e-4},
+}
+
+
+def as_format_7(document):
+    """``document`` in the layout of format 7: every payload, each nested one too, is
+    ``{"params", "state"}``, with the state as format 8 stores it."""
     document = copy.deepcopy(document)
+    seed = document["metadata"].get("seed", 0)
+
+    def wrap(kind, state):
+        params = dict(FORMAT_7_PARAMS[kind])
+        if "seed" in params:
+            params["seed"] = seed
+        if kind == "kmeans":
+            params["k"] = len(state["centroids"])
+        return {"params": params, "state": state}
+
+    payload = document["payload"]
+    if document["kind"] == "ensemble":
+        payload["standardizer"] = wrap("standardizer", payload["standardizer"])
+        payload["members"] = {kind: wrap(kind, state)
+                              for kind, state in payload["members"].items()}
+    document["payload"] = wrap(document["kind"], payload)
+    return document
+
+
+def as_format_6(document):
+    """``document`` in the layout of format 7, with an ensemble's parameters in the
+    layout of format 6: they also hold ``member_params`` and ``members``, both null."""
+    document = as_format_7(document)
     if document["kind"] == "ensemble":
         document["payload"]["params"].update(member_params=None, members=None)
     return document

@@ -65,28 +65,39 @@ class TestCorrelationTable:
         assert {r.name for r in rows} == set(FEATURE_NAMES)
 
     def test_undefined_rows_sort_last(self):
-        X = np.column_stack([np.arange(6.0), np.ones(6)])
+        # ratio_letters varies; every other column is constant
+        X = np.ones((6, 8))
+        X[:, 4] = np.arange(6.0)
         y = np.array([0, 0, 0, 1, 1, 1])
-        rows = correlation_table(X, y, names=("varying", "constant"))
-        assert rows[0].name == "varying"
-        assert rows[-1].name == "constant" and rows[-1].correlation is None
+        rows = correlation_table(X, y)
+        assert rows[0].name == "ratio_letters"
+        assert [r.name for r in rows[1:]] == [n for n in FEATURE_NAMES if n != "ratio_letters"]
+        assert all(r.correlation is None for r in rows[1:])
 
     def test_csv_output(self):
-        X = np.column_stack([np.arange(4.0), np.ones(4)])
+        X = np.ones((4, 8))
+        X[:, 0] = np.arange(4.0)
         y = np.array([0, 0, 1, 1])
-        rows = correlation_table(X, y, names=("a", "b"))
+        rows = correlation_table(X, y)
         buf = io.StringIO()
         write_correlation_csv(buf, rows)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "feature,correlation"
-        assert lines[1].startswith("a,")
-        assert lines[2] == "b,undefined"
+        assert lines[1].startswith("len,")
+        assert lines[2] == "uniq_chars,undefined"
 
     def test_format_table_is_text(self):
-        X = np.column_stack([np.arange(4.0)])
+        X = np.ones((4, 8))
+        X[:, 0] = np.arange(4.0)
         y = np.array([0, 0, 1, 1])
-        text = format_correlation_table(correlation_table(X, y, names=("x",)))
-        assert "x" in text and "0.894" in text
+        text = format_correlation_table(correlation_table(X, y))
+        assert "len" in text and "0.894" in text
+
+    def test_other_widths_refused(self):
+        with pytest.raises(ValueError, match="X has 2 features, expected 8"):
+            correlation_table(np.ones((4, 2)), np.array([0, 0, 1, 1]))
+        with pytest.raises(ValueError, match="X has 9 features, expected 8"):
+            summarize(np.ones((4, 9)))
 
 
 class TestHistogram:
@@ -161,27 +172,30 @@ class TestHistogram:
 
 class TestSummarize:
     def test_overall_and_per_class(self):
-        X = np.array([[1.0, 10.0], [3.0, 10.0], [5.0, 40.0], [7.0, 40.0]])
+        X = np.zeros((4, 8))
+        X[:, 0] = [1.0, 3.0, 5.0, 7.0]
+        X[:, 1] = [10.0, 10.0, 40.0, 40.0]
         y = np.array([0, 0, 1, 1])
-        report = summarize(X, y, names=("a", "b"))
+        report = summarize(X, y)
+        assert [s.name for s in report.overall] == list(FEATURE_NAMES)
         overall = {s.name: s for s in report.overall}
-        assert overall["a"].mean == pytest.approx(4.0)
-        assert overall["a"].min == 1.0 and overall["a"].max == 7.0
+        assert overall["len"].mean == pytest.approx(4.0)
+        assert overall["len"].min == 1.0 and overall["len"].max == 7.0
         # population std of [1,3,5,7] is sqrt(5)
-        assert overall["a"].std == pytest.approx(math.sqrt(5.0))
+        assert overall["len"].std == pytest.approx(math.sqrt(5.0))
         per0 = {s.name: s for s in report.per_class[0]}
-        assert per0["b"].mean == pytest.approx(10.0)
+        assert per0["uniq_chars"].mean == pytest.approx(10.0)
 
     def test_unlabeled(self):
-        X = np.array([[1.0], [2.0]])
-        report = summarize(X, names=("a",))
+        X = np.array([[1.0] * 8, [2.0] * 8])
+        report = summarize(X)
         assert report.per_class == {}
 
     def test_csv(self):
-        X = np.array([[1.0], [2.0]])
+        X = np.array([[1.0] * 8, [2.0] * 8])
         y = np.array([0, 1])
         buf = io.StringIO()
-        write_summary_csv(buf, summarize(X, y, names=("a",)))
+        write_summary_csv(buf, summarize(X, y))
         lines = buf.getvalue().splitlines()
         assert lines[0] == "scope,feature,mean,std,min,max"
         scopes = {line.split(",")[0] for line in lines[1:]}

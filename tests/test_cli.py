@@ -1,7 +1,13 @@
+import argparse
+import ast
 import csv
 import gzip
 import os
 import random
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from domainsift.cli import main
+import domainsift
+from domainsift.cli import build_parser, main
+from domainsift.config import CONFIG_SCHEMA
 from domainsift.features import FEATURE_NAMES, read_feature_csv
 
 from conftest import (
@@ -17,6 +25,7 @@ from conftest import (
     as_format_4,
     as_format_5,
     as_format_6,
+    as_format_7,
     read_model_document,
     write_model_document,
     write_single_document_model,
@@ -157,7 +166,9 @@ def test_cluster_outputs(workdir, capsys):
     assert rc == 0
     centroid_lines = (out / "centroids.csv").read_text().splitlines()
     assert centroid_lines[0] == "feature,cluster_1,cluster_2"
-    assert (workdir / "km.dsmodel").exists()
+    # the seed is the one value of the run that the centroids do not imply
+    assert read_model_document(workdir / "km.dsmodel")["metadata"] == {"source": "census.tsv",
+                                                                       "seed": 1}
     assert "inertia" in capsys.readouterr().out
 
 
@@ -285,8 +296,55 @@ def test_config_file_supplies_defaults(workdir, tmp_path):
     assert rc == 0
     doc = read_model_document(model)
     assert doc["metadata"]["mode"] == "full"
-    assert doc["payload"]["params"] == {"seed": 5}
-    assert doc["payload"]["state"]["members"]["svm"]["params"]["seed"] == 5
+    assert doc["metadata"]["seed"] == 5
+    flags = tmp_path / "flags.dsmodel"
+    assert main(["train", "--in", str(workdir / "gen" / "labeled.csv"),
+                 "--out", str(flags), "--seed", "5", "--mode", "full"]) == 0
+    assert model.read_bytes() == flags.read_bytes()
+
+
+# the run options each command resolves, in the order its resolved-options line lists them
+RUN_OPTIONS = {
+    "extract": ["mode", "max_rows"],
+    "analyze": ["mode", "max_rows"],
+    "train": ["mode", "seed", "max_rows"],
+    "evaluate": ["mode", "seed", "max_rows", "test_fraction", "cv"],
+    "cluster": ["mode", "seed", "max_rows", "k"],
+    "predict": ["mode", "max_rows"],
+    "reputation-check": ["seed", "max_rows"],
+    "generate": ["seed"],
+}
+
+
+def test_run_options_are_the_commands_flags():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: {action.dest for action in sub._actions} & set(CONFIG_SCHEMA)
+            for name, sub in commands.choices.items()} == {
+        name: set(options) for name, options in RUN_OPTIONS.items()}
+
+
+@pytest.mark.parametrize("command", list(RUN_OPTIONS))
+def test_resolved_options_name_only_the_commands_run_options(sld_model, tmp_path, capsys,
+                                                             command):
+    # the config sets every run option; a command resolves and logs only its own
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = sld\nseed = 3\nmax_rows = 9\ntest_fraction = 0.5\ncv = 2\nk = 2\n")
+    missing = str(tmp_path / "missing.txt")
+    argv = [command, "--out", str(tmp_path / "o"), "--config", str(cfg), *{
+        "generate": ["--n-legit", "5", "--n-dga", "5", "--census-n", "5"],
+        "predict": ["--in", missing, "--model", sld_model],
+        "reputation-check": ["--in", missing, "--badlist", missing],
+    }.get(command, ["--in", missing])]
+    capsys.readouterr()
+    main(argv)
+    logged = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("INFO domainsift: resolved options: ")]
+    assert len(logged) == 1
+    resolved = ast.literal_eval(logged[0].split(": ", 2)[2])
+    assert list(resolved) == RUN_OPTIONS[command]
+    assert {"mode": "sld", "seed": 3, "max_rows": 9, "test_fraction": 0.5, "cv": 2,
+            "k": 2}.items() >= resolved.items()
 
 
 class TestExitCodes:
@@ -317,12 +375,14 @@ class TestExitCodes:
         assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
                      "--model", str(fake), "--out", str(tmp_path / "p")]) == 1
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_old_version_model_is_data_error(self, workdir, sld_model, tmp_path, capsys,
                                              version):
         old = tmp_path / "old.dsmodel"
         document = read_model_document(Path(sld_model))
-        if version == 6:  # the ensemble parameters also hold member_params and members
+        if version == 7:  # each payload is its params and its state
+            write_model_document(old, as_format_7(document), version)
+        elif version == 6:  # the ensemble parameters also hold member_params and members
             write_model_document(old, as_format_6(document), version)
         elif version == 5:  # the ensemble state also holds the training corpus fingerprint
             write_model_document(old, as_format_5(document), version)
@@ -331,7 +391,7 @@ class TestExitCodes:
         elif version == 3:  # a header line and a body, with every kNN training row stored
             write_model_document(old, as_format_3(document), version)
         else:
-            write_single_document_model(old, document, version)
+            write_single_document_model(old, as_format_7(document), version)
         capsys.readouterr()
         assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
                      "--model", str(old), "--out", str(tmp_path / "p")]) == 1
@@ -548,11 +608,11 @@ class TestCorpusEncoding:
         domains = tmp_path / "domains.txt"
         domains.write_text("example.com\n")
         cfg = tmp_path / "run.cfg"
-        cfg.write_bytes("\ufeffseed = 4\n".encode())
+        cfg.write_bytes("\ufeffmode = full\n".encode())
         capsys.readouterr()
         assert main(["extract", "--in", str(domains), "--out", str(tmp_path / "f.csv"),
                      "--config", str(cfg)]) == 0
-        assert ("INFO domainsift: resolved options: {'mode': 'sld', 'seed': 4, 'max_rows': None}"
+        assert ("INFO domainsift: resolved options: {'mode': 'full', 'max_rows': None}"
                 in capsys.readouterr().err.splitlines())
 
     @pytest.mark.parametrize("which", ["badlist", "config"])
@@ -574,6 +634,74 @@ class TestCorpusEncoding:
         role = {"badlist": "bad-list", "config": "config"}[which]
         assert errors == [f"ERROR domainsift: {role} error: {user_file}: "
                           "not UTF-8 text: byte 0xff: invalid start byte"]
+
+
+def _cli(*argv, stdin=None):
+    """``python -m domainsift.cli`` in a child process, with ``stdin`` bytes on a pipe."""
+    src = str(Path(domainsift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "domainsift.cli", *argv], input=stdin,
+                          capture_output=True, env=env, check=False)
+
+
+class TestInputsReadOnce:
+    """A user file is opened and read once, so a pipe gives what the same file gives by path."""
+
+    # 5,000 lines, more than a pipe holds, so the reader takes several reads
+    CENSUS = "".join(f"host{i:05d}-{i * 7919 % 10007}.com\t1.2.3.4\n" for i in range(5000))
+
+    @pytest.mark.parametrize("wrap", ["plain", "gzip"])
+    def test_extract_census_from_stdin(self, tmp_path, wrap):
+        data = self.CENSUS.encode()
+        if wrap == "gzip":
+            data = gzip.compress(data, mtime=0)
+        census = tmp_path / "census.tsv"
+        census.write_bytes(data)
+        by_path = _cli("extract", "--in", str(census), "--out", str(tmp_path / "a.csv"))
+        piped = _cli("extract", "--in", "/dev/stdin", "--out", str(tmp_path / "b.csv"),
+                     stdin=data)
+        assert by_path.returncode == piped.returncode == 0, piped.stderr
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+        assert len((tmp_path / "b.csv").read_bytes().splitlines()) == 5001
+        assert piped.stderr == (by_path.stderr.replace(str(census).encode(), b"/dev/stdin")
+                                .replace(b"a.csv", b"b.csv"))
+
+    def test_train_labeled_from_stdin(self, workdir, sld_model, tmp_path):
+        labeled = workdir / "gen" / "labeled.csv"
+        piped = _cli("train", "--in", "/dev/stdin", "--out", str(tmp_path / "m.dsmodel"),
+                     "--seed", "5", stdin=labeled.read_bytes())
+        assert piped.returncode == 0, piped.stderr
+        got = read_model_document(tmp_path / "m.dsmodel")
+        want = read_model_document(Path(sld_model))
+        assert got["metadata"].pop("source") == "stdin"
+        assert want["metadata"].pop("source") == "labeled.csv"
+        assert got == want
+
+    @pytest.mark.parametrize("piped", ["in", "badlist"])
+    def test_reputation_check_from_stdin(self, tmp_path, piped):
+        names = [f"name{i}-{i * 7919 % 10007}.com" for i in range(6000)]
+        domains, badlist = tmp_path / "d.txt", tmp_path / "bl.txt"
+        domains.write_text("".join(f"{name}\n" for name in names))
+        badlist.write_text("".join(f"{name.upper()}\n" for name in names[::2000]))
+        by_path = _cli("reputation-check", "--in", str(domains), "--badlist", str(badlist))
+        paths = {"in": str(domains), "badlist": str(badlist), piped: "/dev/stdin"}
+        data = (domains if piped == "in" else badlist).read_bytes()
+        got = _cli("reputation-check", "--in", paths["in"], "--badlist", paths["badlist"],
+                   stdin=data)
+        assert by_path.stdout == b"suspicious: 3, unknown: 5997\n"
+        assert (got.returncode, got.stdout) == (0, by_path.stdout), got.stderr
+
+    def test_config_from_stdin(self, tmp_path):
+        domains, cfg = tmp_path / "d.txt", tmp_path / "run.cfg"
+        domains.write_text("www.example.co.uk\nqxz07k.net\n")
+        cfg.write_text("# run settings\n\nmode = full\n")
+        by_path = _cli("extract", "--in", str(domains), "--out", str(tmp_path / "a.csv"),
+                       "--config", str(cfg))
+        piped = _cli("extract", "--in", str(domains), "--out", str(tmp_path / "b.csv"),
+                     "--config", "/dev/stdin", stdin=cfg.read_bytes())
+        assert by_path.returncode == piped.returncode == 0, piped.stderr
+        assert b"resolved options: {'mode': 'full', 'max_rows': None}" in piped.stderr
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
 # census lines the parser keeps, skips or normalizes, for the extract fuzz test
@@ -707,6 +835,71 @@ def test_extract_on_mutated_config(tmp_path, capsys, data):
     else:
         assert code == 1
         assert len(errors) == 1 and str(cfg) in errors[0], err
+
+
+def _one_error_line(err):
+    """Exit 1's promise: one ERROR line and no traceback."""
+    assert "Traceback" not in err, err
+    assert len([line for line in err.splitlines() if line.startswith("ERROR")]) == 1, err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_bytes(FUZZ_LINES))
+def test_predict_on_mutated_census(sld_model, tmp_path, capsys, data):
+    """predict either writes predictions that read back and agree with flagged.txt and
+    the printed count, or exits 1 with one ERROR line."""
+    corpus_path, out = tmp_path / "census.tsv", tmp_path / "preds"
+    corpus_path.write_bytes(data)
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    code = main(["predict", "--in", str(corpus_path), "--model", sld_model, "--out", str(out)])
+    captured = capsys.readouterr()
+    if code != 0:
+        assert code == 1
+        _one_error_line(captured.err)
+        return
+    assert "Traceback" not in captured.err and "ERROR" not in captured.err, captured.err
+    with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["host", "domain", "prediction", *(f"vote_{kind}" for kind in
+                                                        ("c45", "knn", "logreg", "nb", "svm"))]
+    assert rows and all(len(row) == len(header) for row in rows)
+    with open(out / "flagged.txt", encoding="utf-8") as fh:
+        flagged = [line.rstrip("\n") for line in fh]
+    assert flagged == [row[0] for row in rows if row[2] == "1"]
+    printed = re.fullmatch(r"(\d+) of (\d+) domains flagged as DGA \(\d+\.\d\d%\)\n",
+                           captured.out)
+    assert printed and [int(n) for n in printed.groups()] == [len(flagged), len(rows)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_bytes(FUZZ_LINES), mode=st.sampled_from(["full", "sld"]))
+def test_cluster_on_mutated_census(tmp_path, capsys, data, mode):
+    """cluster either writes a centroid table and histograms that read back and agree
+    with the printed sizes, or exits 1 with one ERROR line."""
+    corpus_path, out = tmp_path / "census.tsv", tmp_path / "clusters"
+    corpus_path.write_bytes(data)
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    code = main(["cluster", "--in", str(corpus_path), "--out", str(out), "--mode", mode])
+    captured = capsys.readouterr()
+    if code != 0:
+        assert code == 1
+        _one_error_line(captured.err)
+        return
+    assert "Traceback" not in captured.err and "ERROR" not in captured.err, captured.err
+    with open(out / "centroids.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["feature", "cluster_1", "cluster_2"]
+    assert [row[0] for row in rows] == [*FEATURE_NAMES, "size"]
+    assert all(len(row) == 3 for row in rows)
+    sizes = captured.out.splitlines()[0]
+    assert sizes == f"cluster 1: {rows[-1][1]}, cluster 2: {rows[-1][2]}"
+    for name in FEATURE_NAMES:
+        with open(out / f"hist_{name}.csv", newline="", encoding="utf-8") as fh:
+            assert all(len(row) == 3 for row in csv.reader(fh))
 
 
 def test_console_script_installed():

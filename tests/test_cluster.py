@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domainsift import cluster
 from domainsift.analytics import Histogram, default_binning, histogram_pdf
 from domainsift.base import NotFittedError, distinct_rows
 from domainsift.cluster import (
@@ -14,6 +15,7 @@ from domainsift.cluster import (
     cluster_feature_histogram,
     write_centroids_csv,
 )
+from domainsift.features import FEATURE_NAMES
 
 from conftest import roundtrip
 
@@ -61,12 +63,6 @@ class TestKMeans:
         np.testing.assert_array_equal(a.centroids_, b.centroids_)
         np.testing.assert_array_equal(a.labels_, b.labels_)
 
-    def test_restarts_never_worse(self, rng):
-        X = rng.normal(size=(80, 2))
-        single = KMeans(k=4, seed=11, n_restarts=1).fit(X)
-        multi = KMeans(k=4, seed=11, n_restarts=8).fit(X)
-        assert multi.inertia_ <= single.inertia_ + 1e-9
-
     def test_k_exceeds_points_rejected(self):
         with pytest.raises(ValueError):
             KMeans(k=5).fit(np.zeros((3, 2)))
@@ -108,8 +104,8 @@ class TestKMeans:
 
     def test_convergence_before_max_iter(self, rng):
         X = rng.normal(size=(100, 2))
-        model = KMeans(k=2, seed=0, max_iter=300).fit(X)
-        assert model.n_iter_ < 300
+        model = KMeans(k=2, seed=0).fit(X)
+        assert model.n_iter_ < cluster.MAX_ITER
 
 
 class TestClusterReporting:
@@ -126,13 +122,13 @@ class TestClusterReporting:
         assert sum(sizes) == 30
 
     def test_cluster_histogram_keys(self, rng):
-        X = rng.normal(size=(60, 2)) + np.array([[0.0, 0.0]])
+        X = rng.normal(size=(60, 8))
         distinct = distinct_rows(X)
         model = KMeans(k=2, seed=0).fit(distinct)
         labels = model.predict(distinct.rows)
-        hist = cluster_feature_histogram(distinct, labels, 0, names=("a", "b"))
+        hist = cluster_feature_histogram(distinct, labels, 1)
         assert set(hist.densities) <= {0, 1}
-        assert hist.feature_name == "a"
+        assert hist.feature_name == "uniq_chars"
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -142,24 +138,23 @@ class TestClusterReporting:
         model = KMeans(k=k, seed=0).fit(X)
         distinct = distinct_rows(X)
         labels = model.predict(distinct.rows)
-        names = [f"f{i}" for i in range(X.shape[1])]
         for j in range(X.shape[1]):
-            got = cluster_feature_histogram(distinct, labels, j, names=names)
-            want = _histogram_reference(model, X, j, names)
-            assert got == want
+            got = cluster_feature_histogram(distinct, labels, j)
+            assert got == _histogram_reference(model, X, j)
 
 
 # ---------------------------------------------------------------------------
 # the all-rows k-means that fitting on distinct rows must reproduce bit for bit
 
 
-def _run_reference(model, X, seed):
+def _fit_reference(model, X):
+    """What ``KMeans.fit`` returned when it assigned every row on its own."""
     n, d = X.shape
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(model.seed)
     centroids = _init_reference(model, X, rng)
     path = []
     n_iter = 0
-    for _ in range(model.max_iter):
+    for _ in range(cluster.MAX_ITER):
         d2 = _pairwise_sq(X, centroids)
         labels = np.argmin(d2, axis=1)
         path.append(float(d2[np.arange(n), labels].sum()))
@@ -180,14 +175,25 @@ def _run_reference(model, X, seed):
         shift = np.sqrt(np.sum((new - centroids) ** 2, axis=1))
         scale = 1.0 + np.sqrt(np.sum(centroids**2, axis=1))
         centroids = new
-        if empties.size == 0 and float(np.max(shift / scale)) < model.tol:
+        if empties.size == 0 and float(np.max(shift / scale)) < cluster.TOL:
             break
 
     d2 = _pairwise_sq(X, centroids)
     labels = np.argmin(d2, axis=1)
     path.append(float(d2[np.arange(n), labels].sum()))
-    return {"centroids": centroids, "labels": labels, "inertia": path[-1],
-            "path": path, "n_iter": n_iter}
+
+    order = np.lexsort([centroids[:, j] for j in range(d - 1, -1, -1)])
+    rank = np.empty(model.k, dtype=np.int64)
+    rank[order] = np.arange(model.k)
+    labels = rank[labels]
+    return {
+        "centroids_": centroids[order],
+        "labels_": labels,
+        "sizes_": np.bincount(labels, minlength=model.k),
+        "inertia_": path[-1],
+        "inertia_path_": np.asarray(path),
+        "n_iter_": n_iter,
+    }
 
 
 def _init_reference(model, X, rng):
@@ -208,28 +214,7 @@ def _init_reference(model, X, rng):
     return centroids
 
 
-def _fit_reference(model, X):
-    """What ``KMeans.fit`` returned when it assigned every row on its own."""
-    runs = [_run_reference(model, X, model.seed + r) for r in range(model.n_restarts)]
-    best = runs[0]
-    for run in runs[1:]:
-        if run["inertia"] < best["inertia"]:
-            best = run
-    order = np.lexsort([best["centroids"][:, j] for j in range(X.shape[1] - 1, -1, -1)])
-    rank = np.empty(model.k, dtype=np.int64)
-    rank[order] = np.arange(model.k)
-    labels = rank[best["labels"]]
-    return {
-        "centroids_": best["centroids"][order],
-        "labels_": labels,
-        "sizes_": np.bincount(labels, minlength=model.k),
-        "inertia_": best["inertia"],
-        "inertia_path_": np.asarray(best["path"]),
-        "n_iter_": best["n_iter"],
-    }
-
-
-def _histogram_reference(model, X, feature_index, names):
+def _histogram_reference(model, X, feature_index):
     """Per-cluster histograms of one full column, every row assigned on its own."""
     labels = model.predict(X)
     column = X[:, feature_index]
@@ -238,9 +223,11 @@ def _histogram_reference(model, X, feature_index, names):
     for c in range(model.centroids_.shape[0]):
         values = column[labels == c]
         if values.size:
-            part = histogram_pdf(values, binning=binning, feature_name=names[feature_index])
+            part = histogram_pdf(values, binning=binning,
+                                 feature_name=FEATURE_NAMES[feature_index])
             densities[c] = part.densities[None]
-    return Histogram(feature_name=names[feature_index], binning=binning, densities=densities)
+    return Histogram(feature_name=FEATURE_NAMES[feature_index], binning=binning,
+                     densities=densities)
 
 
 @st.composite
@@ -267,11 +254,10 @@ class TestDistinctRowFit:
     def test_matches_all_rows_fit(self, data):
         X = data.draw(_duplicated_matrices(), label="X")
         k = data.draw(st.integers(1, min(5, len(distinct_rows(X).rows))), label="k")
-        restarts = data.draw(st.integers(1, 3), label="restarts")
         seed = data.draw(st.integers(0, 2**16), label="seed")
-        model = KMeans(k=k, seed=seed, n_restarts=restarts).fit(X)
+        model = KMeans(k=k, seed=seed).fit(X)
         _assert_same_fit(model, X)
-        again = KMeans(k=k, seed=seed, n_restarts=restarts).fit(distinct_rows(X))
+        again = KMeans(k=k, seed=seed).fit(distinct_rows(X))
         for name in ("centroids_", "labels_", "sizes_", "inertia_path_", "n_iter_"):
             np.testing.assert_array_equal(getattr(again, name), getattr(model, name))
 
@@ -286,11 +272,11 @@ class TestDistinctRowFit:
         # distinct rows whose squared distances underflow to 0: the k-means++
         # draw finds no distance mass left and picks uniformly
         X = np.array([[0.0], [1e-200], [2e-200]])[np.arange(12) % 3]
-        model = KMeans(k=3, seed=5, n_restarts=2).fit(X)
+        model = KMeans(k=3, seed=5).fit(X)
         _assert_same_fit(model, X)
 
     def test_random_rows_with_copies(self, rng):
         base = rng.normal(size=(40, 8)) * rng.uniform(0.1, 30.0, size=8)
         X = base[rng.integers(0, 40, size=500)]
-        model = KMeans(k=3, seed=11, n_restarts=3).fit(X)
+        model = KMeans(k=3, seed=11).fit(X)
         _assert_same_fit(model, X)

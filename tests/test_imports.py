@@ -51,13 +51,17 @@ def test_check_finds_unused_imports():
 
 
 def text_reads(source):
-    """(line, enclosing function) of each call to the builtin ``open`` in ``source``
-    whose mode reads text: no mode, or a constant mode without "b", "w", "a" or "x"."""
+    """(line, enclosing function) of each call in ``source`` that decodes a file as
+    text: an ``io.TextIOWrapper``, or the builtin ``open`` with no mode or a constant
+    mode without "b", "w", "a" or "x"."""
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "TextIOWrapper"):
+            found.append((node.lineno, function))
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "open"):
             mode = node.args[1] if len(node.args) > 1 else next(
@@ -92,5 +96,6 @@ def test_check_finds_text_reads():
         "    gzip.open(p)\n"
         "def b(p, m):\n"
         "    open(p, m)\n"
+        "    io.TextIOWrapper(open(p, 'rb'))\n"
     )
-    assert text_reads(source) == [(2, "a"), (3, "a"), (4, "a"), (5, "a"), (11, "b")]
+    assert text_reads(source) == [(2, "a"), (3, "a"), (4, "a"), (5, "a"), (11, "b"), (12, "b")]

@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -33,9 +32,9 @@ ALL_LEARNERS = [
 
 @pytest.mark.parametrize("cls", ALL_LEARNERS)
 class TestCommonBehavior:
-    def test_separable_fixture(self, cls):
-        kwargs = {"k": 3} if cls is KNNClassifier else {}
-        model = cls(**kwargs).fit(SEP_X, SEP_Y)
+    def test_separable_fixture(self, cls, monkeypatch):
+        monkeypatch.setattr(learners, "KNN_K", 3)  # of the 4 rows
+        model = cls().fit(SEP_X, SEP_Y)
         assert (model.predict(SEP_X) == SEP_Y).all()
 
     def test_blobs(self, cls, blobs):
@@ -163,17 +162,19 @@ class TestC45Tree:
         tree = C45Tree().fit(X, np.array([0, 1]))
         assert tree.predict(X).tolist() == [0, 0]
 
-    def test_max_depth_cap(self, rng):
+    def test_max_depth_cap(self, rng, monkeypatch):
         X = rng.normal(size=(200, 4))
         y = rng.integers(0, 2, size=200)
         y[:2] = [0, 1]
-        tree = C45Tree(max_depth=3, prune=False).fit(X, y)
-        assert depth(tree.tree_) <= 3
+        monkeypatch.setattr(learners, "TREE_MAX_DEPTH", 3)
+        assert depth(C45Tree()._build(X, y, depth=0)) == 3
+        assert depth(C45Tree().fit(X, y).tree_) <= 3
 
-    def test_min_leaf_respected_on_large_nodes(self, rng):
+    def test_min_leaf_respected_on_large_nodes(self, rng, monkeypatch):
         X = rng.normal(size=(300, 3))
         y = (X[:, 0] + 0.3 * rng.normal(size=300) > 0).astype(np.int64)
-        tree = C45Tree(min_leaf=20, prune=False).fit(X, y)
+        monkeypatch.setattr(learners, "TREE_MIN_LEAF", 20)
+        unpruned = C45Tree()._build(X, y, depth=0)
 
         def check(node, n):
             if node.is_leaf:
@@ -183,28 +184,21 @@ class TestC45Tree:
             check(node.left, node.n_samples)
             check(node.right, node.n_samples)
 
-        check(tree.tree_, 300)
+        check(unpruned, 300)
 
     def test_pruning_shrinks_noisy_tree(self, rng):
         X = rng.normal(size=(300, 4))
         y = rng.integers(0, 2, size=300)  # pure noise
         y[:2] = [0, 1]
-        full = C45Tree(prune=False).fit(X, y)
-        pruned = C45Tree(prune=True).fit(X, y)
-        assert pruned.n_nodes_ <= full.n_nodes_
+        pruned = C45Tree().fit(X, y)
+        assert pruned.n_nodes_ < pruned._count_nodes(C45Tree()._build(X, y, depth=0))
 
     def test_pruning_keeps_real_structure(self):
         X = np.array([[1.0], [2.0], [8.0], [9.0]] * 10)
         y = np.array([0, 0, 1, 1] * 10)
-        tree = C45Tree(prune=True).fit(X, y)
+        tree = C45Tree().fit(X, y)
         assert depth(tree.tree_) >= 1
         assert (tree.predict(X) == y).all()
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            C45Tree(min_leaf=0).fit(SEP_X, SEP_Y)
-        with pytest.raises(ValueError):
-            C45Tree(cf=0.9).fit(SEP_X, SEP_Y)
 
     def test_deterministic(self, blobs, tmp_path):
         X, y = blobs
@@ -221,63 +215,62 @@ class TestC45Tree:
         X = np.array(data.draw(st.lists(st.lists(cells, min_size=d, max_size=d),
                                         min_size=n, max_size=n)))
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-        params = {"min_leaf": data.draw(st.integers(1, 4), label="min_leaf"),
-                  "cf": data.draw(st.floats(0.01, 0.49), label="cf")}
-        full = C45Tree(prune=False, **params).fit(X, y)
-        expected = copy.deepcopy(full.tree_)
-        two_walk_prune(expected, params["cf"])
-        pruned = C45Tree(prune=True, **params).fit(X, y)
+        min_leaf = data.draw(st.integers(1, 4), label="min_leaf")
+        cf = data.draw(st.floats(0.01, 0.49), label="cf")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learners, "TREE_MIN_LEAF", min_leaf)
+            mp.setattr(learners, "TREE_CF", cf)
+            expected = C45Tree()._build(X, y, depth=0)
+            two_walk_prune(expected, cf)
+            pruned = C45Tree().fit(X, y)
         assert node_fields(pruned.tree_) == node_fields(expected)
 
 
 class TestKNN:
-    def test_equidistant_votes(self):
+    def test_equidistant_votes(self, monkeypatch):
         # three training points all at distance 1 from the origin query
         X = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
         y = np.array([1, 1, 0])
-        model = KNNClassifier(k=3).fit(X, y)
+        monkeypatch.setattr(learners, "KNN_K", 3)
+        model = KNNClassifier().fit(X, y)
         assert model.predict(np.array([[0.0, 0.0]]))[0] == 1
 
-    def test_k1_self_classification(self, blobs):
+    def test_k1_self_classification(self, blobs, monkeypatch):
         X, y = blobs
-        model = KNNClassifier(k=1).fit(X, y)
+        monkeypatch.setattr(learners, "KNN_K", 1)
+        model = KNNClassifier().fit(X, y)
         assert (model.predict(X) == y).all()
 
     def test_k_equals_n_is_majority(self):
         X = np.arange(5.0).reshape(-1, 1)
         y = np.array([0, 0, 0, 1, 1])
-        model = KNNClassifier(k=5).fit(X, y)
+        model = KNNClassifier().fit(X, y)
         assert (model.predict(X) == 0).all()
 
     def test_k_too_large_suggests_smaller(self):
-        with pytest.raises(ValueError, match="smaller k"):
-            KNNClassifier(k=10).fit(SEP_X, SEP_Y)
+        with pytest.raises(ValueError, match="k=5 exceeds the 4 training samples; use a smaller"):
+            KNNClassifier().fit(SEP_X, SEP_Y)
 
-    def test_distance_tie_prefers_lower_index(self):
+    def test_distance_tie_prefers_lower_index(self, monkeypatch):
         # four identical points; k=3 must take indices 0,1,2 -> labels 0,0,1 -> 0
         X = np.zeros((4, 2))
         y = np.array([0, 0, 1, 1])
-        model = KNNClassifier(k=3).fit(X, y)
+        monkeypatch.setattr(learners, "KNN_K", 3)
+        model = KNNClassifier().fit(X, y)
         assert model.predict(np.zeros((1, 2)))[0] == 0
 
     def test_chunked_matches_unchunked(self, blobs, monkeypatch):
         X, y = blobs
-        a = KNNClassifier(k=5).fit(X, y).predict(X)
+        a = KNNClassifier().fit(X, y).predict(X)
         # blocks of 7 query rows instead of one block for all 120
         monkeypatch.setattr(learners, "KNN_BLOCK_CELLS", 7 * X.shape[0])
-        b = KNNClassifier(k=5).fit(X, y).predict(X)
+        b = KNNClassifier().fit(X, y).predict(X)
         np.testing.assert_array_equal(a, b)
-
-    def test_even_k_tie_falls_to_zero(self):
-        X = np.array([[0.0], [2.0]])
-        y = np.array([0, 1])
-        model = KNNClassifier(k=2).fit(X, y)
-        assert model.predict(np.array([[1.0]]))[0] == 0
 
     def test_stores_distinct_rows(self):
         X = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
         y = np.array([1, 0, 0, 1, 0])
-        model = KNNClassifier(k=3).fit(X, y)
+        model = KNNClassifier().fit(X, y)
         np.testing.assert_array_equal(model.X_, [[0.0, 0.0], [1.0, 2.0]])
         np.testing.assert_array_equal(model.X_[model.row_], X)
         np.testing.assert_array_equal(model.y_, y)
@@ -294,20 +287,22 @@ class TestKNN:
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
         order = np.array(data.draw(st.permutations(range(n)), label="order"))
         k = data.draw(st.integers(1, min(9, n)), label="k")
-        model = KNNClassifier(k=k).fit(X[order], y[order])
-        if data.draw(st.booleans(), label="edited"):
-            # what a hand-edited file may hold: stored row 0 duplicated and used by
-            # some of its training rows, plus a stored row no training row uses
-            m = model.X_.shape[0]
-            model.X_ = np.vstack([model.X_, model.X_[:1], np.full((1, d), 7.0)])
-            moved = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-            model.row_ = np.where(moved & (model.row_ == 0), m, model.row_)
-        queries = np.vstack([X, np.array(data.draw(st.lists(
-            st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=10), label="Q"))])
-        np.testing.assert_array_equal(
-            model.predict(queries),
-            _knn_reference(model.X_[model.row_], model.y_, k, queries),
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learners, "KNN_K", k)
+            model = KNNClassifier().fit(X[order], y[order])
+            if data.draw(st.booleans(), label="edited"):
+                # what a hand-edited file may hold: stored row 0 duplicated and used by
+                # some of its training rows, plus a stored row no training row uses
+                m = model.X_.shape[0]
+                model.X_ = np.vstack([model.X_, model.X_[:1], np.full((1, d), 7.0)])
+                moved = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                model.row_ = np.where(moved & (model.row_ == 0), m, model.row_)
+            queries = np.vstack([X, np.array(data.draw(st.lists(
+                st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=10), label="Q"))])
+            np.testing.assert_array_equal(
+                model.predict(queries),
+                _knn_reference(model.X_[model.row_], model.y_, k, queries),
+            )
 
 
 def _knn_reference(X_train, y_train, k, X):
@@ -372,7 +367,7 @@ def _hinge_objective(model, X, y):
     """Regularized hinge loss of a fitted PegasosSVM's weights on (X, y)."""
     margins = (2.0 * y - 1.0) * (X @ model.coef_ + model.intercept_)
     hinge = np.maximum(0.0, 1.0 - margins).mean()
-    return 0.5 * model.lam * float(model.coef_ @ model.coef_) + float(hinge)
+    return 0.5 * learners.SVM_LAMBDA * float(model.coef_ @ model.coef_) + float(hinge)
 
 
 class TestLogisticRegression:
@@ -432,11 +427,13 @@ class TestLogisticRegression:
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
         y[:2] = [0, 1]
         order = np.array(data.draw(st.permutations(range(n))))
-        base = LogisticRegressionGD(epochs=50).fit(X, y)
-        for X2, y2 in ((X[order], y[order]), (np.repeat(X, 2, axis=0), np.repeat(y, 2))):
-            other = LogisticRegressionGD(epochs=50).fit(X2, y2)
-            assert other.coef_.tobytes() == base.coef_.tobytes()
-            assert other.intercept_ == base.intercept_
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learners, "LOGREG_EPOCHS", 50)
+            base = LogisticRegressionGD().fit(X, y)
+            for X2, y2 in ((X[order], y[order]), (np.repeat(X, 2, axis=0), np.repeat(y, 2))):
+                other = LogisticRegressionGD().fit(X2, y2)
+                assert other.coef_.tobytes() == base.coef_.tobytes()
+                assert other.intercept_ == base.intercept_
 
     def test_loss_curve_decreases(self, blobs):
         X, y = blobs
@@ -562,7 +559,7 @@ class TestPegasosSVM:
         ],
         ids=["blobs", "blobs-1-epoch", "two-rows", "two-rows-1-epoch", "repeated"],
     )
-    def test_matches_per_step_loop(self, blobs, case):
+    def test_matches_per_step_loop(self, blobs, case, monkeypatch):
         data, params = case
         if data == "blobs":
             X, y = blobs
@@ -573,7 +570,10 @@ class TestPegasosSVM:
             g = np.random.default_rng(3)
             X = g.integers(-2, 3, size=(300, 2)).astype(np.float64)
             y = (X[:, 0] - X[:, 1] + g.normal(size=300) > 0).astype(np.int64)
-        model = PegasosSVM(**params).fit(X, y)
+        for name, constant in (("epochs", "SVM_EPOCHS"), ("lam", "SVM_LAMBDA")):
+            if name in params:
+                monkeypatch.setattr(learners, constant, params[name])
+        model = PegasosSVM(seed=params.get("seed", 0)).fit(X, y)
         coef, intercept, n_iter = _pegasos_reference(X, y, **params)
         np.testing.assert_allclose(model.coef_, coef, rtol=1e-9)
         assert model.intercept_ == pytest.approx(intercept, rel=1e-9)

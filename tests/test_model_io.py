@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 
@@ -19,6 +20,7 @@ from domainsift.learners import (
     PegasosSVM,
 )
 from domainsift.model_io import (
+    KIND_REGISTRY,
     MODEL_FORMAT_VERSION,
     ModelFormatError,
     ModelIOError,
@@ -34,11 +36,29 @@ from conftest import (
     as_format_4,
     as_format_5,
     as_format_6,
+    as_format_7,
     make_blobs,
     read_model_document,
     write_model_document,
     write_single_document_model,
 )
+
+
+# each model's label in test ids: its class and the hyperparameters it is built with
+MODEL_LABELS = {
+    Standardizer: "Standardizer()",
+    C45Tree: "C45Tree(max_depth=25, min_leaf=5, cf=0.25, prune=True)",
+    KNNClassifier: "KNNClassifier(k=5)",
+    LogisticRegressionGD: "LogisticRegressionGD(lr=0.1, epochs=500, l2=0.0001, tol=1e-06)",
+    GaussianNaiveBayes: "GaussianNaiveBayes(var_floor=1e-09)",
+    PegasosSVM: "PegasosSVM(lam=0.0001, epochs=50, seed=0)",
+    MajorityVoteEnsemble: "MajorityVoteEnsemble(seed=0)",
+    KMeans: "KMeans(k=2, seed=0, max_iter=300, tol=0.0001)",
+}
+
+
+def model_id(value):
+    return MODEL_LABELS.get(type(value), str(value))[:16]
 
 
 def fitted_models():
@@ -50,7 +70,15 @@ def fitted_models():
     yield "kmeans", KMeans(k=2, seed=0).fit(X), X
 
 
-@pytest.mark.parametrize("name,model,X", list(fitted_models()), ids=lambda v: str(v)[:16])
+def test_constructor_parameters_of_registered_kinds():
+    # hyperparameters are constants: a seed, and k-means' k, are all a caller can set
+    parameters = {kind: list(inspect.signature(cls).parameters)
+                  for kind, cls in KIND_REGISTRY.items()}
+    assert parameters == {"standardizer": [], "c45": [], "knn": [], "logreg": [], "nb": [],
+                          "svm": ["seed"], "ensemble": ["seed"], "kmeans": ["k", "seed"]}
+
+
+@pytest.mark.parametrize("name,model,X", list(fitted_models()), ids=model_id)
 class TestRoundtrip:
     def test_roundtrip_behavior(self, name, model, X, tmp_path):
         path = tmp_path / "m.dsmodel"
@@ -108,8 +136,17 @@ class TestDocumentShape:
         X, y = make_blobs(n_per_class=20, seed=1)
         path = tmp_path / "ens.dsmodel"
         save_model(MajorityVoteEnsemble(seed=0).fit(X, y), path)
-        state = read_model_document(path)["payload"]["state"]
-        assert sorted(state) == ["members", "n_features_in", "standardizer"]
+        payload = read_model_document(path)["payload"]
+        assert sorted(payload) == ["members", "n_features_in", "standardizer"]
+        assert sorted(payload["members"]["svm"]) == ["coef", "intercept", "n_features_in"]
+
+    @pytest.mark.parametrize("name,model,X", list(fitted_models()), ids=model_id)
+    def test_loaded_model_holds_no_constructor_value(self, name, model, X, tmp_path):
+        # a seed is not part of the fitted state, so the file does not store it
+        path = tmp_path / "m.dsmodel"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert not hasattr(loaded, "seed") and not hasattr(loaded, "k")
 
     def test_canonical_encoding_once_per_save_never_on_load(self, tmp_path, monkeypatch):
         calls = []
@@ -154,7 +191,7 @@ class TestCorruption:
     def test_payload_tamper_breaks_checksum(self, path):
         line, body = path.read_bytes().split(b"\n", 1)
         doc = json.loads(body)
-        doc["payload"]["state"]["class_prior"][0] += 0.25
+        doc["payload"]["class_prior"][0] += 0.25
         path.write_bytes(line + b"\n" + json.dumps(doc).encode())
         with pytest.raises(ModelFormatError, match="checksum"):
             load_model(path)
@@ -246,7 +283,7 @@ class TestMalformedPayload:
         path = tmp_path / "knn.dsmodel"
         save_model(KNNClassifier().fit(*fitted), path)
         # what version 1 wrote: one document, and kNN's old chunk_size parameter
-        doc = read_model_document(path)
+        doc = as_format_7(read_model_document(path))
         doc["payload"]["params"]["chunk_size"] = None
         write_single_document_model(path, doc, version=1)
         with pytest.raises(ModelVersionError, match="version 1"):
@@ -255,7 +292,7 @@ class TestMalformedPayload:
     def test_version_2_file_refused(self, fitted, tmp_path):
         path = tmp_path / "knn.dsmodel"
         save_model(KNNClassifier().fit(*fitted), path)
-        write_single_document_model(path, read_model_document(path), version=2)
+        write_single_document_model(path, as_format_7(read_model_document(path)), version=2)
         with pytest.raises(ModelVersionError, match="version 2"):
             load_model(path)
 
@@ -294,30 +331,54 @@ class TestMalformedPayload:
         write_model_document(path, doc, version=6)
         with pytest.raises(ModelVersionError, match="version 6"):
             load_model(path)
-        # under the current header, the old parameters are unknown ones
+        # under the current header, a payload of params and state is refused
         write_model_document(path, doc)
-        with pytest.raises(ModelFormatError, match=r"payload\.params: missing \[\], unknown "
-                                                   r"\['member_params', 'members'\]"):
+        with pytest.raises(ModelFormatError, match=r"payload: missing \[.*\], "
+                                                   r"unknown \['params', 'state'\]"):
+            load_model(path)
+
+    def test_version_7_file_refused(self, fitted, tmp_path):
+        path = tmp_path / "ens.dsmodel"
+        save_model(MajorityVoteEnsemble(seed=0).fit(*fitted), path)
+        doc = as_format_7(read_model_document(path))
+        assert doc["payload"]["params"] == {"seed": 0}
+        assert doc["payload"]["state"]["members"]["knn"]["params"] == {"k": 5}
+        write_model_document(path, doc, version=7)
+        with pytest.raises(ModelVersionError, match="version 7"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: {"params": {"k": 5}, "state": p},
+        lambda p: {**p, "params": {"k": 5}},
+    ], ids=["wrapping_state", "next_to_state"])
+    def test_params_key_is_format_error(self, fitted, tmp_path, edit):
+        path = tmp_path / "knn.dsmodel"
+        save_model(KNNClassifier().fit(*fitted), path)
+        doc = read_model_document(path)
+        doc["payload"] = edit(doc["payload"])
+        write_model_document(path, doc)
+        with pytest.raises(ModelFormatError, match=r"unknown \['params'"):
             load_model(path)
 
     def test_unknown_param_is_format_error(self, fitted, tmp_path):
         path = tmp_path / "knn.dsmodel"
         save_model(KNNClassifier().fit(*fitted), path)
-        rewrite_payload(path, lambda p: p["params"].update(chunk_size=7))
-        with pytest.raises(ModelFormatError, match="chunk_size"):
+        rewrite_payload(path, lambda p: p.update(chunk_size=7))
+        with pytest.raises(ModelFormatError,
+                           match=r"payload: missing \[\], unknown \['chunk_size'\]"):
             load_model(path)
 
     def test_missing_state_field_is_format_error(self, fitted, tmp_path):
         path = tmp_path / "tree.dsmodel"
         save_model(C45Tree().fit(*fitted), path)
-        rewrite_payload(path, lambda p: p["state"].pop("tree"))
+        rewrite_payload(path, lambda p: p.pop("tree"))
         with pytest.raises(ModelFormatError, match="tree"):
             load_model(path)
 
     def test_missing_member_field_is_format_error(self, fitted, tmp_path):
         path = tmp_path / "ens.dsmodel"
         save_model(MajorityVoteEnsemble(seed=0).fit(*fitted), path)
-        rewrite_payload(path, lambda p: p["state"]["members"]["c45"]["state"].pop("tree"))
+        rewrite_payload(path, lambda p: p["members"]["c45"].pop("tree"))
         with pytest.raises(ModelFormatError):
             load_model(path, expected_kind="ensemble")
 
@@ -344,9 +405,9 @@ class TestAtomicity:
         target = tmp_path / "m.dsmodel"
         save_model(C45Tree().fit(X, y), target)
         first = target.read_bytes()
-        save_model(C45Tree(max_depth=1).fit(X, y), target)
+        save_model(C45Tree().fit(X, 1 - y), target)
         assert target.read_bytes() != first
-        assert load_model(target).max_depth == 1
+        np.testing.assert_array_equal(load_model(target).predict(X), 1 - y)
 
     def test_unregistered_type_rejected(self, tmp_path):
         class Weird:
@@ -357,53 +418,49 @@ class TestAtomicity:
 
 
 def _member(payload, kind):
-    return payload["state"]["members"][kind]
+    return payload["members"][kind]
 
 
 def _set_root_feature(payload):
-    tree = _member(payload, "c45")["state"]["tree"]
+    tree = _member(payload, "c45")["tree"]
     assert "feature" in tree, "the fixture tree must split at its root"
     tree["feature"] = 99
 
 
 def _drop_knn_columns(payload):
-    state = _member(payload, "knn")["state"]
+    state = _member(payload, "knn")
     state["X"] = [row[:7] for row in state["X"]]
 
 
 def _shorten_knn_y(payload):
-    del _member(payload, "knn")["state"]["y"][-50:]
+    del _member(payload, "knn")["y"][-50:]
 
 
 def _set_knn_row(value):
     """An edit setting one kNN ``row`` entry to ``value(m)``, m the stored row count."""
     def edit(payload):
-        state = _member(payload, "knn")["state"]
+        state = _member(payload, "knn")
         state["row"][3] = value(len(state["X"]))
     return edit
 
 
-def _knn_k_above_n(payload):
-    knn = _member(payload, "knn")
-    knn["params"]["k"] = len(knn["state"]["y"]) + 1
+def _knn_rows_below_k(payload):
+    # 4 training rows, consistent with each other, are fewer than the 5 neighbours that vote
+    state = _member(payload, "knn")
+    del state["row"][4:], state["y"][4:]
 
 
 def _negative_nb_variance(payload):
-    _member(payload, "nb")["state"]["var"][0][0] = -1
+    _member(payload, "nb")["var"][0][0] = -1
 
 
 def _rename_member(payload):
-    members = payload["state"]["members"]
+    members = payload["members"]
     members["KNN"] = members.pop("knn")
 
 
 def _sixth_member(payload):
-    payload["state"]["members"]["knn2"] = _member(payload, "knn")
-
-
-def _swap_logreg_and_svm(payload):
-    members = payload["state"]["members"]
-    members["logreg"], members["svm"] = members["svm"], members["logreg"]
+    payload["members"]["knn2"] = _member(payload, "knn")
 
 
 # checksum-valid edits of a trained ensemble that used to load and then crash,
@@ -411,23 +468,26 @@ def _swap_logreg_and_svm(payload):
 STATE_EDITS = {
     "c45_root_feature_99": _set_root_feature,
     "knn_y_50_short": _shorten_knn_y,
-    "knn_k_string": lambda p: _member(p, "knn")["params"].update(k="5"),
-    "knn_k_zero": lambda p: _member(p, "knn")["params"].update(k=0),
-    "four_members": lambda p: p["state"]["members"].pop("svm"),
+    # k is a constant: a file cannot set it
+    "knn_k_string": lambda p: _member(p, "knn").update(k="5"),
+    "knn_k_zero": lambda p: _member(p, "knn").update(k=0),
+    "four_members": lambda p: p["members"].pop("svm"),
     "six_members": _sixth_member,
     "member_renamed_KNN": _rename_member,
-    "logreg_and_svm_swapped": _swap_logreg_and_svm,
     "knn_uses_standardizer_false": lambda p: _member(p, "knn").update(uses_standardizer=False),
     "nb_negative_variance": _negative_nb_variance,
-    "ensemble_width_string": lambda p: p["state"].update(n_features_in="8"),
+    "ensemble_width_string": lambda p: p.update(n_features_in="8"),
     "knn_X_7_columns": _drop_knn_columns,
-    "logreg_coef_7_entries": lambda p: _member(p, "logreg")["state"]["coef"].pop(),
-    "ensemble_version_9": lambda p: p["state"].update(version=9),
+    "logreg_coef_7_entries": lambda p: _member(p, "logreg")["coef"].pop(),
+    "ensemble_version_9": lambda p: p.update(version=9),
     "knn_row_equal_to_m": _set_knn_row(lambda m: m),
     "knn_row_negative": _set_knn_row(lambda m: -1),
-    "knn_row_one_short": lambda p: _member(p, "knn")["state"]["row"].pop(),
-    "knn_k_above_n": _knn_k_above_n,
-    "fingerprint": lambda p: p["state"].update(fingerprint={"n_rows": 500, "sha256": "0" * 64}),
+    "knn_row_one_short": lambda p: _member(p, "knn")["row"].pop(),
+    "knn_k_above_n": lambda p: _member(p, "knn").update(k=len(_member(p, "knn")["y"]) + 1),
+    "knn_rows_below_k": _knn_rows_below_k,
+    "fingerprint": lambda p: p.update(fingerprint={"n_rows": 500, "sha256": "0" * 64}),
+    "ensemble_params": lambda p: p.update(params={"seed": 0}),
+    "svm_params": lambda p: _member(p, "svm").update(params={"seed": 0}),
 }
 
 
@@ -459,7 +519,7 @@ class TestStateChecks:
         assert load_model(trained / "model.dsmodel").n_features_in_ == 8
 
     def test_knn_stores_distinct_rows(self, trained):
-        state = _member(read_model_document(trained / "model.dsmodel")["payload"], "knn")["state"]
+        state = _member(read_model_document(trained / "model.dsmodel")["payload"], "knn")
         assert len(state["row"]) == len(state["y"]) == 500
         assert len(state["X"]) == len(set(map(tuple, state["X"]))) < 500
         assert sorted(set(state["row"])) == list(range(len(state["X"])))
@@ -565,7 +625,7 @@ class TestFuzz:
     def test_mutated_knn_field(self, saved, tmp_path, field, how):
         # every kNN state field, whole and at one entry, whichever paths the sample draws
         doc, _ = saved
-        at = ("state", "members", "knn", "state", field)
+        at = ("members", "knn", field)
         for path in (at, (*at, 0), (*at, 5)):
             self.check_mutation(doc, path, how, tmp_path)
 

@@ -26,10 +26,10 @@ class TestStandardizer:
         assert s.scale_[0] == STD_FLOOR
         np.testing.assert_allclose(s.transform(X), 0.0)
 
-    def test_single_vector_promoted_to_row(self):
+    def test_single_vector_refused(self):
         s = Standardizer().fit(np.array([[0.0, 10.0], [2.0, 20.0]]))
-        got = s.transform(np.array([0.0, 10.0]))
-        np.testing.assert_allclose(got, [[-1.0, -1.0]])
+        with pytest.raises(ValueError, match="X must be 2-dimensional, got 1 dimensions"):
+            s.transform(np.array([0.0, 10.0]))
 
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
