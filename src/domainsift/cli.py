@@ -93,19 +93,21 @@ def _load_data(path, mode, max_rows=None, allow_features=True):
         fmt, head = _sniff_format(fh, path)
         log.info("input %s detected as %s corpus", path, fmt)
         stream = _Replayed(head, fh)
-        if fmt == "features":
-            if not allow_features:
-                raise corpus.ParseError(
-                    f"{path} is a feature CSV; this command needs a domain corpus"
-                )
-            X, y = read_feature_csv(stream)
-            return LoadedData(table=None, X=X, y=y)
-        if fmt == "census":
-            table, stats = corpus.parse_census_lines(stream, max_rows=max_rows, mode=mode)
-        elif fmt == "labeled":
-            table, stats = corpus.parse_labeled_csv(stream, mode=mode, max_rows=max_rows)
-        else:
-            table, stats = corpus.parse_domain_lines(stream, mode=mode, max_rows=max_rows)
+        if fmt == "features" and not allow_features:
+            raise corpus.ParseError(f"{path} is a feature CSV; this command needs a domain corpus")
+        # a parser's own errors name the row; the path is added here
+        try:
+            if fmt == "features":
+                X, y = read_feature_csv(stream)
+                return LoadedData(table=None, X=X, y=y)
+            if fmt == "census":
+                table, stats = corpus.parse_census_lines(stream, max_rows=max_rows, mode=mode)
+            elif fmt == "labeled":
+                table, stats = corpus.parse_labeled_csv(stream, mode=mode, max_rows=max_rows)
+            else:
+                table, stats = corpus.parse_domain_lines(stream, mode=mode, max_rows=max_rows)
+        except corpus.ParseError as exc:
+            raise corpus.ParseError(f"{path}: {exc}") from None
     for reason in stats.errors:
         log.warning("skipped %s", reason)
     table, conflicts = corpus.dedupe(table)

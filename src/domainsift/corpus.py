@@ -206,11 +206,10 @@ def parse_labeled_csv(stream, mode="second_level_label", max_rows=None):
     consumed, skipped ones included (None reads everything).
     """
     mode = resolve_mode(mode)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("labeled CSV is empty: no header row") from None
+    rows = csv_rows(stream, "labeled CSV")
+    _, header = next(rows, (None, None))
+    if header is None:
+        raise ParseError("labeled CSV is empty: no header row")
     index = {name.strip().lower(): i for i, name in enumerate(header)}
     columns = {}
     for name in ("host", "domain", "class"):
@@ -222,7 +221,7 @@ def parse_labeled_csv(stream, mode="second_level_label", max_rows=None):
 
     hosts, parts, labels = [], [], []
     stats = CorpusStats()
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in rows:
         if max_rows is not None and stats.total_rows >= max_rows:
             break
         if not row or all(not cell.strip() for cell in row):
@@ -246,6 +245,18 @@ def parse_labeled_csv(stream, mode="second_level_label", max_rows=None):
         hosts.append(host)
         labels.append(CLASS_LABELS[cls])
     return DomainTable(hosts, parts, np.array(labels, dtype=np.int64)), stats
+
+
+def csv_rows(stream, what):
+    """The rows of CSV text ``stream`` as ``(row number, cells)``, the first row
+    numbered 1; a row the csv module cannot read (an over-long field, often from
+    a stray quote) raises :class:`ParseError` naming ``what`` and the row."""
+    row_no = 0
+    try:
+        for row_no, row in enumerate(csv.reader(stream), start=1):
+            yield row_no, row
+    except csv.Error as exc:
+        raise ParseError(f"{what} row {row_no + 1}: {exc}") from None
 
 
 def _line_blocks(stream):

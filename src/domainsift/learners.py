@@ -28,8 +28,9 @@ from .base import (
 
 _EPS = 1e-12
 
-# cells of the query-by-stored-row distance block kNN holds at once (32 MB of float64)
-KNN_BLOCK_CELLS = 4_000_000
+# cells of the query-by-stored-row distance block kNN holds at once (256 KB of
+# float64, so a block stays in cache and its product stays on one BLAS thread)
+KNN_BLOCK_CELLS = 32_768
 
 # the learners' hyperparameters, fixed by the method
 TREE_MAX_DEPTH = 25  # most edges from the root to a leaf
@@ -262,6 +263,11 @@ class KNNClassifier:
     to the m distinct rows only; rows strictly closer than the k-th distance
     vote with all their labels, and the free slots go to the lowest training
     indices among the rows at exactly the k-th distance.
+
+    Queries are scored in blocks of ``KNN_BLOCK_CELLS // m`` rows (256 KB of
+    distances), each voted with whole-array operations. The per-row rule
+    runs only for a query whose k-th distance is held by more than one
+    stored row, or is NaN.
     """
 
     FITTED_FIELDS = (
@@ -288,48 +294,76 @@ class KNNClassifier:
         X = _validate_predict(self, X)
         m = self.X_.shape[0]
         counts = np.bincount(self.row_, minlength=m)
-        ones = np.bincount(self.row_, weights=self.y_, minlength=m)
+        # the training indices grouped by stored row, each group ascending from start[j]
+        order = np.argsort(self.row_, kind="stable")
+        start = np.cumsum(counts) - counts
+        # firsts[j, f]: the labels of the f lowest training indices of stored row j, summed
+        labels = np.concatenate([[0], np.cumsum(self.y_[order])])
+        ends = start[:, None] + np.minimum(np.arange(KNN_K + 1), counts[:, None])
+        firsts = labels[ends] - labels[start[:, None]]
         # a stored row that no training row uses (only an edited file has one) cannot vote
         used = np.flatnonzero(counts)
-        counts = counts[used]
-        # the training indices of each used stored row, ascending
-        groups = np.split(np.argsort(self.row_, kind="stable"), np.cumsum(counts)[:-1])
-        stored = self.X_[used], counts, ones[used], groups
+        X_ = self.X_[used]
+        stored = X_, np.sum(X_ * X_, axis=1), counts[used], firsts[used], order, start[used]
         rows = max(1, KNN_BLOCK_CELLS // used.size)
         return np.concatenate([
             self._predict_block(X[i : i + rows], *stored) for i in range(0, X.shape[0], rows)
         ])
 
-    def _predict_block(self, X, X_, counts, ones, groups):
+    def _predict_block(self, X, X_, sq, counts, firsts, order, start):
         # squared distances |q|^2 - 2 q.x + |x|^2, computed in place; monotone in distance
         d2 = X @ X_.T
         d2 *= -2.0
         d2 += np.sum(X * X, axis=1)[:, None]
-        d2 += np.sum(X_ * X_, axis=1)
+        d2 += sq
         np.maximum(d2, 0.0, out=d2)
         k = KNN_K
         last = min(k, d2.shape[1]) - 1
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for i, row in enumerate(d2):
-            # each stored row holds at least one training row, so the k nearest ones
-            # reach the k-th distance, and every row closer than it is among them
-            near = np.argpartition(row, last)[: last + 1]
-            near = near[np.argsort(row[near])]
-            kth = row[near[np.searchsorted(np.cumsum(counts[near]), k)]]
-            closer = near[row[near] < kth]
-            free = k - int(counts[closer].sum())
-            # fill the free slots with the lowest training indices at the k-th distance
-            # (tied is empty only when that distance is NaN, from overflowed inputs)
-            tied = [groups[j][:free] for j in np.flatnonzero(row == kth)]
-            taken = np.sort(np.concatenate([groups[0][:0], *tied]))[:free]
-            votes_for_1 = int(ones[closer].sum()) + int(self.y_[taken].sum())
-            out[i] = 1 if 2 * votes_for_1 > k else 0
+        # each stored row holds at least one training row, so the k nearest ones
+        # reach the k-th distance, and every row closer than it is among them
+        near = np.argpartition(d2, last, axis=1)[:, : last + 1]
+        near = np.take_along_axis(near, np.argsort(np.take_along_axis(d2, near, 1), 1), 1)
+        held = np.cumsum(counts[near], axis=1)
+        # at: the place in near of the stored row that holds the k-th neighbour
+        at = (held < k).sum(axis=1)[:, None]
+        kth_row = np.take_along_axis(near, at, 1)[:, 0]
+        kth = d2[np.arange(d2.shape[0]), kth_row]
+        # the rows before it hold fewer than k training rows, so firsts[:, k] is all
+        # their labels; they vote with all of them, and the k-th row's lowest training
+        # indices fill the free slots
+        ones = firsts[near, k]
+        closer = np.take_along_axis(held - counts[near], at, 1)[:, 0]
+        closer_ones = np.take_along_axis(np.cumsum(ones, axis=1) - ones, at, 1)[:, 0]
+        votes_for_1 = closer_ones + firsts[kth_row, k - closer]
+        out = (2 * votes_for_1 > k).astype(np.int64)
+        # that is the vote only when the k-th row is alone at the k-th distance; a tie
+        # there, or a NaN distance from overflowed inputs, takes the full rule
+        for i in np.flatnonzero((d2 == kth[:, None]).sum(axis=1) != 1):
+            out[i] = self._vote_row(d2[i], counts, firsts[:, k], order, start)
         return out
+
+    def _vote_row(self, row, counts, ones, order, start):
+        """One query's vote from its distances ``row`` to the stored rows, with any
+        number of stored rows at the k-th distance. ``ones`` is read only for the
+        stored rows closer than that distance, which hold fewer than k training rows."""
+        k = KNN_K
+        last = min(k, row.size) - 1
+        near = np.argpartition(row, last)[: last + 1]
+        near = near[np.argsort(row[near])]
+        kth = row[near[np.searchsorted(np.cumsum(counts[near]), k)]]
+        closer = near[row[near] < kth]
+        free = k - int(counts[closer].sum())
+        # fill the free slots with the lowest training indices at the k-th distance
+        # (tied is empty only when that distance is NaN, from overflowed inputs)
+        tied = [order[start[j] : start[j] + counts[j]][:free] for j in np.flatnonzero(row == kth)]
+        taken = np.sort(np.concatenate([order[:0], *tied]))[:free]
+        votes_for_1 = int(ones[closer].sum()) + int(self.y_[taken].sum())
+        return 1 if 2 * votes_for_1 > k else 0
 
 
 def _check_k(n_train):
     if KNN_K > n_train:
-        raise ValueError(f"k={KNN_K} exceeds the {n_train} training samples; use a smaller k")
+        raise ValueError(f"knn needs at least k={KNN_K} training rows, got {n_train}")
 
 
 # ---------------------------------------------------------------------------

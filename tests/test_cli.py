@@ -522,6 +522,31 @@ class TestExitCodes:
                           " got 3 among 4 rows"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "analyze", "predict", "extract"])
+    def test_stray_quote_in_labeled_csv_is_one_error_line(self, sld_model, tmp_path, capsys,
+                                                          command):
+        # a stray quote opens a field that swallows the rest of the file, past the csv
+        # module's field limit of 131,072 characters
+        rows = [f"www.name{i:05d}.com,name{i:05d},{'dga' if i % 3 else 'legit'}\n"
+                for i in range(5000)]
+        rows[1] = '"' + rows[1]
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_text("host,domain,class\n" + "".join(rows))
+        out = str(tmp_path / "out")
+        argv = {
+            "train": ["--out", out],
+            "evaluate": ["--model", sld_model],
+            "analyze": ["--out", out],
+            "predict": ["--model", sld_model, "--out", out],
+            "extract": ["--out", out],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--in", str(labeled), *argv]) == 1
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        assert (f"ERROR domainsift: corpus error: {labeled}: labeled CSV row 3: "
+                "field larger than field limit (131072)") in err.splitlines()
+
     def test_bad_config_is_data_error(self, workdir, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense_key = 1\n")

@@ -116,6 +116,12 @@ class TestParseLabeledCsv:
         with pytest.raises(ParseError):
             parse_labeled_csv(io.StringIO(""))
 
+    def test_unreadable_row_is_a_parse_error(self):
+        # a stray quote swallows the rest into one field past the csv field limit
+        text = "host,domain,class\na.com,a,legit\n" + '"' + "b.com,b,dga\n" * 12_000
+        with pytest.raises(ParseError, match=r"^labeled CSV row 3: field larger than field limit"):
+            parse_labeled_csv(io.StringIO(text))
+
     def test_header_case_insensitive(self):
         csv = "Host,Domain,Class\na.com,a.com,legit\n"
         records, _ = parse_labeled_csv(io.StringIO(csv), mode="full")

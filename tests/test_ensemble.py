@@ -108,7 +108,7 @@ class TestFit:
     def test_member_failure_names_member(self):
         # 4 training rows are fewer than knn's k=5 neighbours
         X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
-        with pytest.raises(RuntimeError, match="member 'knn' failed: k=5 exceeds"):
+        with pytest.raises(RuntimeError, match="member 'knn' failed: knn needs at least k=5 training rows, got 4"):
             MajorityVoteEnsemble().fit(X, np.array([0, 1, 0, 1]))
 
     def test_single_class_rejected(self):

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from domainsift import features
-from domainsift.corpus import DomainTable
+from domainsift.corpus import DomainTable, ParseError
 from domainsift.features import (
     FEATURE_NAMES,
     N_FEATURES,
@@ -188,3 +188,9 @@ class TestFeatureCsv:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
             read_feature_csv(io.StringIO(""))
+
+    def test_unreadable_row_is_a_parse_error(self):
+        # a stray quote swallows the rest into one field past the csv field limit
+        text = ",".join(FEATURE_NAMES) + "\n" + "1,2,3,4,5,6,0.5,0.5\n" * 2 + '"' + "x" * 140_000
+        with pytest.raises(ParseError, match=r"^feature CSV row 4: field larger than field limit"):
+            read_feature_csv(io.StringIO(text))

@@ -247,8 +247,8 @@ class TestKNN:
         model = KNNClassifier().fit(X, y)
         assert (model.predict(X) == 0).all()
 
-    def test_k_too_large_suggests_smaller(self):
-        with pytest.raises(ValueError, match="k=5 exceeds the 4 training samples; use a smaller"):
+    def test_too_few_rows_names_the_minimum(self):
+        with pytest.raises(ValueError, match=r"^knn needs at least k=5 training rows, got 4$"):
             KNNClassifier().fit(SEP_X, SEP_Y)
 
     def test_distance_tie_prefers_lower_index(self, monkeypatch):
@@ -303,6 +303,72 @@ class TestKNN:
                 model.predict(queries),
                 _knn_reference(model.X_[model.row_], model.y_, k, queries),
             )
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_block_size_does_not_matter(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        d = data.draw(st.integers(1, 3), label="d")
+        # few values per cell, so distances tie often
+        cells = st.integers(-2, 2).map(float)
+
+        def matrix(min_rows, max_rows):
+            return st.lists(st.lists(cells, min_size=d, max_size=d),
+                            min_size=min_rows, max_size=max_rows).map(np.array)
+
+        X = data.draw(matrix(n, n), label="X")
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        k = data.draw(st.integers(1, min(9, n)), label="k")
+        queries = data.draw(matrix(1, 30), label="Q")
+        block = KNNClassifier._predict_block
+        sizes = []
+        default_cells = learners.KNN_BLOCK_CELLS
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learners, "KNN_K", k)
+            model = KNNClassifier().fit(X, y)
+            if data.draw(st.booleans(), label="edited"):
+                # the hand-edited state of test_matches_all_rows_oracle
+                m = model.X_.shape[0]
+                model.X_ = np.vstack([model.X_, model.X_[:1], np.full((1, d), 7.0)])
+                moved = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                model.row_ = np.where(moved & (model.row_ == 0), m, model.row_)
+            used = np.unique(model.row_).size  # the stored rows a distance is measured to
+            mp.setattr(KNNClassifier, "_predict_block",
+                       lambda self, Q, *stored: sizes.append(len(Q)) or block(self, Q, *stored))
+            predictions = []
+            # one query row per block, a few, and the default
+            for block_cells in (1, 3 * used, default_cells):
+                mp.setattr(learners, "KNN_BLOCK_CELLS", block_cells)
+                sizes.clear()
+                predictions.append(model.predict(queries))
+                assert sum(sizes) == len(queries)
+                assert max(sizes) <= max(1, block_cells // used)
+        np.testing.assert_array_equal(predictions[0], predictions[1])
+        np.testing.assert_array_equal(predictions[0], predictions[2])
+
+    def test_ties_and_nan_take_the_full_rule(self, monkeypatch):
+        # stored rows -1 (indices 0, 1), 1 (2, 3, 4), 4 (5, 6) and 1e200 (7)
+        X = np.array([[-1.0], [-1.0], [1.0], [1.0], [1.0], [4.0], [4.0], [1e200]])
+        y = np.array([1, 1, 0, 0, 1, 0, 1, 0])
+        model = KNNClassifier().fit(X, y)
+        full_rule = []
+        vote_row = KNNClassifier._vote_row
+        monkeypatch.setattr(KNNClassifier, "_vote_row",
+                            lambda self, row, *a: full_rule.append(row) or vote_row(self, row, *a))
+        # 0 and 2.5 lie midway between two stored rows that share the k-th distance;
+        # +-1e200 overflow |q|^2, so every distance is inf (NaN against 1e200) and
+        # all stored rows tie; at 3 the k-th distance is held by stored row 1 alone
+        queries = np.array([[0.0], [1e200], [2.5], [-1e200], [3.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert model.predict(queries).tolist() == [1, 1, 0, 1, 0]
+        assert len(full_rule) == 4
+        # a k-th distance that is NaN: no stored row sits at it, so none fills a slot
+        model = KNNClassifier().fit(np.array([[1e200]] * 3 + [[-1e200]] * 2), np.array([1, 1, 1, 0, 0]))
+        full_rule.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert model.predict(np.array([[1e200]])).tolist() == [0]
+        assert len(full_rule) == 1 and np.isnan(full_rule[0]).any()
 
 
 def _knn_reference(X_train, y_train, k, X):
