@@ -4,7 +4,8 @@ Legitimate-style domains are concatenations of 2-3 words from a bundled
 wordlist; DGA-style domains are uniform random [a-z0-9] strings of length
 12-25, mirroring the class ratio and character profile of real corpora.
 Everything is seeded and produces unique domains, so generated corpora are
-reproducible and dedupe-stable.
+reproducible and dedupe-stable. The generators import ``draws`` only when
+they run (its docstring says why).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import gzip
 from importlib import resources
+from itertools import groupby
 
 import numpy as np
 
@@ -23,6 +25,7 @@ DEFAULT_N_LEGIT = 20_000
 DEFAULT_N_DGA = 13_000
 
 TLDS = (".com", ".net", ".org", ".info", ".biz")
+_OCTETS = tuple(str(v) for v in range(256))
 
 _WORDS = None
 
@@ -47,30 +50,21 @@ def load_wordlist():
 
 def generate_legit_domains(n, rng):
     """n unique word-concatenation domains (2-3 words each)."""
-    words = load_wordlist()
-    out = []
-    seen = set()
-    while len(out) < n:
-        count = int(rng.integers(2, 4))
-        picks = rng.integers(0, len(words), size=count)
-        domain = "".join(words[i] for i in picks)
-        if domain not in seen:
-            seen.add(domain)
-            out.append(domain)
+    from .draws import BoundedDraws
+
+    draws = BoundedDraws(rng)
+    out = draws.names(n, (2, 3), load_wordlist(), set())
+    draws.close()
     return out
 
 
 def generate_dga_domains(n, rng, exclude=()):
     """n unique uniform-random [a-z0-9] domains, lengths 12-25."""
-    out = []
-    seen = set(exclude)
-    while len(out) < n:
-        length = int(rng.integers(DGA_MIN_LEN, DGA_MAX_LEN + 1))
-        chars = rng.integers(0, len(DGA_ALPHABET), size=length)
-        domain = "".join(DGA_ALPHABET[i] for i in chars)
-        if domain not in seen:
-            seen.add(domain)
-            out.append(domain)
+    from .draws import BoundedDraws
+
+    draws = BoundedDraws(rng)
+    out = draws.names(n, range(DGA_MIN_LEN, DGA_MAX_LEN + 1), DGA_ALPHABET, set(exclude))
+    draws.close()
     return out
 
 
@@ -84,7 +78,7 @@ def generate_labeled_corpus(n_legit=DEFAULT_N_LEGIT, n_dga=DEFAULT_N_DGA, seed=0
         [np.zeros(n_legit, dtype=np.int64), np.ones(n_dga, dtype=np.int64)]
     )
     order = rng.permutation(len(domains))
-    return [domains[i] for i in order], labels[order]
+    return [domains[i] for i in order.tolist()], labels[order]
 
 
 def generate_census(n=30_000, dga_fraction=0.1, seed=0):
@@ -94,6 +88,8 @@ def generate_census(n=30_000, dga_fraction=0.1, seed=0):
     keep it), ips are synthetic dotted quads, and truth marks the planted
     DGA rows with 1.
     """
+    from .draws import BoundedDraws
+
     if not 0.0 <= dga_fraction <= 1.0:
         raise ValueError(f"dga_fraction must be in [0, 1], got {dga_fraction}")
     rng = np.random.default_rng(seed)
@@ -101,38 +97,55 @@ def generate_census(n=30_000, dga_fraction=0.1, seed=0):
     n_legit = n - n_dga
     legit = generate_legit_domains(n_legit, rng)
     dga = generate_dga_domains(n_dga, rng, exclude=legit)
-    names = legit + dga
     truth = np.concatenate(
         [np.zeros(n_legit, dtype=np.int64), np.ones(n_dga, dtype=np.int64)]
     )
-    hosts = [name + TLDS[int(rng.integers(len(TLDS)))] for name in names]
+    draws = BoundedDraws(rng)
+    hosts = [name + TLDS[t] for name, t in zip(legit + dga, draws.below(len(TLDS), n))]
+    draws.close()
     octets = rng.integers(1, 255, size=(n, 4))
-    ips = [".".join(str(v) for v in row) for row in octets]
+    ips = [f"{_OCTETS[a]}.{_OCTETS[b]}.{_OCTETS[c]}.{_OCTETS[d]}"
+           for a, b, c, d in octets.tolist()]
     order = rng.permutation(n)
-    return [hosts[i] for i in order], [ips[i] for i in order], truth[order]
+    index = order.tolist()
+    return [hosts[i] for i in index], [ips[i] for i in index], truth[order]
+
+
+def _write_csv(path, header, rows):
+    r"""CSV file with "\n" line ends. A row whose first field holds a "\r" is
+    quoted in full: minimal quoting leaves a bare "\r", where a reader would
+    end the row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        minimal = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        minimal.writerow(header)
+        for bare_cr, group in groupby(rows, key=lambda row: "\r" in row[0]):
+            (quoted if bare_cr else minimal).writerows(group)
 
 
 def write_labeled_csv(path, domains, labels):
     """Labeled corpus file in host,domain,class form ("www.<domain>.com")."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["host", "domain", "class"])
-        for domain, label in zip(domains, labels):
-            writer.writerow([f"www.{domain}.com", domain, "dga" if label else "legit"])
+    _write_csv(
+        path,
+        ["host", "domain", "class"],
+        ((f"www.{domain}.com", domain, "dga" if label else "legit")
+         for domain, label in zip(domains, labels)),
+    )
 
 
 def write_census_file(path, hosts, ips):
-    """Census export lines "host<TAB>ip"; gzip-compressed for .gz paths."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wt", encoding="utf-8") as fh:
-        for host, ip in zip(hosts, ips):
-            fh.write(f"{host}\t{ip}\n")
+    """Census export lines "host<TAB>ip"; gzip-compressed for .gz paths.
+
+    The gzip header carries no timestamp, so a census gives the same bytes
+    on every run.
+    """
+    data = "".join([f"{host}\t{ip}\n" for host, ip in zip(hosts, ips)]).encode("utf-8")
+    if str(path).endswith(".gz"):
+        data = gzip.compress(data, mtime=0)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def write_truth_csv(path, hosts, truth):
     """Planted ground truth for a generated census: host,label rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["host", "label"])
-        for host, label in zip(hosts, truth):
-            writer.writerow([host, int(label)])
+    _write_csv(path, ["host", "label"], zip(hosts, map(int, truth)))

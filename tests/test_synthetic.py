@@ -1,10 +1,13 @@
 import csv
 import gzip
+import hashlib
 import string
+import time
 
 import numpy as np
 import pytest
 
+from domainsift.cli import main
 from domainsift.synthetic import (
     DGA_ALPHABET,
     DGA_MAX_LEN,
@@ -130,6 +133,69 @@ class TestWriters:
             rows = list(csv.reader(fh))
         assert rows[0] == ["host", "label"]
         assert sum(int(r[1]) for r in rows[1:]) == int(truth.sum())
+
+
+def sha16(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+class TestGenerateGolden:
+    """A seed's corpora are byte-stable: digests of labeled.csv, census.tsv
+    and census_truth.csv (sha256, first 16 hex digits)."""
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["--seed", "7", "--n-legit", "300", "--n-dga", "200", "--census-n", "400"],
+         ("fc9a86f33465bd0b", "26a372e554fa0754", "282479129f065951")),
+        (["--seed", "42", "--census-n", "10000"],
+         ("1053b731727ecfc0", "19b57288f34ce70d", "34ff125303b3fc38")),
+        (["--seed", "3", "--n-legit", "50", "--n-dga", "40", "--census-n", "0"],
+         ("13437c3d1f04acaa", "e3b0c44298fc1c14", "a83e271391885d18")),
+        (["--seed", "5", "--n-legit", "30", "--n-dga", "20", "--census-n", "300",
+          "--dga-fraction", "0"],
+         ("ada4bb68900aa87b", "f799a8ba7eed4650", "a61f4a3717bdda46")),
+        (["--seed", "5", "--n-legit", "30", "--n-dga", "20", "--census-n", "300",
+          "--dga-fraction", "1"],
+         ("ada4bb68900aa87b", "1acae2da666d8a31", "65d4301de5c813d8")),
+    ])
+    def test_digests(self, tmp_path, argv, digests):
+        assert main(["generate", "--out", str(tmp_path), *argv]) == 0
+        names = ("labeled.csv", "census.tsv", "census_truth.csv")
+        assert tuple(sha16(tmp_path / name) for name in names) == digests
+
+    def test_gzip_is_reproducible(self, tmp_path, monkeypatch):
+        argv = ["generate", "--seed", "7", "--n-legit", "300", "--n-dga", "200",
+                "--census-n", "400", "--gzip"]
+        for clock in (1e9, 2e9):  # gzip headers default to the current time
+            monkeypatch.setattr(time, "time", lambda: clock)
+            assert main([*argv, "--out", str(tmp_path / str(int(clock)))]) == 0
+        first, second = (tmp_path / d / "census.tsv.gz" for d in ("1000000000", "2000000000"))
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_bytes()[4:8] == bytes(4)  # header mtime field
+        assert hashlib.sha256(gzip.decompress(first.read_bytes())).hexdigest()[:16] == (
+            "26a372e554fa0754"
+        )
+
+
+class TestWriterRoundTrip:
+    ODD = ["a,b", 'q"uote', "new\nline", "cr\rlf", "crlf\r\n", "\r", '"', " sp ", "", "plain"]
+
+    def read(self, path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    def test_labeled_csv_reads_back(self, tmp_path):
+        labels = [i % 2 for i in range(len(self.ODD))]
+        write_labeled_csv(tmp_path / "l.csv", self.ODD, labels)
+        assert self.read(tmp_path / "l.csv")[1:] == [
+            [f"www.{d}.com", d, "dga" if y else "legit"] for d, y in zip(self.ODD, labels)
+        ]
+
+    def test_truth_csv_reads_back(self, tmp_path):
+        truth = np.arange(len(self.ODD)) % 2
+        write_truth_csv(tmp_path / "t.csv", self.ODD, truth)
+        assert self.read(tmp_path / "t.csv")[1:] == [
+            [h, str(y)] for h, y in zip(self.ODD, truth.tolist())
+        ]
 
 
 class TestWordlist:
