@@ -18,16 +18,13 @@ import itertools
 import logging
 import os
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import analytics, corpus, evaluate, reputation, synthetic
 from .base import distinct_rows
 from .cluster import KMeans, cluster_feature_histogram, write_centroids_csv
 from .config import load_config
 from .ensemble import MajorityVoteEnsemble
-from .features import FEATURE_NAMES, extract_features, read_feature_csv, write_feature_csv
+from .features import FEATURE_NAMES, extract_features, write_feature_csv
 from .model_io import ModelIOError, load_model, save_model
 
 log = logging.getLogger("domainsift")
@@ -37,15 +34,6 @@ DEFAULT_SEED = 42
 
 # ---------------------------------------------------------------------------
 # corpus loading
-
-
-@dataclass(slots=True)
-class LoadedData:
-    """A corpus reduced to its feature matrix, with its rows aligned."""
-
-    table: corpus.DomainTable | None  # None when the input was already a feature CSV
-    X: np.ndarray
-    y: np.ndarray | None
 
 
 class _Replayed:
@@ -87,25 +75,20 @@ def _sniff_format(fh, path):
     raise corpus.ParseError(f"{path}: file is empty")
 
 
-def _load_data(path, mode, max_rows=None, allow_features=True):
+def _load_data(path, mode, max_rows=None):
+    """The domain corpus at ``path``, parsed, deduplicated and reduced to features:
+    ``(table, X)``, with row i of ``X`` the features of row i of ``table``."""
     # the file is opened once, so a pipe works: the parser reads the sniffed lines again
     with corpus.open_corpus_text(path) as fh:
         fmt, head = _sniff_format(fh, path)
         log.info("input %s detected as %s corpus", path, fmt)
-        stream = _Replayed(head, fh)
-        if fmt == "features" and not allow_features:
+        if fmt == "features":
             raise corpus.ParseError(f"{path} is a feature CSV; this command needs a domain corpus")
+        parse = {"census": corpus.parse_census_lines, "labeled": corpus.parse_labeled_csv,
+                 "domains": corpus.parse_domain_lines}[fmt]
         # a parser's own errors name the row; the path is added here
         try:
-            if fmt == "features":
-                X, y = read_feature_csv(stream)
-                return LoadedData(table=None, X=X, y=y)
-            if fmt == "census":
-                table, stats = corpus.parse_census_lines(stream, max_rows=max_rows, mode=mode)
-            elif fmt == "labeled":
-                table, stats = corpus.parse_labeled_csv(stream, mode=mode, max_rows=max_rows)
-            else:
-                table, stats = corpus.parse_domain_lines(stream, mode=mode, max_rows=max_rows)
+            table, stats = parse(_Replayed(head, fh), mode=mode, max_rows=max_rows)
         except corpus.ParseError as exc:
             raise corpus.ParseError(f"{path}: {exc}") from None
     for reason in stats.errors:
@@ -117,13 +100,15 @@ def _load_data(path, mode, max_rows=None, allow_features=True):
     )
     if not len(table):
         raise corpus.ParseError(f"{path}: no usable rows")
-    X, y = extract_features(table)
-    return LoadedData(table=table, X=X, y=y)
+    X, _ = extract_features(table)
+    return table, X
 
 
-def _require_labels(data, path):
-    if data.y is None:
+def _require_labels(table, path):
+    """The labels of ``table``; an unlabeled corpus is an error."""
+    if table.label is None:
         raise corpus.ParseError(f"{path}: this command needs a fully labeled corpus")
+    return table.label
 
 
 # ---------------------------------------------------------------------------
@@ -192,49 +177,46 @@ def _write_histograms(out, histogram):
 
 def cmd_extract(args):
     opt = _prepare(args, mode_default="sld")
-    data = _load_data(args.in_path, opt["mode"], opt["max_rows"], allow_features=False)
+    table, X = _load_data(args.in_path, opt["mode"], opt["max_rows"])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_feature_csv(fh, data.X, data.y)
-    log.info("wrote %d feature rows to %s", data.X.shape[0], args.out)
+        write_feature_csv(fh, X, table.label)
+    log.info("wrote %d feature rows to %s", X.shape[0], args.out)
     return 0
 
 
 def cmd_analyze(args):
     opt = _prepare(args, mode_default="sld")
-    data = _load_data(args.in_path, opt["mode"], opt["max_rows"])
-    _require_labels(data, args.in_path)
+    table, X = _load_data(args.in_path, opt["mode"], opt["max_rows"])
+    y = _require_labels(table, args.in_path)
     out = _out_dir(args.out)
 
-    report = analytics.summarize(data.X, data.y)
+    report = analytics.summarize(X, y)
     with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
         analytics.write_summary_csv(fh, report)
 
-    table = analytics.correlation_table(data.X, data.y)
+    correlation = analytics.correlation_table(X, y)
     with open(os.path.join(out, "correlation.csv"), "w", encoding="utf-8", newline="") as fh:
-        analytics.write_correlation_csv(fh, table)
+        analytics.write_correlation_csv(fh, correlation)
 
-    _write_histograms(
-        out, lambda j, name: analytics.histogram_pdf(data.X[:, j], data.y, feature_name=name)
-    )
+    _write_histograms(out, lambda j, name: analytics.histogram_pdf(X[:, j], y, feature_name=name))
 
-    print(analytics.format_correlation_table(table))
+    print(analytics.format_correlation_table(correlation))
     log.info("analysis written to %s", out)
     return 0
 
 
 def cmd_train(args):
     opt = _prepare(args, mode_default="sld")
-    data = _load_data(args.in_path, opt["mode"], opt["max_rows"])
-    _require_labels(data, args.in_path)
-    model = MajorityVoteEnsemble(seed=opt["seed"]).fit(data.X, data.y)
+    table, X = _load_data(args.in_path, opt["mode"], opt["max_rows"])
+    model = MajorityVoteEnsemble(seed=opt["seed"]).fit(X, _require_labels(table, args.in_path))
     meta = {
         "source": os.path.basename(args.in_path),
         "mode": opt["mode"],
         "seed": opt["seed"],
-        "n_rows": int(data.X.shape[0]),
+        "n_rows": int(X.shape[0]),
     }
     info = save_model(model, args.out, metadata=meta)
-    log.info("saved ensemble (%d training rows) to %s", data.X.shape[0], args.out)
+    log.info("saved ensemble (%d training rows) to %s", X.shape[0], args.out)
     print(f"{info['path']}  sha256:{info['sha256'][:16]}  {info['bytes']} bytes")
     return 0
 
@@ -248,11 +230,11 @@ def cmd_evaluate(args):
     opt, model = _prepare_with_model(args) if args.model else (_prepare(args), None)
     if opt["cv"] and model is not None:
         raise ValueError("--cv refits the ensemble on every fold and cannot score --model")
-    data = _load_data(args.in_path, opt["mode"], opt["max_rows"])
-    _require_labels(data, args.in_path)
+    table, X = _load_data(args.in_path, opt["mode"], opt["max_rows"])
+    y = _require_labels(table, args.in_path)
 
     if opt["cv"]:
-        results = _cross_validate_members(opt, data)
+        results = _cross_validate_members(opt, X, y)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 evaluate.write_cv_csv(fh, results)
@@ -264,11 +246,11 @@ def cmd_evaluate(args):
         return 0
 
     train_idx, test_idx = evaluate.stratified_split(
-        data.y, test_fraction=opt["test_fraction"], seed=opt["seed"]
+        y, test_fraction=opt["test_fraction"], seed=opt["seed"]
     )
     if model is None:
-        model = MajorityVoteEnsemble(seed=opt["seed"]).fit(data.X[train_idx], data.y[train_idx])
-    rows = _member_rows(model, data.X[test_idx], data.y[test_idx])
+        model = MajorityVoteEnsemble(seed=opt["seed"]).fit(X[train_idx], y[train_idx])
+    rows = _member_rows(model, X[test_idx], y[test_idx])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             evaluate.write_report_csv(fh, rows)
@@ -276,11 +258,11 @@ def cmd_evaluate(args):
     return 0
 
 
-def _cross_validate_members(opt, data):
+def _cross_validate_members(opt, X, y):
     per_name = {}
-    for train_idx, test_idx in evaluate.stratified_kfold(data.y, opt["cv"], seed=opt["seed"]):
-        model = MajorityVoteEnsemble(seed=opt["seed"]).fit(data.X[train_idx], data.y[train_idx])
-        for name, _, m in _member_rows(model, data.X[test_idx], data.y[test_idx]):
+    for train_idx, test_idx in evaluate.stratified_kfold(y, opt["cv"], seed=opt["seed"]):
+        model = MajorityVoteEnsemble(seed=opt["seed"]).fit(X[train_idx], y[train_idx])
+        for name, _, m in _member_rows(model, X[test_idx], y[test_idx]):
             per_name.setdefault(name, []).append(m)
     return [(name, evaluate.summarize_folds(folds)) for name, folds in per_name.items()]
 
@@ -288,7 +270,7 @@ def _cross_validate_members(opt, data):
 def cmd_cluster(args):
     opt = _prepare(args, mode_default="full")
     # from here on the rows are needed only as distinct feature vectors
-    distinct = distinct_rows(_load_data(args.in_path, opt["mode"], opt["max_rows"]).X)
+    distinct = distinct_rows(_load_data(args.in_path, opt["mode"], opt["max_rows"])[1])
     model = KMeans(k=opt["k"], seed=opt["seed"]).fit(distinct)
     labels = model.predict(distinct.rows)
     out = _out_dir(args.out)
@@ -312,8 +294,8 @@ def cmd_cluster(args):
 
 def cmd_predict(args):
     opt, model = _prepare_with_model(args)
-    data = _load_data(args.in_path, opt["mode"], opt["max_rows"], allow_features=False)
-    labels, votes, names = model.predict_with_votes(data.X)
+    table, X = _load_data(args.in_path, opt["mode"], opt["max_rows"])
+    labels, votes, names = model.predict_with_votes(X)
 
     out = _out_dir(args.out)
     with open(os.path.join(out, "predictions.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -322,15 +304,15 @@ def cmd_predict(args):
         writer.writerows(
             [host, domain, label, *row_votes]
             for host, domain, label, row_votes in zip(
-                data.table.raw_host, data.table.domain_part, labels.tolist(), votes.tolist()
+                table.raw_host, table.domain_part, labels.tolist(), votes.tolist()
             )
         )
     with open(os.path.join(out, "flagged.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(
-            host + "\n" for host, label in zip(data.table.raw_host, labels.tolist()) if label
+            host + "\n" for host, label in zip(table.raw_host, labels.tolist()) if label
         )
     _write_histograms(
-        out, lambda j, name: analytics.histogram_pdf(data.X[:, j], labels, feature_name=name)
+        out, lambda j, name: analytics.histogram_pdf(X[:, j], labels, feature_name=name)
     )
 
     flagged = int(labels.sum())

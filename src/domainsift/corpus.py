@@ -198,16 +198,17 @@ def _second_level_label(labels):
 def parse_labeled_csv(stream, mode="second_level_label", max_rows=None):
     """Parse a labeled corpus CSV into a DomainTable plus corpus statistics.
 
-    The stream must carry a header row naming the host, domain and class
-    columns, in any order and letter case. Class strings are matched
+    The first non-blank row must be a header naming the host, domain and
+    class columns, in any order and letter case. Class strings are matched
     case-insensitively against "dga" (1) and "legit" (0); rows with an
-    unknown class or an unnormalizable domain are skipped and counted.
+    unknown class, a host holding a line break or an unnormalizable domain
+    are skipped and counted.
     A missing required column is fatal. At most ``max_rows`` data rows are
     consumed, skipped ones included (None reads everything).
     """
     mode = resolve_mode(mode)
     rows = csv_rows(stream, "labeled CSV")
-    _, header = next(rows, (None, None))
+    header = next((row for _, row in rows if any(cell.strip() for cell in row)), None)
     if header is None:
         raise ParseError("labeled CSV is empty: no header row")
     index = {name.strip().lower(): i for i, name in enumerate(header)}
@@ -236,6 +237,9 @@ def parse_labeled_csv(stream, mode="second_level_label", max_rows=None):
             continue
         if cls not in CLASS_LABELS:
             stats.record_error(f"row {row_no}: unknown class {cls!r}")
+            continue
+        if "\n" in host or "\r" in host:  # it would split its line in the outputs
+            stats.record_error(f"row {row_no}: host {host!r} holds a line break")
             continue
         try:
             parts.append(normalize_domain(domain or host, mode))

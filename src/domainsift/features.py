@@ -15,7 +15,7 @@ import csv
 import numpy as np
 
 from .base import check_matrix
-from .corpus import DomainTable, csv_rows
+from .corpus import DomainTable
 
 FEATURE_NAMES = (
     "len",
@@ -184,38 +184,3 @@ def _format_value(v, column):
         return str(int(v))
     return f"{v:.6f}"
 
-
-def read_feature_csv(stream):
-    """Read a feature CSV written by :func:`write_feature_csv`.
-
-    Returns ``(X, y)`` with ``y`` None when the file has no label column.
-    The eight feature columns must appear first and in canonical order.
-    """
-    rows = csv_rows(stream, "feature CSV")
-    _, header = next(rows, (None, None))
-    if header is None:
-        raise ValueError("feature CSV is empty: no header row")
-    header = [h.strip() for h in header]
-    if tuple(header[:N_FEATURES]) != FEATURE_NAMES:
-        raise ValueError(
-            f"feature CSV header {header!r} does not start with the expected "
-            f"columns {list(FEATURE_NAMES)!r}"
-        )
-    has_label = len(header) > N_FEATURES and header[N_FEATURES] == "label"
-    if len(header) > N_FEATURES and not has_label:
-        raise ValueError(f"unexpected trailing columns in feature CSV: {header[N_FEATURES:]!r}")
-
-    values = []
-    labels = []
-    for row_no, row in rows:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        expected = N_FEATURES + (1 if has_label else 0)
-        if len(row) != expected:
-            raise ValueError(f"row {row_no}: expected {expected} values, got {len(row)}")
-        values.append([float(v) for v in row[:N_FEATURES]])
-        if has_label:
-            labels.append(int(row[N_FEATURES]))
-    X = np.asarray(values, dtype=np.float64).reshape(len(values), N_FEATURES)
-    y = np.asarray(labels, dtype=np.int64) if has_label else None
-    return X, y

@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import json
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from domainsift.ensemble import SCALED_KINDS
+from domainsift.features import FEATURE_NAMES
 from domainsift.model_io import MODEL_FORMAT_VERSION, load_model, save_model
 from domainsift.synthetic import generate_labeled_corpus
 
@@ -48,6 +50,19 @@ def roundtrip(model, tmp_path):
     path = tmp_path / "roundtrip.dsmodel"
     save_model(model, path)
     return load_model(path)
+
+
+def read_back_features(stream):
+    """``(X, y)`` from a feature CSV that ``write_feature_csv`` wrote, checking the
+    header and, on each row, 8 float cells plus a 0/1 label when the header has one."""
+    header, *rows = csv.reader(stream)
+    assert header in (list(FEATURE_NAMES), [*FEATURE_NAMES, "label"]), header
+    assert all(len(row) == len(header) for row in rows), rows
+    X = np.array([[float(cell) for cell in row[:8]] for row in rows]).reshape(len(rows), 8)
+    if len(header) == 8:
+        return X, None
+    assert {row[8] for row in rows} <= {"0", "1"}, rows
+    return X, np.array([int(row[8]) for row in rows], dtype=np.int64)
 
 
 def read_model_document(path):

@@ -2,6 +2,7 @@ import argparse
 import ast
 import csv
 import gzip
+import json
 import os
 import random
 import re
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 import domainsift
 from domainsift.cli import build_parser, main
 from domainsift.config import CONFIG_SCHEMA
-from domainsift.features import FEATURE_NAMES, read_feature_csv
+from domainsift.features import FEATURE_NAMES
+from domainsift.model_io import load_model
 
 from conftest import (
     as_format_3,
@@ -26,6 +28,7 @@ from conftest import (
     as_format_5,
     as_format_6,
     as_format_7,
+    read_back_features,
     read_model_document,
     write_model_document,
     write_single_document_model,
@@ -553,14 +556,47 @@ class TestExitCodes:
         assert main(["extract", "--in", str(workdir / "gen" / "labeled.csv"),
                      "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 1
 
-    def test_feature_csv_rejected_for_predict(self, workdir, sld_model, tmp_path, capsys):
-        features = str(tmp_path / "features.csv")
+    @pytest.mark.parametrize("command", ["extract", "analyze", "train", "evaluate", "cluster",
+                                         "predict"])
+    def test_feature_csv_is_refused(self, workdir, sld_model, tmp_path, capsys, command):
+        features = tmp_path / "features.csv"
         assert main(["extract", "--in", str(workdir / "gen" / "labeled.csv"),
-                     "--out", features]) == 0
+                     "--out", str(features)]) == 0
+        out = str(tmp_path / "out")
+        argv = {
+            "extract": ["--out", out],
+            "analyze": ["--out", out],
+            "train": ["--out", out],
+            "evaluate": ["--out", out],
+            "cluster": ["--out", out, "--model-out", str(tmp_path / "kmeans.dsmodel")],
+            "predict": ["--model", sld_model, "--out", out],
+        }[command]
         capsys.readouterr()
-        assert main(["predict", "--in", features, "--model", sld_model,
-                     "--out", str(tmp_path / "p")]) == 1
-        assert "feature CSV" in capsys.readouterr().err
+        assert main([command, "--in", str(features), *argv]) == 1
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        assert [line for line in err.splitlines() if line.startswith("ERROR")] == [
+            f"ERROR domainsift: corpus error: {features} is a feature CSV; "
+            "this command needs a domain corpus"]
+        assert [path.name for path in tmp_path.iterdir()] == ["features.csv"]
+
+    @pytest.mark.parametrize("brk", ["\r", "\n", "\r\n"])
+    def test_labeled_host_with_line_break_is_skipped(self, sld_model, tmp_path, capsys, brk):
+        good = ["www.google.com", "qxz07kvb3m.net", "shop.bbc.co.uk", "a1b2c3d4e5.org"]
+        labeled = tmp_path / "labeled.csv"
+        with open(labeled, "w", encoding="utf-8", newline="") as fh:
+            fh.write("host,domain,class\n" + "".join(f"{host},,legit\n" for host in good[:2])
+                     + f'"a{brk}b.com",p3q8z1x7k2v9.com,dga\n'
+                     + "".join(f"{host},,dga\n" for host in good[2:]))
+        out = tmp_path / "preds"
+        capsys.readouterr()
+        assert main(["predict", "--in", str(labeled), "--model", sld_model,
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "WARNING domainsift: skipped row 4: host 'a\\nb.com' holds a line break" in (
+            captured.err.splitlines())
+        rows = _check_predictions(out, captured)
+        assert [row[0] for row in rows] == good
 
 
 class TestCorpusEncoding:
@@ -754,10 +790,54 @@ FUZZ_CONFIG_LINES = ["seed = 4", "mode = full  # trailing", "k = 3", "cv = 5",
                      "test_fraction = 0.25", "# run settings", ""]
 
 
+# labeled-CSV heads, one of which starts each file of the labeled-CSV fuzz test: a
+# header, in one of three column orders, and eight good rows, four of each class
+FUZZ_LABELED_HEADS = [
+    "host,domain,class\n"
+    "www.google.com,google,legit\nshop.example.co.uk,,LEGIT\n"
+    "mail.wikipedia.org,wikipedia,legit\nnews.bbc.co.uk,,legit\n"
+    "a1b2c3d4e5.net,a1b2c3d4e5,dga\nqxz07kvb3m.org,,dga\n"
+    "x7y8z9q4.info,x7y8z9q4,Dga\nkq3vz9wx.biz,,dga",
+    "Class, Domain ,HOST\n"
+    "legit,google,www.google.com\nLEGIT,,shop.example.co.uk\n"
+    "legit,wikipedia,mail.wikipedia.org\nlegit,,news.bbc.co.uk\n"
+    "dga,a1b2c3d4e5,a1b2c3d4e5.net\ndga,,qxz07kvb3m.org\n"
+    "Dga,x7y8z9q4,x7y8z9q4.info\ndga,,kq3vz9wx.biz",
+    "domain,class,host,notes\n"
+    "google,legit,www.google.com,\n,LEGIT,shop.example.co.uk,seen\n"
+    "wikipedia,legit,mail.wikipedia.org,\n,legit,news.bbc.co.uk,\n"
+    "a1b2c3d4e5,dga,a1b2c3d4e5.net,\n,dga,qxz07kvb3m.org,\n"
+    "x7y8z9q4,Dga,x7y8z9q4.info,\n,dga,kq3vz9wx.biz,",
+]
+
+# labeled-CSV lines, read against whichever head was drawn: a header, a good row,
+# stray and unbalanced quotes, over-long fields, extra and missing columns, an
+# unknown class and quoted hosts holding a line break
+FUZZ_LABELED_LINES = [
+    "host,domain,class",
+    "zq8w7e6r5t.com,,dga",
+    '"stray.com,stray,dga',
+    'mid"quote.com,midquote,legit',
+    '"unbalanced.com,""x,dga',
+    "x" * 300 + ".com,,dga",
+    '"' + "y" * 131_100 + '",,legit',
+    "extra.com,extra,dga,surplus,cells",
+    "missing.com,legit",
+    "unknown.com,unknown,benign",
+    '"qx7\nz9k.com",zq9x8k2v7j3p1,dga',
+    '"cr\rq8z7x.net",v7k2x9q3j8z1w,legit',
+    "",
+]
+
+
 @st.composite
-def mutated_bytes(draw, lines):
-    """File bytes: some of ``lines``, then byte-level damage, maybe gzipped."""
-    data = "\n".join(draw(st.lists(st.sampled_from(lines), max_size=12))).encode()
+def mutated_bytes(draw, lines, first=None):
+    """File bytes: one of ``first`` if given, some of ``lines``, then byte-level
+    damage, maybe gzipped."""
+    drawn = draw(st.lists(st.sampled_from(lines), max_size=12))
+    if first:
+        drawn.insert(0, draw(st.sampled_from(first)))
+    data = "\n".join(drawn).encode()
     if draw(st.booleans()):
         data += b"\n"
     for _ in range(draw(st.integers(0, 3))):
@@ -799,7 +879,7 @@ def test_extract_on_mutated_census(tmp_path, capsys, data, mode):
     if code == 0:
         assert errors == []
         with open(out, newline="", encoding="utf-8") as fh:
-            X, y = read_feature_csv(fh)
+            X, y = read_back_features(fh)
         assert X.shape[0] >= 1 and y is None
     else:
         assert code == 1
@@ -855,7 +935,7 @@ def test_extract_on_mutated_config(tmp_path, capsys, data):
     if code == 0:
         assert errors == []
         with open(out, newline="", encoding="utf-8") as fh:
-            X, _ = read_feature_csv(fh)
+            X, _ = read_back_features(fh)
         assert X.shape[0] == 2
     else:
         assert code == 1
@@ -866,6 +946,24 @@ def _one_error_line(err):
     """Exit 1's promise: one ERROR line and no traceback."""
     assert "Traceback" not in err, err
     assert len([line for line in err.splitlines() if line.startswith("ERROR")]) == 1, err
+
+
+def _check_predictions(out, captured):
+    """The rows of ``predictions.csv`` under ``out``, after checking that they read
+    back and agree with ``flagged.txt`` and the printed count."""
+    assert "Traceback" not in captured.err and "ERROR" not in captured.err, captured.err
+    with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["host", "domain", "prediction", *(f"vote_{kind}" for kind in
+                                                        ("c45", "knn", "logreg", "nb", "svm"))]
+    assert rows and all(len(row) == len(header) for row in rows)
+    with open(out / "flagged.txt", encoding="utf-8") as fh:
+        flagged = [line.rstrip("\n") for line in fh]
+    assert flagged == [row[0] for row in rows if row[2] == "1"]
+    printed = re.fullmatch(r"(\d+) of (\d+) domains flagged as DGA \(\d+\.\d\d%\)\n",
+                           captured.out)
+    assert printed and [int(n) for n in printed.groups()] == [len(flagged), len(rows)]
+    return rows
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,
@@ -884,18 +982,7 @@ def test_predict_on_mutated_census(sld_model, tmp_path, capsys, data):
         assert code == 1
         _one_error_line(captured.err)
         return
-    assert "Traceback" not in captured.err and "ERROR" not in captured.err, captured.err
-    with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
-    assert header == ["host", "domain", "prediction", *(f"vote_{kind}" for kind in
-                                                        ("c45", "knn", "logreg", "nb", "svm"))]
-    assert rows and all(len(row) == len(header) for row in rows)
-    with open(out / "flagged.txt", encoding="utf-8") as fh:
-        flagged = [line.rstrip("\n") for line in fh]
-    assert flagged == [row[0] for row in rows if row[2] == "1"]
-    printed = re.fullmatch(r"(\d+) of (\d+) domains flagged as DGA \(\d+\.\d\d%\)\n",
-                           captured.out)
-    assert printed and [int(n) for n in printed.groups()] == [len(flagged), len(rows)]
+    _check_predictions(out, captured)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,
@@ -925,6 +1012,56 @@ def test_cluster_on_mutated_census(tmp_path, capsys, data, mode):
     for name in FEATURE_NAMES:
         with open(out / f"hist_{name}.csv", newline="", encoding="utf-8") as fh:
             assert all(len(row) == 3 for row in csv.reader(fh))
+
+
+def _check_written_model(out, captured):
+    assert load_model(out, expected_kind="ensemble").metadata_["n_rows"] >= 1
+    digest = json.loads(out.read_bytes().split(b"\n", 1)[0])["sha256"]
+    assert captured.out == f"{out}  sha256:{digest[:16]}  {out.stat().st_size} bytes\n"
+
+
+def _check_evaluate_report(out, captured):
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["classifier", "accuracy", "precision", "recall", "f_score"]
+    assert [row[0] for row in rows] == ["c45", "knn", "logreg", "nb", "svm", "ensemble"]
+    assert all(len(row) == 5 and [float(cell) for cell in row[1:]] for row in rows)
+
+
+def _check_analysis(out, captured):
+    for name in ["summary", "correlation", *(f"hist_{name}" for name in FEATURE_NAMES)]:
+        with open(out / f"{name}.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), name
+    assert "uniq_chars" in captured.out
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "analyze", "predict"])
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_bytes(FUZZ_LABELED_LINES, first=FUZZ_LABELED_HEADS))
+def test_labeled_commands_on_mutated_csv(sld_model, tmp_path, capsys, command, data):
+    """train, evaluate, analyze and predict on a damaged labeled CSV either write
+    outputs that read back, or exit 1 with one ERROR line."""
+    corpus_path, out = tmp_path / "labeled.csv", tmp_path / f"{command}.out"
+    corpus_path.write_bytes(data)
+    shutil.rmtree(out, ignore_errors=True)
+    out.unlink(missing_ok=True)
+    argv, check = {
+        "train": (["--seed", "3"], _check_written_model),
+        "evaluate": (["--model", sld_model], _check_evaluate_report),
+        "analyze": ([], _check_analysis),
+        "predict": (["--model", sld_model], _check_predictions),
+    }[command]
+    capsys.readouterr()
+    code = main([command, "--in", str(corpus_path), "--out", str(out), *argv])
+    captured = capsys.readouterr()
+    if code != 0:
+        assert code == 1
+        _one_error_line(captured.err)
+        return
+    assert "Traceback" not in captured.err and "ERROR" not in captured.err, captured.err
+    check(out, captured)
 
 
 def test_console_script_installed():

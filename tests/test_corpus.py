@@ -133,6 +133,17 @@ class TestParseLabeledCsv:
         assert records.domain_part == ["b.com"]
         assert stats.skipped_rows == 1
 
+    def test_blank_lines_before_header(self):
+        records, stats = parse_labeled_csv(io.StringIO("\n  \n" + self.CSV), mode="sld")
+        assert records.domain_part == ["google", "mykings"] and stats.total_rows == 2
+
+    def test_host_with_line_break_skipped(self):
+        csv = 'host,domain,class\n"a\rb.com",example.com,legit\n"c\nd.com",cd.com,dga\nb.com,,dga\n'
+        records, stats = parse_labeled_csv(io.StringIO(csv, newline=""), mode="full")
+        assert records.raw_host == ["b.com"]
+        assert stats.errors == ["row 2: host 'a\\rb.com' holds a line break",
+                                "row 3: host 'c\\nd.com' holds a line break"]
+
     def test_max_rows_counts_skipped_rows_and_stops_reading(self):
         rows = ["host,domain,class", "a.com,a.com,legit", "", "b.com,b.com,weird",
                 "c.com,c.com,dga", "d.com,d.com,dga", "e.com,e.com,dga"]

@@ -1,5 +1,6 @@
 """Every module in the package uses each name it imports, and reads text
-files only through ``corpus.open_corpus_text``.
+files only through ``corpus.open_corpus_text``; every name the traced
+benchmark wraps on ``domainsift.cli`` is one ``cli`` calls or defines.
 
 ``__init__.py`` is left out of the import check: it imports names to
 re-export them.
@@ -99,3 +100,46 @@ def test_check_finds_text_reads():
         "    io.TextIOWrapper(open(p, 'rb'))\n"
     )
     assert text_reads(source) == [(2, "a"), (3, "a"), (4, "a"), (5, "a"), (11, "b"), (12, "b")]
+
+
+TRACE_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "trace_cli.py"
+
+
+def cli_wrap_targets(source):
+    """The attribute names of each ``tracer.wrap(cli, "<name>", ...)`` call in ``source``."""
+    return [
+        node.args[1].value for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "wrap" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "tracer" and len(node.args) >= 2
+        and isinstance(node.args[0], ast.Name) and node.args[0].id == "cli"
+        and isinstance(node.args[1], ast.Constant)
+    ]
+
+
+def test_traced_cli_names_are_the_ones_cli_uses():
+    """The traced benchmark wraps names on ``domainsift.cli``; a wrapper on a name that
+    cli no longer calls or defines records no span, and nothing else would notice."""
+    from domainsift import cli
+
+    targets = cli_wrap_targets(TRACE_CLI.read_text(encoding="utf-8"))
+    assert "extract_features" in targets and "main" in targets, targets
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in targets:
+        assert hasattr(cli, name), name
+        assert name in called | defined, name
+
+
+def test_check_finds_cli_wrap_targets():
+    source = (
+        "def install(tracer, cli):\n"
+        "    tracer.wrap(cli, 'save_model', 'model_io.save', count)\n"
+        "    tracer.wrap(corpus, 'dedupe', 'corpus.dedupe')\n"
+        "    tracer.wrap(\n"
+        "        cli, 'main', 'cli')\n"
+        "    other.wrap(cli, 'load_model', 'model_io.load')\n"
+    )
+    assert cli_wrap_targets(source) == ["save_model", "main"]
