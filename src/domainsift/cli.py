@@ -20,11 +20,10 @@ import os
 import sys
 
 from . import analytics, corpus, evaluate, reputation, synthetic
-from .base import distinct_rows
 from .cluster import KMeans, cluster_feature_histogram, write_centroids_csv
 from .config import load_config
 from .ensemble import MajorityVoteEnsemble
-from .features import FEATURE_NAMES, extract_features, write_feature_csv
+from .features import FEATURE_NAMES, distinct_features, extract_features, write_feature_csv
 from .model_io import ModelIOError, load_model, save_model
 
 log = logging.getLogger("domainsift")
@@ -75,9 +74,8 @@ def _sniff_format(fh, path):
     raise corpus.ParseError(f"{path}: file is empty")
 
 
-def _load_data(path, mode, max_rows=None):
-    """The domain corpus at ``path``, parsed, deduplicated and reduced to features:
-    ``(table, X)``, with row i of ``X`` the features of row i of ``table``."""
+def _load_table(path, mode, max_rows=None):
+    """The domain corpus at ``path``, parsed and deduplicated."""
     # the file is opened once, so a pipe works: the parser reads the sniffed lines again
     with corpus.open_corpus_text(path) as fh:
         fmt, head = _sniff_format(fh, path)
@@ -100,6 +98,13 @@ def _load_data(path, mode, max_rows=None):
     )
     if not len(table):
         raise corpus.ParseError(f"{path}: no usable rows")
+    return table
+
+
+def _load_data(path, mode, max_rows=None):
+    """The domain corpus at ``path``, parsed, deduplicated and reduced to features:
+    ``(table, X)``, with row i of ``X`` the features of row i of ``table``."""
+    table = _load_table(path, mode, max_rows)
     X, _ = extract_features(table)
     return table, X
 
@@ -270,7 +275,9 @@ def _cross_validate_members(opt, X, y):
 def cmd_cluster(args):
     opt = _prepare(args, mode_default="full")
     # from here on the rows are needed only as distinct feature vectors
-    distinct = distinct_rows(_load_data(args.in_path, opt["mode"], opt["max_rows"])[1])
+    domains = _load_table(args.in_path, opt["mode"], opt["max_rows"]).domain_part
+    distinct = distinct_features(domains)
+    del domains
     model = KMeans(k=opt["k"], seed=opt["seed"]).fit(distinct)
     labels = model.predict(distinct.rows)
     out = _out_dir(args.out)

@@ -75,7 +75,6 @@ class KMeans:
             X = distinct_rows(check_matrix(X))
         rows, inverse, _ = X
         rows = check_matrix(rows)
-        columns = np.take(rows.T, inverse, axis=1)  # the matrix, one contiguous row per feature
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if rows.shape[0] < self.k:
@@ -95,8 +94,8 @@ class KMeans:
 
             counts = np.bincount(labels, minlength=self.k)
             new = np.empty_like(centroids)
-            for col, values in enumerate(columns):
-                sums = np.bincount(labels, weights=values, minlength=self.k)
+            for col, column in enumerate(rows.T):
+                sums = np.bincount(labels, weights=column[inverse], minlength=self.k)
                 new[:, col] = sums / np.maximum(counts, 1)
             empties = np.nonzero(counts == 0)[0]
             if empties.size:

@@ -366,7 +366,11 @@ def dedupe(table):
     disagree, in input order. The first label always wins.
     """
     parts = table.domain_part
-    if len(set(parts)) == len(parts):
+    # equal names hash equal, so sorted hashes without two equal neighbours
+    # prove every name distinct, without building a set of the names
+    hashes = np.fromiter(map(hash, parts), dtype=np.int64, count=len(parts))
+    hashes.sort()
+    if not np.any(hashes[1:] == hashes[:-1]):
         return table, []
     # walking backwards, the last index stored for a name is its first row
     first = dict(zip(reversed(parts), range(len(parts) - 1, -1, -1)))

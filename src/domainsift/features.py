@@ -14,7 +14,7 @@ import csv
 
 import numpy as np
 
-from .base import check_matrix
+from .base import DistinctRows, check_matrix
 from .corpus import DomainTable
 
 FEATURE_NAMES = (
@@ -91,18 +91,57 @@ FEATURE_BLOCK_CELLS = 1 << 16
 # padding value of the code-point matrix: above every code point (U+10FFFF),
 # so that it sorts after every character of the domain
 _PAD = 0x110000
+# bits of each of the six counts in a distinct_features key
+_KEY_BITS = 8
 
 
 def _feature_matrix(domains):
-    lengths = _domain_lengths(domains)
     X = np.empty((len(domains), N_FEATURES), dtype=np.float64)
+    for block, counts in _count_blocks(domains):
+        _fill_features(X[block], *counts)
+    return X
+
+
+def distinct_features(domains):
+    """``distinct_rows(extract_features(domains)[0])`` without a per-row matrix.
+
+    Each name's six counts (:func:`_count_block`) are packed into one int64
+    key, 8 bits each and length first, so the key order is the lexicographic
+    order of the feature rows; only the distinct keys become float rows. A
+    name longer than 255 characters cannot be keyed and raises ValueError.
+    """
+    if isinstance(domains, str):
+        raise TypeError("domains must be a sequence of strings, not a single str")
+    key = np.empty(len(domains), dtype=np.int64)
+    for block, counts in _count_blocks(domains):
+        long = np.flatnonzero(counts[0] >> _KEY_BITS)
+        if long.size:
+            i = block.start + int(long[0])
+            raise ValueError(f"row {i}: a name of {len(domains[i])} characters is too "
+                             "long to key; at most 255")
+        packed = counts[0]
+        for count in counts[1:]:
+            packed = packed << _KEY_BITS | count
+        key[block] = packed
+    # np.unique(key, return_inverse=True) keeps several more n-sized temporaries
+    keys = np.unique(key)
+    inverse = np.searchsorted(keys, key)
+    shifts = range(_KEY_BITS * 5, -1, -_KEY_BITS)
+    rows = np.empty((keys.size, N_FEATURES), dtype=np.float64)
+    _fill_features(rows, *(keys >> shift & ((1 << _KEY_BITS) - 1) for shift in shifts))
+    return DistinctRows(rows, inverse, np.bincount(inverse))
+
+
+def _count_blocks(domains):
+    """``(block, counts)`` for each block of ``domains``: a slice of the rows and
+    :func:`_count_block` of their names."""
+    lengths = _domain_lengths(domains)
     if not len(domains):
-        return X
+        return
     step = max(1, FEATURE_BLOCK_CELLS // int(lengths.max()))
     for start in range(0, len(domains), step):
-        stop = start + step
-        _feature_block(domains[start:stop], lengths[start:stop], X[start:stop])
-    return X
+        block = slice(start, start + step)
+        yield block, _count_block(domains[block], lengths[block])
 
 
 def _domain_lengths(domains):
@@ -121,8 +160,10 @@ def _domain_lengths(domains):
     return np.fromiter(map(len, domains), dtype=np.int64, count=len(domains))
 
 
-def _feature_block(domains, lengths, out):
-    """Fill ``out`` with the features of ``domains``, whose lengths are ``lengths``."""
+def _count_block(domains, lengths):
+    """The six integer counts of ``domains``, whose lengths are ``lengths``, one
+    array each: length, distinct characters, distinct letters, distinct digits,
+    letters and digits."""
     # UTF-32 holds one code point per cell; a NUL inside a domain stays a
     # character because the padding is told apart by length, not by value
     codes = np.array(domains, dtype=str).view(np.uint32).reshape(len(domains), -1)
@@ -135,16 +176,24 @@ def _feature_block(domains, lengths, out):
     first &= codes != _PAD
     letter = (codes >= ord("a")) & (codes <= ord("z"))
     digit = (codes >= ord("0")) & (codes <= ord("9"))
-    n = lengths.astype(np.float64)
-    u_chars = np.count_nonzero(first, axis=1).astype(np.float64)
-    u_letters = np.count_nonzero(first & letter, axis=1)
-    u_digits = np.count_nonzero(first & digit, axis=1)
+    return (
+        lengths,
+        np.count_nonzero(first, axis=1),
+        np.count_nonzero(first & letter, axis=1),
+        np.count_nonzero(first & digit, axis=1),
+        np.count_nonzero(letter, axis=1),
+        np.count_nonzero(digit, axis=1),
+    )
+
+
+def _fill_features(out, n, u_chars, u_letters, u_digits, letters, digits):
+    """Fill ``out`` with the features of the names whose counts are given."""
     out[:, 0] = n
     out[:, 1] = u_chars
     out[:, 2] = u_letters
     out[:, 3] = u_digits
-    out[:, 4] = np.count_nonzero(letter, axis=1) / n
-    out[:, 5] = np.count_nonzero(digit, axis=1) / n
+    out[:, 4] = letters / n
+    out[:, 5] = digits / n
     out[:, 6] = u_letters / u_chars
     out[:, 7] = u_digits / u_chars
 

@@ -175,6 +175,29 @@ def test_cluster_outputs(workdir, capsys):
     assert "inertia" in capsys.readouterr().out
 
 
+def test_cluster_builds_no_per_row_feature_matrix(workdir, capsys, monkeypatch):
+    """cluster takes its distinct vectors from integer counts: with the per-row
+    extractor and the row sort made to fail, it writes the same outputs."""
+    def run(out):
+        capsys.readouterr()
+        assert main(["cluster", "--in", str(workdir / "gen" / "census.tsv"), "--out", str(out),
+                     "--k", "3", "--mode", "sld"]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}, capsys.readouterr().out
+
+    unpatched = run(workdir / "clusters_unpatched")
+    assert {"centroids.csv", f"hist_{FEATURE_NAMES[0]}.csv"} <= set(unpatched[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cluster built a per-row feature matrix")
+
+    for module, name in ((domainsift.features, "extract_features"),
+                         (domainsift.cli, "extract_features"),
+                         (domainsift.base, "distinct_rows"),
+                         (domainsift.cluster, "distinct_rows")):
+        monkeypatch.setattr(module, name, refuse)
+    assert run(workdir / "clusters_patched") == unpatched
+
+
 def _prediction_rows(out):
     with open(out / "predictions.csv", newline="") as fh:
         return list(csv.reader(fh))
@@ -780,6 +803,22 @@ FUZZ_LINES = [
 ]
 
 
+# plain domain-list lines: names, URLs, comments, blanks, a name that is not
+# ASCII and one longer than a host name may be
+FUZZ_DOMAIN_LINES = [
+    "example.com",
+    "www.Shop.co.uk",
+    "a1b2c3d4e5.net",
+    "http://x.org/path",
+    "https://qxz-07_k.example.org:8080/a?b=c",
+    "# a comment",
+    "ümlaut.de",
+    "q" * 254 + ".com",
+    "bad..dots.com",
+    "  padded.io  ",
+    "",
+]
+
 # bad-list lines: names, comments and blanks
 FUZZ_BADLIST_LINES = ["evil.com", "EVIL.com  # seen in 2020", "# a comment", "ümlaut.de", ""]
 
@@ -1002,6 +1041,10 @@ def test_cluster_on_mutated_census(tmp_path, capsys, data, mode):
         _one_error_line(captured.err)
         return
     assert "Traceback" not in captured.err and "ERROR" not in captured.err, captured.err
+    _check_clusters(out, captured)
+
+
+def _check_clusters(out, captured):
     with open(out / "centroids.csv", newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     assert header == ["feature", "cluster_1", "cluster_2"]
@@ -1012,6 +1055,40 @@ def test_cluster_on_mutated_census(tmp_path, capsys, data, mode):
     for name in FEATURE_NAMES:
         with open(out / f"hist_{name}.csv", newline="", encoding="utf-8") as fh:
             assert all(len(row) == 3 for row in csv.reader(fh))
+
+
+def _check_extracted(out, captured):
+    with open(out, newline="", encoding="utf-8") as fh:
+        X, y = read_back_features(fh)
+    assert X.shape[0] >= 1 and y is None
+
+
+@pytest.mark.parametrize("command", ["extract", "cluster-full", "cluster-sld", "predict"])
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_bytes(FUZZ_DOMAIN_LINES))
+def test_commands_on_mutated_domain_list(sld_model, tmp_path, capsys, command, data):
+    """extract, cluster and predict on a damaged plain domain list either write
+    outputs that read back, or exit 1 with one ERROR line."""
+    corpus_path, out = tmp_path / "domains.txt", tmp_path / f"{command}.out"
+    corpus_path.write_bytes(data)
+    shutil.rmtree(out, ignore_errors=True)
+    out.unlink(missing_ok=True)
+    argv, check = {
+        "extract": (["extract"], _check_extracted),
+        "cluster-full": (["cluster", "--mode", "full"], _check_clusters),
+        "cluster-sld": (["cluster", "--mode", "sld"], _check_clusters),
+        "predict": (["predict", "--model", sld_model], _check_predictions),
+    }[command]
+    capsys.readouterr()
+    code = main([*argv, "--in", str(corpus_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    if code != 0:
+        assert code == 1
+        _one_error_line(captured.err)
+        return
+    assert "Traceback" not in captured.err and "ERROR" not in captured.err, captured.err
+    check(out, captured)
 
 
 def _check_written_model(out, captured):

@@ -289,6 +289,30 @@ class TestDedupe:
         unique, conflicts = dedupe(DomainTable(["a.com", "a.com"], ["a", "a"]))
         assert len(unique) == 1 and conflicts == []
 
+    def test_no_duplicates_gives_back_the_same_table(self):
+        table = DomainTable(["a.com", "b.com", "c.com"], ["a", "b", "c"], np.array([0, 1, 0]))
+        unique, conflicts = dedupe(table)
+        assert unique is table and conflicts == []
+        empty = DomainTable([], [])
+        assert dedupe(empty)[0] is empty
+
+    @pytest.mark.parametrize("parts", [["a", "b", "a", "c", "b", "a"], ["a", "b", "c"]])
+    def test_equal_hashes_of_distinct_names(self, parts):
+        """Names whose hashes collide take the dict path, which tells them apart by value."""
+
+        class Colliding(str):
+            def __hash__(self):
+                return 7
+
+        hosts = [f"{part}{i}.com" for i, part in enumerate(parts)]
+        labels = np.arange(len(parts)) % 2
+        want, want_conflicts = dedupe(DomainTable(hosts, parts, labels))
+        got, conflicts = dedupe(DomainTable(hosts, [Colliding(p) for p in parts], labels))
+        assert got.domain_part == want.domain_part == sorted(set(parts), key=parts.index)
+        assert got.raw_host == want.raw_host  # the first row of each name wins
+        assert got.label.tolist() == want.label.tolist()
+        assert conflicts == want_conflicts
+
 
 class TestSuffixAndIO:
     def test_open_corpus_text_gzip(self, tmp_path):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from domainsift import features
+from domainsift import corpus, features
+from domainsift.base import distinct_rows
 from domainsift.corpus import DomainTable
 from domainsift.features import (
     FEATURE_NAMES,
     N_FEATURES,
+    distinct_features,
     domain_features,
     extract_features,
     write_feature_csv,
@@ -143,6 +145,57 @@ class TestExtractFeatures:
     def test_plain_strings(self):
         X, y = extract_features(["mydaily", "paypa1"])
         assert X.shape == (2, 8) and y is None
+
+
+# names for the distinct_features property test: a-z, 0-9, ".-_", two letters
+# that are not a-z and an embedded NUL, at lengths 1 to 253
+KEY_ALPHABET = string.ascii_lowercase + string.digits + ".-_éж\x00"
+KEY_NAMES = st.one_of(
+    st.sampled_from(["a", "7", "\x00", "ж", "x" * 253, ("a1-" * 85)[:253], "é9" * 126 + "z"]),
+    st.text(st.sampled_from(KEY_ALPHABET), min_size=1, max_size=16),
+    st.text(st.sampled_from(KEY_ALPHABET), min_size=240, max_size=253),
+)
+
+
+@st.composite
+def many_copies_of_few_names(draw):
+    pool = draw(st.lists(KEY_NAMES, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+
+
+class TestDistinctFeatures:
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(domains=st.one_of(many_copies_of_few_names(), st.lists(KEY_NAMES, min_size=1,
+                                                                     max_size=30)),
+           cells=st.sampled_from([1, 7, 300, features.FEATURE_BLOCK_CELLS]))
+    def test_matches_distinct_rows_of_the_matrix(self, monkeypatch, domains, cells):
+        monkeypatch.setattr(features, "FEATURE_BLOCK_CELLS", cells)
+        got = distinct_features(domains)
+        want = distinct_rows(extract_features(domains)[0])
+        assert got.rows.shape == want.rows.shape
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.inverse.dtype == want.inverse.dtype
+        assert got.inverse.tobytes() == want.inverse.tobytes()
+        assert got.counts.dtype == want.counts.dtype
+        assert got.counts.tobytes() == want.counts.tobytes()
+
+    @pytest.mark.parametrize("cells", [1, features.FEATURE_BLOCK_CELLS])
+    def test_name_too_long_for_the_key(self, monkeypatch, cells):
+        monkeypatch.setattr(features, "FEATURE_BLOCK_CELLS", cells)
+        distinct_features(["a" * 255])
+        with pytest.raises(ValueError, match="row 2: a name of 256 characters"):
+            distinct_features(["ok", "fine", "b" * 256, "c" * 300])
+
+    def test_corpus_names_fit_the_key(self):
+        # every count of a name is at most its length, and a key holds 8 bits per count
+        assert corpus.MAX_NAME_LENGTH < 256
+
+    def test_row_errors_and_bare_string(self):
+        with pytest.raises(TypeError, match="single str"):
+            distinct_features("mydaily")
+        with pytest.raises(ValueError, match="row 1: cannot extract features from an empty"):
+            distinct_features(["ok", ""])
 
 
 class TestFeatureCsv:
