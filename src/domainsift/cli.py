@@ -156,8 +156,13 @@ def _prepare_with_model(args):
     """Load the ``--model`` ensemble and resolve options; the mode follows the model's."""
     model = load_model(args.model, expected_kind="ensemble")
     trained_mode = model.metadata_.get("mode")
+    if isinstance(trained_mode, str):
+        # a model file records the mode name its run was given, and earlier
+        # releases also took these long names
+        trained_mode = {"full_name": "full", "second_level_label": "sld"}.get(trained_mode,
+                                                                             trained_mode)
     opt = _prepare(args, mode_default=trained_mode or "sld")
-    if trained_mode and corpus.resolve_mode(opt["mode"]) != corpus.resolve_mode(trained_mode):
+    if trained_mode and opt["mode"] != corpus.resolve_mode(trained_mode):
         raise ValueError(
             f"mode {opt['mode']!r} does not match {args.model}, trained in {trained_mode!r} mode"
         )
@@ -301,8 +306,11 @@ def cmd_cluster(args):
 
 def cmd_predict(args):
     opt, model = _prepare_with_model(args)
-    table, X = _load_data(args.in_path, opt["mode"], opt["max_rows"])
-    labels, votes, names = model.predict_with_votes(X)
+    table = _load_table(args.in_path, opt["mode"], opt["max_rows"])
+    # members vote on the distinct feature vectors; only the per-row outputs map back
+    distinct = distinct_features(table.domain_part)
+    labels, votes, names = model.predict_with_votes(distinct.rows)
+    row_labels = labels[distinct.inverse].tolist()
 
     out = _out_dir(args.out)
     with open(os.path.join(out, "predictions.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -311,19 +319,17 @@ def cmd_predict(args):
         writer.writerows(
             [host, domain, label, *row_votes]
             for host, domain, label, row_votes in zip(
-                table.raw_host, table.domain_part, labels.tolist(), votes.tolist()
+                table.raw_host, table.domain_part, row_labels, votes[distinct.inverse].tolist()
             )
         )
     with open(os.path.join(out, "flagged.txt"), "w", encoding="utf-8") as fh:
-        fh.writelines(
-            host + "\n" for host, label in zip(table.raw_host, labels.tolist()) if label
-        )
-    _write_histograms(
-        out, lambda j, name: analytics.histogram_pdf(X[:, j], labels, feature_name=name)
-    )
+        fh.writelines(host + "\n" for host, label in zip(table.raw_host, row_labels) if label)
+    _write_histograms(out, lambda j, name: analytics.histogram_pdf(
+        distinct.rows[:, j], labels, feature_name=name, weights=distinct.counts))
 
-    flagged = int(labels.sum())
-    print(f"{flagged} of {labels.size} domains flagged as DGA ({100 * flagged / labels.size:.2f}%)")
+    flagged = sum(row_labels)
+    n = len(row_labels)
+    print(f"{flagged} of {n} domains flagged as DGA ({100 * flagged / n:.2f}%)")
     return 0
 
 
@@ -393,7 +399,7 @@ def _add_common(sp, *, out_required=True, out_help="output path", with_mode=True
     sp.add_argument("--in", dest="in_path", required=True, help="input corpus path")
     sp.add_argument("--out", required=out_required, help=out_help)
     if with_mode:
-        sp.add_argument("--mode", choices=("full", "sld"), help="domain normalization mode")
+        sp.add_argument("--mode", choices=corpus.MODES, help="domain normalization mode")
     if with_seed:
         sp.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
     sp.add_argument("--max-rows", dest="max_rows", type=int, help="cap on corpus rows read")

@@ -32,13 +32,9 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-# CLI-friendly aliases accepted anywhere a mode is taken.
-_MODE_ALIASES = {
-    "full": "full_name",
-    "full_name": "full_name",
-    "sld": "second_level_label",
-    "second_level_label": "second_level_label",
-}
+# the normalization modes: "full" keeps every label of a name, "sld" the
+# second-level label
+MODES = ("full", "sld")
 
 _SCHEMES = ("http://", "https://")
 # RFC 1035's limit on a name's length, trailing dot excluded
@@ -112,13 +108,10 @@ class CorpusStats:
 
 
 def resolve_mode(mode):
-    try:
-        return _MODE_ALIASES[mode]
-    except (KeyError, TypeError):  # TypeError: an unhashable mode, such as a list
-        raise ValueError(
-            f"unknown normalization mode {mode!r}; expected one of "
-            f"{sorted(set(_MODE_ALIASES))}"
-        ) from None
+    """``mode`` if it is one of :data:`MODES`, else ValueError."""
+    if mode not in MODES:
+        raise ValueError(f"unknown normalization mode {mode!r}; expected one of {list(MODES)}")
+    return mode
 
 
 _BUILTIN_SUFFIXES = None
@@ -138,14 +131,14 @@ def builtin_suffixes():
     return _BUILTIN_SUFFIXES
 
 
-def normalize_domain(raw, mode="second_level_label"):
+def normalize_domain(raw, mode="sld"):
     """Normalize a raw host string to the substring used for features.
 
     Lowercases, strips a URL scheme, a leading "www." label and a trailing
-    dot. ``full_name`` keeps every remaining label; ``second_level_label``
-    returns the label immediately left of the public suffix, with multi-part
-    suffixes (e.g. "co.uk") matched against the bundled list. Names are
-    treated as literal strings; no punycode decoding is attempted.
+    dot. ``full`` keeps every remaining label; ``sld`` returns the label
+    immediately left of the public suffix, with multi-part suffixes (e.g.
+    "co.uk") matched against the bundled list. Names are treated as literal
+    strings; no punycode decoding is attempted.
     """
     mode = resolve_mode(mode)
     s = raw.strip().lower()
@@ -173,7 +166,7 @@ def normalize_domain(raw, mode="second_level_label"):
             "which cannot be in a host name"
         )
 
-    if mode == "full_name":
+    if mode == "full":
         return s
 
     labels = s.split(".")
@@ -195,7 +188,7 @@ def _second_level_label(labels):
     return labels[-2]
 
 
-def parse_labeled_csv(stream, mode="second_level_label", max_rows=None):
+def parse_labeled_csv(stream, mode="sld", max_rows=None):
     """Parse a labeled corpus CSV into a DomainTable plus corpus statistics.
 
     The first non-blank row must be a header naming the host, domain and
@@ -279,7 +272,7 @@ def _line_blocks(stream):
         yield tail
 
 
-def parse_census_lines(stream, max_rows=None, mode="full_name"):
+def parse_census_lines(stream, max_rows=None, mode="full"):
     """Parse census-export lines ("domain<TAB>ipv4") into an unlabeled DomainTable.
 
     The address is four dot-separated octets of 1 to 3 ASCII digits, each at
@@ -299,7 +292,7 @@ def parse_census_lines(stream, max_rows=None, mode="full_name"):
                 del clean[max_rows - stats.total_rows:]
             stats.total_rows += len(clean)
             hosts += clean
-            if mode == "full_name":
+            if mode == "full":
                 parts += clean
             else:
                 parts += [_second_level_label(host.split(".")) for host in clean]
@@ -313,7 +306,7 @@ def parse_census_lines(stream, max_rows=None, mode="full_name"):
                     stats.total_rows += 1
                     hosts.append(host)
                     parts.append(
-                        host if mode == "full_name" else _second_level_label(host.split("."))
+                        host if mode == "full" else _second_level_label(host.split("."))
                     )
                     continue
                 m = match(line)
@@ -337,7 +330,7 @@ def parse_census_lines(stream, max_rows=None, mode="full_name"):
     return DomainTable(hosts, parts), stats
 
 
-def parse_domain_lines(stream, mode="second_level_label", max_rows=None):
+def parse_domain_lines(stream, mode="sld", max_rows=None):
     """Parse a bare list of domains (one per line) into an unlabeled DomainTable."""
     mode = resolve_mode(mode)
     hosts, parts = [], []

@@ -71,7 +71,8 @@ def extract_features(table_or_domains):
     """Feature matrix for a DomainTable or plain strings, plus labels.
 
     Returns ``(X, y)``: ``X`` has one row per input row in the order of
-    :data:`FEATURE_NAMES`, equal to :func:`domain_features` of each domain.
+    :data:`FEATURE_NAMES`, equal to :func:`domain_features` of each domain;
+    it is gathered from :func:`distinct_features`, whose limits it shares.
     ``y`` is a table's label vector, or None for plain strings.
     """
     if isinstance(table_or_domains, str):
@@ -80,8 +81,8 @@ def extract_features(table_or_domains):
         domains, y = table_or_domains.domain_part, table_or_domains.label
     else:
         domains, y = list(table_or_domains), None
-    X = _feature_matrix(domains)
-    return X, (y if len(domains) else None)
+    distinct = distinct_features(domains)
+    return distinct.rows[distinct.inverse], (y if len(domains) else None)
 
 
 # cells (rows x longest domain) of the code-point matrix built per block of
@@ -91,24 +92,20 @@ FEATURE_BLOCK_CELLS = 1 << 16
 # padding value of the code-point matrix: above every code point (U+10FFFF),
 # so that it sorts after every character of the domain
 _PAD = 0x110000
-# bits of each of the six counts in a distinct_features key
-_KEY_BITS = 8
-
-
-def _feature_matrix(domains):
-    X = np.empty((len(domains), N_FEATURES), dtype=np.float64)
-    for block, counts in _count_blocks(domains):
-        _fill_features(X[block], *counts)
-    return X
+# bits of each of the six counts in a distinct_features key: 6 x 10 bits fit
+# an int64, and the longest name that can be keyed has 2**10 - 1 characters
+_KEY_BITS = 10
 
 
 def distinct_features(domains):
-    """``distinct_rows(extract_features(domains)[0])`` without a per-row matrix.
+    """The distinct feature rows of ``domains``, a sequence of names, as
+    :class:`~domainsift.base.DistinctRows`: rows in lexicographic order, each
+    the :func:`domain_features` of the names that map to it.
 
     Each name's six counts (:func:`_count_block`) are packed into one int64
-    key, 8 bits each and length first, so the key order is the lexicographic
+    key, 10 bits each and length first, so the key order is the lexicographic
     order of the feature rows; only the distinct keys become float rows. A
-    name longer than 255 characters cannot be keyed and raises ValueError.
+    name of more than 1023 characters cannot be keyed and raises ValueError.
     """
     if isinstance(domains, str):
         raise TypeError("domains must be a sequence of strings, not a single str")
@@ -118,7 +115,7 @@ def distinct_features(domains):
         if long.size:
             i = block.start + int(long[0])
             raise ValueError(f"row {i}: a name of {len(domains[i])} characters is too "
-                             "long to key; at most 255")
+                             f"long to key; at most {(1 << _KEY_BITS) - 1}")
         packed = counts[0]
         for count in counts[1:]:
             packed = packed << _KEY_BITS | count

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from operator import add, mul
-from statistics import NormalDist
 
 import numpy as np
 
@@ -36,6 +35,7 @@ KNN_BLOCK_CELLS = 32_768
 TREE_MAX_DEPTH = 25  # most edges from the root to a leaf
 TREE_MIN_LEAF = 5  # rows each child of a split must hold
 TREE_CF = 0.25  # pruning confidence factor, in (0, 0.5)
+TREE_Z = 0.6744897501960817  # NormalDist().inv_cdf(1 - TREE_CF), the bound's normal deviate
 KNN_K = 5  # neighbours that vote; odd, so a vote cannot tie
 LOGREG_LR = 0.1  # gradient-descent step size
 LOGREG_EPOCHS = 500  # most full-batch steps
@@ -97,24 +97,25 @@ def _entropy_from_counts(c0, c1):
     return out
 
 
-def pessimistic_extra_errors(n, e, cf):
+def pessimistic_extra_errors(n, e, z):
     """Upper confidence bound on extra errors for a leaf (Wilson-style).
 
     Given n training samples with e misclassified, returns how many errors
-    to add so the total is an upper bound at confidence factor ``cf``. The
-    formula matches the classic C4.5 error-based pruning estimate: the
-    continuity-corrected normal bound on the binomial error rate, with a
-    closed form for the zero-error case.
+    to add so the total is an upper bound at the confidence factor whose
+    upper-tail normal deviate is ``z`` (cf = P(Z > z)). The formula matches
+    the classic C4.5 error-based pruning estimate: the continuity-corrected
+    normal bound on the binomial error rate, with a closed form for the
+    zero-error case.
     """
     n = float(n)
     e = float(e)
     if n <= 0:
         return 0.0
     if e == 0.0:
+        cf = 0.5 * math.erfc(z / math.sqrt(2.0))
         return n * (1.0 - cf ** (1.0 / n))
     if e + 0.5 >= n:
         return max(n - e, 0.0)
-    z = NormalDist().inv_cdf(1.0 - cf)
     f = (e + 0.5) / n
     r = (f + z * z / (2.0 * n) + z * math.sqrt(f / n - f * f / n + z * z / (4.0 * n * n))) / (
         1.0 + z * z / n
@@ -225,7 +226,7 @@ class C45Tree:
     def _prune_node(self, node):
         """Prune the subtree at ``node`` bottom-up; returns its pessimistic error
         estimate, the sum of the estimates of the leaves it keeps."""
-        as_leaf = node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, TREE_CF)
+        as_leaf = node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, TREE_Z)
         if node.is_leaf:
             return as_leaf
         subtree = self._prune_node(node.left) + self._prune_node(node.right)

@@ -184,10 +184,10 @@ def test_census_contraction(full_fit):
     ok = True
 
     hosts, _, truth = generate_census(20_000, dga_fraction=0.10, seed=SEED + 1)
-    slds = [normalize_domain(h, mode="second_level_label") for h in hosts]
+    slds = [normalize_domain(h, mode="sld") for h in hosts]
     X_sld, _ = extract_features(slds)
     flags = int(full_fit.predict(X_sld).sum())
-    fulls = [normalize_domain(h, mode="full_name") for h in hosts]
+    fulls = [normalize_domain(h, mode="full") for h in hosts]
     X_full, _ = extract_features(fulls)
     km = KMeans(k=2, seed=SEED).fit(X_full)
     clustered = int(km.sizes_[1])
@@ -206,7 +206,7 @@ def test_census_contraction(full_fit):
         records, _ = dedupe(records)
         X_full_r, _ = extract_features(records)
         slds_r = [
-            normalize_domain(host, mode="second_level_label")
+            normalize_domain(host, mode="sld")
             for host in records.raw_host
         ]
         X_sld_r, _ = extract_features(slds_r)

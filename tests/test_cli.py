@@ -198,6 +198,37 @@ def test_cluster_builds_no_per_row_feature_matrix(workdir, capsys, monkeypatch):
     assert run(workdir / "clusters_patched") == unpatched
 
 
+def test_predict_votes_on_distinct_feature_vectors(workdir, sld_model, capsys, monkeypatch):
+    """predict takes its feature vectors from integer counts and the members see
+    each distinct vector once: with the per-row extractor made to fail, no row
+    sort sees more rows than the corpus has distinct vectors, and the outputs stay."""
+    def run(out):
+        capsys.readouterr()
+        assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
+                     "--model", sld_model, "--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}, capsys.readouterr().out
+
+    unpatched = run(workdir / "predict_unpatched")
+    domains = [row[1] for row in _prediction_rows(workdir / "predict_unpatched")[1:]]
+    n_distinct = domainsift.features.distinct_features(domains).rows.shape[0]
+    assert n_distinct < len(domains)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("predict built a per-row feature matrix")
+
+    seen = []
+
+    def recording_distinct_rows(X, _distinct_rows=domainsift.ensemble.distinct_rows):
+        seen.append(len(X))
+        return _distinct_rows(X)
+
+    monkeypatch.setattr(domainsift.features, "extract_features", refuse)
+    monkeypatch.setattr(domainsift.cli, "extract_features", refuse)
+    monkeypatch.setattr(domainsift.ensemble, "distinct_rows", recording_distinct_rows)
+    assert run(workdir / "predict_patched") == unpatched
+    assert seen and max(seen) <= n_distinct, (seen, n_distinct)
+
+
 def _prediction_rows(out):
     with open(out / "predictions.csv", newline="") as fh:
         return list(csv.reader(fh))
@@ -260,6 +291,28 @@ class TestPredictMode:
     def test_evaluate_existing_model_refuses_mismatch(self, workdir, full_model):
         assert main(["evaluate", "--in", str(workdir / "gen" / "labeled.csv"),
                      "--model", full_model, "--mode", "sld"]) == 1
+
+    @pytest.mark.parametrize("short, long", [("sld", "second_level_label"),
+                                             ("full", "full_name")])
+    def test_model_may_record_a_long_mode_name(self, workdir, full_model, sld_model, tmp_path,
+                                               capsys, short, long):
+        """A model file may record its mode by the long name, which no option takes."""
+        census = str(workdir / "gen" / "census.tsv")
+        trained = {"sld": sld_model, "full": full_model}[short]
+        doc = read_model_document(Path(trained))
+        doc["metadata"]["mode"] = long
+        edited = tmp_path / "long.dsmodel"
+        write_model_document(edited, doc)
+        for model, out in ((trained, tmp_path / "short"), (edited, tmp_path / "long")):
+            assert main(["predict", "--in", census, "--model", str(model), "--out", str(out)]) == 0
+        assert _prediction_rows(tmp_path / "long") == _prediction_rows(tmp_path / "short")
+        other = {"sld": "full", "full": "sld"}[short]
+        capsys.readouterr()
+        assert main(["predict", "--in", census, "--model", str(edited), "--mode", other,
+                     "--out", str(tmp_path / "other")]) == 1
+        assert f"trained in {short!r} mode" in capsys.readouterr().err
+        assert main(["predict", "--in", census, "--model", str(edited), "--mode", long,
+                     "--out", str(tmp_path / "other")]) == 2
 
 
 @pytest.fixture(scope="module")

@@ -33,11 +33,12 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="key = value"):
             parse_config(["just some text"])
 
-    @pytest.mark.parametrize("mode", ["full", "sld", "full_name", "second_level_label"])
+    @pytest.mark.parametrize("mode", ["full", "sld"])
     def test_mode_name_stored_as_written(self, mode):
         assert parse_config([f"mode = {mode}"]) == {"mode": mode}
 
-    @pytest.mark.parametrize("mode", ["bogus", "FULL", "full\x00", ""])
+    @pytest.mark.parametrize("mode", ["bogus", "FULL", "full\x00", "", "full_name",
+                                      "second_level_label"])
     def test_unknown_mode_names_line(self, mode):
         with pytest.raises(ValueError, match=r"^run\.cfg:2: mode: unknown normalization mode"):
             parse_config(["seed = 1", f"mode = {mode}"], source="run.cfg")

@@ -47,9 +47,13 @@ class TestNormalizeDomain:
     def test_examples(self, raw, mode, expected):
         assert normalize_domain(raw, mode=mode) == expected
 
-    def test_mode_aliases(self):
-        assert normalize_domain("a.b.com", mode="full_name") == "a.b.com"
-        assert normalize_domain("a.b.com", mode="second_level_label") == "b"
+    def test_long_mode_names_refused(self):
+        for mode in ("full_name", "second_level_label"):
+            with pytest.raises(ValueError, match="unknown normalization mode"):
+                normalize_domain("a.b.com", mode=mode)
+            for parse in (parse_labeled_csv, parse_census_lines, parse_domain_lines):
+                with pytest.raises(ValueError, match="unknown normalization mode"):
+                    parse(io.StringIO(""), mode=mode)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -337,10 +341,11 @@ class TestSuffixAndIO:
                 assert fh.read() == "host,class\n\ufeffa.com,legit\n"  # only a leading one
 
     def test_resolve_mode(self):
-        assert resolve_mode("sld") == resolve_mode("second_level_label")
-        assert resolve_mode("full") == resolve_mode("full_name")
-        with pytest.raises(ValueError):
-            resolve_mode("nope")
+        assert resolve_mode("sld") == "sld"
+        assert resolve_mode("full") == "full"
+        for mode in ("nope", "full_name", "second_level_label"):
+            with pytest.raises(ValueError):
+                resolve_mode(mode)
 
     @pytest.mark.parametrize("mode", [["sld"], None, 1, {"sld": 1}],
                              ids=["list", "none", "int", "dict"])
@@ -352,7 +357,7 @@ class TestSuffixAndIO:
 _OLD_IPV4_RE = re.compile(r"^\d{1,3}(?:\.\d{1,3}){3}$")
 
 
-def census_oracle(stream, max_rows=None, mode="full_name"):
+def census_oracle(stream, max_rows=None, mode="full"):
     """The census parser before it matched one pattern per line: a TAB split,
     a digit regex and int() per octet. Adds the one new rule for the address,
     ASCII digits only; the name rules live in normalize_domain, shared by both.
@@ -455,7 +460,7 @@ def test_census_parser_matches_oracle(lines, last, max_rows, mode, block):
     text = "".join(lines) + last
     with mock.patch.object(corpus, "_BLOCK_CHARS", block):  # blocks that split lines
         table, stats = parse_census_lines(io.StringIO(text), max_rows=max_rows, mode=mode)
-    hosts, parts, total, errors = census_oracle(io.StringIO(text), max_rows, resolve_mode(mode))
+    hosts, parts, total, errors = census_oracle(io.StringIO(text), max_rows, mode)
     assert table.raw_host == hosts
     assert table.domain_part == parts
     assert table.label is None

@@ -148,10 +148,12 @@ class TestExtractFeatures:
 
 
 # names for the distinct_features property test: a-z, 0-9, ".-_", two letters
-# that are not a-z and an embedded NUL, at lengths 1 to 253
+# that are not a-z and an embedded NUL, at lengths 1 to 253, and two names of
+# 1023 characters, the longest a key holds
 KEY_ALPHABET = string.ascii_lowercase + string.digits + ".-_éж\x00"
 KEY_NAMES = st.one_of(
-    st.sampled_from(["a", "7", "\x00", "ж", "x" * 253, ("a1-" * 85)[:253], "é9" * 126 + "z"]),
+    st.sampled_from(["a", "7", "\x00", "ж", "x" * 253, ("a1-" * 85)[:253], "é9" * 126 + "z",
+                     "q" * 1023, "a1-" * 341]),
     st.text(st.sampled_from(KEY_ALPHABET), min_size=1, max_size=16),
     st.text(st.sampled_from(KEY_ALPHABET), min_size=240, max_size=253),
 )
@@ -172,7 +174,7 @@ class TestDistinctFeatures:
     def test_matches_distinct_rows_of_the_matrix(self, monkeypatch, domains, cells):
         monkeypatch.setattr(features, "FEATURE_BLOCK_CELLS", cells)
         got = distinct_features(domains)
-        want = distinct_rows(extract_features(domains)[0])
+        want = distinct_rows(np.stack([domain_features(d) for d in domains]))
         assert got.rows.shape == want.rows.shape
         assert got.rows.tobytes() == want.rows.tobytes()
         assert got.inverse.dtype == want.inverse.dtype
@@ -183,13 +185,14 @@ class TestDistinctFeatures:
     @pytest.mark.parametrize("cells", [1, features.FEATURE_BLOCK_CELLS])
     def test_name_too_long_for_the_key(self, monkeypatch, cells):
         monkeypatch.setattr(features, "FEATURE_BLOCK_CELLS", cells)
-        distinct_features(["a" * 255])
-        with pytest.raises(ValueError, match="row 2: a name of 256 characters"):
-            distinct_features(["ok", "fine", "b" * 256, "c" * 300])
+        for extract in (distinct_features, extract_features):
+            extract(["a" * 1023])
+            with pytest.raises(ValueError, match="row 2: a name of 1024 characters .* at most 1023"):
+                extract(["ok", "fine", "b" * 1024, "c" * 1100])
 
     def test_corpus_names_fit_the_key(self):
-        # every count of a name is at most its length, and a key holds 8 bits per count
-        assert corpus.MAX_NAME_LENGTH < 256
+        # every count of a name is at most its length, and a key field holds _KEY_BITS bits
+        assert corpus.MAX_NAME_LENGTH < 2**features._KEY_BITS
 
     def test_row_errors_and_bare_string(self):
         with pytest.raises(TypeError, match="single str"):

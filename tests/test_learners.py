@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from domainsift import learners
 from domainsift.base import NotFittedError
 from domainsift.learners import (
+    TREE_CF,
+    TREE_Z,
     C45Tree,
     GaussianNaiveBayes,
     KNNClassifier,
@@ -71,7 +74,16 @@ class TestCommonBehavior:
             cls().fit(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
 
 
+def deviate(cf):
+    """The upper-tail normal deviate of confidence factor ``cf``."""
+    return NormalDist().inv_cdf(1.0 - cf)
+
+
 class TestPessimisticErrors:
+    def test_tree_z_is_the_deviate_of_tree_cf(self):
+        assert TREE_Z == deviate(TREE_CF)
+        assert 0.5 * math.erfc(TREE_Z / math.sqrt(2.0)) == TREE_CF
+
     # frozen against an independent transcription of the classic C4.5 bound
     @pytest.mark.parametrize(
         "n,e,expected",
@@ -87,32 +99,33 @@ class TestPessimisticErrors:
         ],
     )
     def test_frozen_values(self, n, e, expected):
-        assert pessimistic_extra_errors(n, e, 0.25) == pytest.approx(expected, abs=1e-9)
+        assert pessimistic_extra_errors(n, e, TREE_Z) == pytest.approx(expected, abs=1e-9)
 
     def test_all_errors(self):
-        assert pessimistic_extra_errors(4, 4, 0.25) == 0.0
+        assert pessimistic_extra_errors(4, 4, TREE_Z) == 0.0
 
     def test_monotone_in_confidence(self):
         # lower cf = more pessimistic = more extra errors
-        assert pessimistic_extra_errors(10, 2, 0.1) > pessimistic_extra_errors(10, 2, 0.4)
+        assert (pessimistic_extra_errors(10, 2, deviate(0.1))
+                > pessimistic_extra_errors(10, 2, deviate(0.4)))
 
 
-def two_walk_prune(node, cf):
+def two_walk_prune(node, z):
     """Reference pruning: prune the children, then walk the pruned subtree
     again for its pessimistic estimate (quadratic in the depth)."""
     if node.is_leaf:
         return
-    two_walk_prune(node.left, cf)
-    two_walk_prune(node.right, cf)
-    as_leaf = node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, cf)
-    if as_leaf <= subtree_estimate(node, cf) + 1e-9:
+    two_walk_prune(node.left, z)
+    two_walk_prune(node.right, z)
+    as_leaf = node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, z)
+    if as_leaf <= subtree_estimate(node, z) + 1e-9:
         node.feature = node.threshold = node.left = node.right = None
 
 
-def subtree_estimate(node, cf):
+def subtree_estimate(node, z):
     if node.is_leaf:
-        return node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, cf)
-    return subtree_estimate(node.left, cf) + subtree_estimate(node.right, cf)
+        return node.n_errors + pessimistic_extra_errors(node.n_samples, node.n_errors, z)
+    return subtree_estimate(node.left, z) + subtree_estimate(node.right, z)
 
 
 def depth(node):
@@ -219,9 +232,9 @@ class TestC45Tree:
         cf = data.draw(st.floats(0.01, 0.49), label="cf")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learners, "TREE_MIN_LEAF", min_leaf)
-            mp.setattr(learners, "TREE_CF", cf)
+            mp.setattr(learners, "TREE_Z", deviate(cf))
             expected = C45Tree()._build(X, y, depth=0)
-            two_walk_prune(expected, cf)
+            two_walk_prune(expected, deviate(cf))
             pruned = C45Tree().fit(X, y)
         assert node_fields(pruned.tree_) == node_fields(expected)
 
