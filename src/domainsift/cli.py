@@ -21,7 +21,6 @@ import sys
 
 from . import analytics, corpus, evaluate, reputation, synthetic
 from .cluster import KMeans, cluster_feature_histogram, write_centroids_csv
-from .config import load_config
 from .ensemble import MajorityVoteEnsemble
 from .features import FEATURE_NAMES, distinct_features, extract_features, write_feature_csv
 from .model_io import ModelIOError, load_model, save_model
@@ -117,56 +116,46 @@ def _require_labels(table, path):
 
 
 # ---------------------------------------------------------------------------
-# option resolution (CLI flag > config file > built-in default)
+# run options: each comes from its flag alone, with argparse's default
 
 
-def _resolve(args, name, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return args.run_config.get(name, default)
-
-
-def _prepare(args, mode_default="sld"):
-    """The run options the command's own flags name, each from its flag, the config
-    file or its default, checked before any input is read."""
-    try:
-        args.run_config = load_config(args.config) if getattr(args, "config", None) else {}
-    except corpus.ParseError as exc:  # main would call it a corpus error
-        raise ValueError(f"config error: {exc}") from None
-    defaults = {"mode": mode_default, "seed": DEFAULT_SEED, "max_rows": None,
-                "test_fraction": 0.3, "cv": 0, "k": 2}
-    resolved = {name: _resolve(args, name, default)
-                for name, default in defaults.items() if hasattr(args, name)}
-    if resolved.get("max_rows") is not None and resolved["max_rows"] < 1:
-        raise ValueError(f"max_rows must be at least 1, got {resolved['max_rows']}")
-    if resolved.get("seed", 0) < 0:
-        raise ValueError(f"--seed must be at least 0, got {resolved['seed']}")
-    if not 0 < resolved.get("test_fraction", 0.3) < 1:
-        raise ValueError(f"--test-fraction must be in (0, 1), got {resolved['test_fraction']}")
-    if resolved.get("cv", 0) < 0 or resolved.get("cv") == 1:
-        raise ValueError(f"--cv must be 0 or at least 2, got {resolved['cv']}")
-    if resolved.get("k", 1) < 1:
-        raise ValueError(f"--k must be at least 1, got {resolved['k']}")
-    log.info("resolved options: %s", resolved)
-    return resolved
+def _prepare(args):
+    """Check the run options the command's own flags name, before any input is read."""
+    opt = {name: getattr(args, name) for name in
+           ("mode", "seed", "max_rows", "test_fraction", "cv", "k") if hasattr(args, name)}
+    if opt.get("max_rows") is not None and opt["max_rows"] < 1:
+        raise ValueError(f"max_rows must be at least 1, got {opt['max_rows']}")
+    if "seed" in opt and opt["seed"] < 0:
+        raise ValueError(f"--seed must be at least 0, got {opt['seed']}")
+    if "test_fraction" in opt and not 0 < opt["test_fraction"] < 1:
+        raise ValueError(f"--test-fraction must be in (0, 1), got {opt['test_fraction']}")
+    if "cv" in opt and (opt["cv"] < 0 or opt["cv"] == 1):
+        raise ValueError(f"--cv must be 0 or at least 2, got {opt['cv']}")
+    if "k" in opt and opt["k"] < 1:
+        raise ValueError(f"--k must be at least 1, got {opt['k']}")
+    log.info("resolved options: %s", opt)
 
 
 def _prepare_with_model(args):
-    """Load the ``--model`` ensemble and resolve options; the mode follows the model's."""
-    model = load_model(args.model, expected_kind="ensemble")
-    trained_mode = model.metadata_.get("mode")
-    if isinstance(trained_mode, str):
-        # a model file records the mode name its run was given, and earlier
-        # releases also took these long names
-        trained_mode = {"full_name": "full", "second_level_label": "sld"}.get(trained_mode,
-                                                                             trained_mode)
-    opt = _prepare(args, mode_default=trained_mode or "sld")
-    if trained_mode and opt["mode"] != corpus.resolve_mode(trained_mode):
+    """Load the ``--model`` ensemble, if one is named, and check the run options. Without
+    ``--mode``, the mode is the one the model records, else sld; another one is refused."""
+    model = trained_mode = None
+    if args.model:
+        model = load_model(args.model, expected_kind="ensemble")
+        trained_mode = model.metadata_.get("mode")
+        if isinstance(trained_mode, str):
+            # a model file records the mode name its run was given, and earlier
+            # releases also took these long names
+            trained_mode = {"full_name": "full", "second_level_label": "sld"}.get(trained_mode,
+                                                                                 trained_mode)
+    if args.mode is None:
+        args.mode = trained_mode or "sld"
+    _prepare(args)
+    if trained_mode and args.mode != corpus.resolve_mode(trained_mode):
         raise ValueError(
-            f"mode {opt['mode']!r} does not match {args.model}, trained in {trained_mode!r} mode"
+            f"mode {args.mode!r} does not match {args.model}, trained in {trained_mode!r} mode"
         )
-    return opt, model
+    return model
 
 
 def _out_dir(path):
@@ -186,8 +175,8 @@ def _write_histograms(out, histogram):
 
 
 def cmd_extract(args):
-    opt = _prepare(args, mode_default="sld")
-    table, X = _load_data(args.in_path, opt["mode"], opt["max_rows"])
+    _prepare(args)
+    table, X = _load_data(args.in_path, args.mode, args.max_rows)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_feature_csv(fh, X, table.label)
     log.info("wrote %d feature rows to %s", X.shape[0], args.out)
@@ -195,8 +184,8 @@ def cmd_extract(args):
 
 
 def cmd_analyze(args):
-    opt = _prepare(args, mode_default="sld")
-    table, X = _load_data(args.in_path, opt["mode"], opt["max_rows"])
+    _prepare(args)
+    table, X = _load_data(args.in_path, args.mode, args.max_rows)
     y = _require_labels(table, args.in_path)
     out = _out_dir(args.out)
 
@@ -216,13 +205,13 @@ def cmd_analyze(args):
 
 
 def cmd_train(args):
-    opt = _prepare(args, mode_default="sld")
-    table, X = _load_data(args.in_path, opt["mode"], opt["max_rows"])
-    model = MajorityVoteEnsemble(seed=opt["seed"]).fit(X, _require_labels(table, args.in_path))
+    _prepare(args)
+    table, X = _load_data(args.in_path, args.mode, args.max_rows)
+    model = MajorityVoteEnsemble(seed=args.seed).fit(X, _require_labels(table, args.in_path))
     meta = {
         "source": os.path.basename(args.in_path),
-        "mode": opt["mode"],
-        "seed": opt["seed"],
+        "mode": args.mode,
+        "seed": args.seed,
         "n_rows": int(X.shape[0]),
     }
     info = save_model(model, args.out, metadata=meta)
@@ -237,14 +226,14 @@ def _member_rows(model, X, y):
 
 
 def cmd_evaluate(args):
-    opt, model = _prepare_with_model(args) if args.model else (_prepare(args), None)
-    if opt["cv"] and model is not None:
+    model = _prepare_with_model(args)
+    if args.cv and model is not None:
         raise ValueError("--cv refits the ensemble on every fold and cannot score --model")
-    table, X = _load_data(args.in_path, opt["mode"], opt["max_rows"])
+    table, X = _load_data(args.in_path, args.mode, args.max_rows)
     y = _require_labels(table, args.in_path)
 
-    if opt["cv"]:
-        results = _cross_validate_members(opt, X, y)
+    if args.cv:
+        results = _cross_validate_members(args, X, y)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 evaluate.write_cv_csv(fh, results)
@@ -256,10 +245,10 @@ def cmd_evaluate(args):
         return 0
 
     train_idx, test_idx = evaluate.stratified_split(
-        y, test_fraction=opt["test_fraction"], seed=opt["seed"]
+        y, test_fraction=args.test_fraction, seed=args.seed
     )
     if model is None:
-        model = MajorityVoteEnsemble(seed=opt["seed"]).fit(X[train_idx], y[train_idx])
+        model = MajorityVoteEnsemble(seed=args.seed).fit(X[train_idx], y[train_idx])
     rows = _member_rows(model, X[test_idx], y[test_idx])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -268,29 +257,29 @@ def cmd_evaluate(args):
     return 0
 
 
-def _cross_validate_members(opt, X, y):
+def _cross_validate_members(args, X, y):
     per_name = {}
-    for train_idx, test_idx in evaluate.stratified_kfold(y, opt["cv"], seed=opt["seed"]):
-        model = MajorityVoteEnsemble(seed=opt["seed"]).fit(X[train_idx], y[train_idx])
+    for train_idx, test_idx in evaluate.stratified_kfold(y, args.cv, seed=args.seed):
+        model = MajorityVoteEnsemble(seed=args.seed).fit(X[train_idx], y[train_idx])
         for name, _, m in _member_rows(model, X[test_idx], y[test_idx]):
             per_name.setdefault(name, []).append(m)
     return [(name, evaluate.summarize_folds(folds)) for name, folds in per_name.items()]
 
 
 def cmd_cluster(args):
-    opt = _prepare(args, mode_default="full")
+    _prepare(args)
     # from here on the rows are needed only as distinct feature vectors
-    domains = _load_table(args.in_path, opt["mode"], opt["max_rows"]).domain_part
+    domains = _load_table(args.in_path, args.mode, args.max_rows).domain_part
     distinct = distinct_features(domains)
     del domains
-    model = KMeans(k=opt["k"], seed=opt["seed"]).fit(distinct)
+    model = KMeans(k=args.k, seed=args.seed).fit(distinct)
     labels = model.predict(distinct.rows)
     out = _out_dir(args.out)
     with open(os.path.join(out, "centroids.csv"), "w", encoding="utf-8", newline="") as fh:
         write_centroids_csv(fh, model)
     _write_histograms(out, lambda j, name: cluster_feature_histogram(distinct, labels, j))
     if args.model_out:
-        meta = {"source": os.path.basename(args.in_path), "seed": opt["seed"]}
+        meta = {"source": os.path.basename(args.in_path), "seed": args.seed}
         save_model(model, args.model_out, metadata=meta)
         log.info("saved cluster model to %s", args.model_out)
     sizes = ", ".join(
@@ -305,8 +294,8 @@ def cmd_cluster(args):
 
 
 def cmd_predict(args):
-    opt, model = _prepare_with_model(args)
-    table = _load_table(args.in_path, opt["mode"], opt["max_rows"])
+    model = _prepare_with_model(args)
+    table = _load_table(args.in_path, args.mode, args.max_rows)
     # members vote on the distinct feature vectors; only the per-row outputs map back
     distinct = distinct_features(table.domain_part)
     labels, votes, names = model.predict_with_votes(distinct.rows)
@@ -336,16 +325,18 @@ def cmd_predict(args):
 def cmd_reputation_check(args):
     if args.sample is not None and args.sample < 0:
         raise ValueError(f"--sample must be at least 0, got {args.sample}")
-    opt = _prepare(args, mode_default="full")
+    _prepare(args)
     with corpus.open_corpus_text(args.in_path) as fh:
-        lines = (line.strip() for line in fh if line.strip() and not line.startswith("#"))
-        domains = list(itertools.islice(lines, opt["max_rows"]))
+        # the rule of corpus.parse_domain_lines: blank lines and comments skipped once stripped
+        names = (line.strip() for line in fh)
+        domains = list(itertools.islice(
+            (name for name in names if name and not name.startswith("#")), args.max_rows))
     try:
         badlist = reputation.read_badlist(args.badlist)
     except corpus.ParseError as exc:  # main would call it a corpus error
         raise ValueError(f"bad-list error: {exc}") from None
     if args.sample is not None:
-        domains = reputation.sample(domains, args.sample, opt["seed"])
+        domains = reputation.sample(domains, args.sample, args.seed)
     listed = [domain.lower() in badlist for domain in domains]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -362,18 +353,17 @@ def cmd_generate(args):
             raise ValueError(f"{flag} must be at least 0, got {size}")
     if not 0.0 <= args.dga_fraction <= 1.0:
         raise ValueError(f"--dga-fraction must be in [0, 1], got {args.dga_fraction}")
-    opt = _prepare(args, mode_default="sld")
+    _prepare(args)
     out = _out_dir(args.out)
-    seed = opt["seed"]
 
     domains, labels = synthetic.generate_labeled_corpus(
-        n_legit=args.n_legit, n_dga=args.n_dga, seed=seed
+        n_legit=args.n_legit, n_dga=args.n_dga, seed=args.seed
     )
     labeled_path = os.path.join(out, "labeled.csv")
     synthetic.write_labeled_csv(labeled_path, domains, labels)
 
     hosts, ips, truth = synthetic.generate_census(
-        n=args.census_n, dga_fraction=args.dga_fraction, seed=seed + 1
+        n=args.census_n, dga_fraction=args.dga_fraction, seed=args.seed + 1
     )
     census_path = os.path.join(out, "census.tsv.gz" if args.gzip else "census.tsv")
     synthetic.write_census_file(census_path, hosts, ips)
@@ -399,11 +389,12 @@ def _add_common(sp, *, out_required=True, out_help="output path", with_mode=True
     sp.add_argument("--in", dest="in_path", required=True, help="input corpus path")
     sp.add_argument("--out", required=out_required, help=out_help)
     if with_mode:
-        sp.add_argument("--mode", choices=corpus.MODES, help="domain normalization mode")
+        sp.add_argument("--mode", choices=corpus.MODES, default="sld",
+                        help="domain normalization mode (default %(default)s)")
     if with_seed:
-        sp.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="RNG seed (default %(default)s)")
     sp.add_argument("--max-rows", dest="max_rows", type=int, help="cap on corpus rows read")
-    sp.add_argument("--config", help="key=value config file with option defaults")
 
 
 def build_parser():
@@ -427,22 +418,25 @@ def build_parser():
 
     sp = sub.add_parser("evaluate", help="train/test metrics for all classifiers")
     _add_common(sp, out_required=False, out_help="report CSV to write")
-    sp.add_argument("--test-fraction", dest="test_fraction", type=float,
-                    help="held-out fraction (default 0.3)")
-    sp.add_argument("--cv", type=int, help="use k-fold cross-validation instead of a split")
-    sp.add_argument("--model", help="evaluate an existing .dsmodel instead of training")
-    sp.set_defaults(func=cmd_evaluate)
+    sp.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.3,
+                    help="held-out fraction (default %(default)s)")
+    sp.add_argument("--cv", type=int, default=0,
+                    help="use k-fold cross-validation instead of a split")
+    sp.add_argument("--model", help="evaluate an existing .dsmodel instead of training; "
+                                    "without --mode, its mode is used")
+    sp.set_defaults(func=cmd_evaluate, mode=None)
 
     sp = sub.add_parser("cluster", help="k-means clustering of an unlabeled corpus")
     _add_common(sp, out_help="output directory for cluster CSVs")
-    sp.add_argument("--k", type=int, help="number of clusters (default 2)")
+    sp.add_argument("--k", type=int, default=2, help="number of clusters (default %(default)s)")
     sp.add_argument("--model-out", dest="model_out", help="also save the cluster model here")
-    sp.set_defaults(func=cmd_cluster)
+    sp.set_defaults(func=cmd_cluster, mode="full")
 
     sp = sub.add_parser("predict", help="ensemble prediction over an unlabeled corpus")
     _add_common(sp, out_help="output directory for predictions", with_seed=False)
-    sp.add_argument("--model", required=True, help="trained ensemble .dsmodel")
-    sp.set_defaults(func=cmd_predict)
+    sp.add_argument("--model", required=True,
+                    help="trained ensemble .dsmodel; without --mode, its mode is used")
+    sp.set_defaults(func=cmd_predict, mode=None)
 
     sp = sub.add_parser("reputation-check", help="spot-check flagged domains against a bad-list")
     _add_common(sp, out_required=False, out_help="results CSV to write", with_mode=False)
@@ -452,13 +446,13 @@ def build_parser():
 
     sp = sub.add_parser("generate", help="generate synthetic labeled + census corpora")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help="RNG seed (default %(default)s)")
     sp.add_argument("--n-legit", dest="n_legit", type=int, default=synthetic.DEFAULT_N_LEGIT)
     sp.add_argument("--n-dga", dest="n_dga", type=int, default=synthetic.DEFAULT_N_DGA)
     sp.add_argument("--census-n", dest="census_n", type=int, default=30_000)
     sp.add_argument("--dga-fraction", dest="dga_fraction", type=float, default=0.1)
     sp.add_argument("--gzip", action="store_true", help="gzip the census file")
-    sp.add_argument("--config", help="key=value config file with option defaults")
     sp.set_defaults(func=cmd_generate)
 
     return parser

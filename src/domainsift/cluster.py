@@ -162,8 +162,8 @@ def write_centroids_csv(stream, model):
 def cluster_feature_histogram(distinct, labels, feature_index):
     """Density histogram of one feature, one curve per cluster, shared bins.
 
-    ``distinct`` is the :func:`~domainsift.base.distinct_rows` of the
-    clustered matrix and ``labels`` the cluster of each of its distinct rows;
+    ``distinct`` is the :func:`~domainsift.features.distinct_features` of the
+    clustered names and ``labels`` the cluster of each of its distinct rows;
     each distinct value is binned once, weighted by the rows that hold it.
     """
     name = FEATURE_NAMES[feature_index]

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import domainsift
 from domainsift.cli import build_parser, main
-from domainsift.config import CONFIG_SCHEMA
 from domainsift.features import FEATURE_NAMES
 from domainsift.model_io import load_model
 
@@ -33,12 +32,6 @@ from conftest import (
     write_model_document,
     write_single_document_model,
 )
-
-
-# config keys that set learner and k-means hyperparameters before model format 7
-FORMER_KEYS = ["tree_max_depth", "tree_min_leaf", "tree_cf", "knn_k", "logreg_lr",
-               "logreg_epochs", "logreg_l2", "logreg_tol", "nb_var_floor", "svm_lambda",
-               "svm_epochs", "kmeans_max_iter", "kmeans_tol", "kmeans_restarts"]
 
 
 @pytest.fixture(scope="module")
@@ -281,13 +274,6 @@ class TestPredictMode:
         assert "trained in 'sld' mode" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
 
-    def test_mismatched_config_refused(self, workdir, full_model, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("mode = sld\n")
-        assert main(["predict", "--in", str(workdir / "gen" / "census.tsv"),
-                     "--model", full_model, "--config", str(cfg),
-                     "--out", str(tmp_path / "p")]) == 1
-
     def test_evaluate_existing_model_refuses_mismatch(self, workdir, full_model):
         assert main(["evaluate", "--in", str(workdir / "gen" / "labeled.csv"),
                      "--model", full_model, "--mode", "sld"]) == 1
@@ -338,6 +324,22 @@ def test_reputation_check(predictions, tmp_path):
     assert sum(",suspicious," in line for line in lines) == 3
 
 
+def test_reputation_check_skips_indented_comments(tmp_path, capsys):
+    # a line is stripped before it is taken for a comment, as in a plain domain list,
+    # and a comment does not count toward --max-rows
+    hosts = tmp_path / "hosts.txt"
+    hosts.write_text("a.com\n  # note\nb.com\nc.com\n")
+    badlist = tmp_path / "bad.txt"
+    badlist.write_text("b.com\n")
+    out = tmp_path / "rep.csv"
+    capsys.readouterr()
+    assert main(["reputation-check", "--in", str(hosts), "--badlist", str(badlist),
+                 "--out", str(out), "--max-rows", "2"]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["a.com",
+                                                                                "b.com"]
+    assert capsys.readouterr().out == "suspicious: 1, unknown: 1\n"
+
+
 def test_reputation_check_max_rows_stops_reading(tmp_path, capsys):
     # an undecodable byte well past the decoder's first chunk, after the rows wanted
     hosts = tmp_path / "hosts.txt"
@@ -366,22 +368,6 @@ def test_skipped_row_reasons_logged(tmp_path, capsys):
     ]
 
 
-def test_config_file_supplies_defaults(workdir, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 5\nmode = full\n")
-    model = tmp_path / "m.dsmodel"
-    rc = main(["train", "--in", str(workdir / "gen" / "labeled.csv"),
-               "--out", str(model), "--config", str(cfg)])
-    assert rc == 0
-    doc = read_model_document(model)
-    assert doc["metadata"]["mode"] == "full"
-    assert doc["metadata"]["seed"] == 5
-    flags = tmp_path / "flags.dsmodel"
-    assert main(["train", "--in", str(workdir / "gen" / "labeled.csv"),
-                 "--out", str(flags), "--seed", "5", "--mode", "full"]) == 0
-    assert model.read_bytes() == flags.read_bytes()
-
-
 # the run options each command resolves, in the order its resolved-options line lists them
 RUN_OPTIONS = {
     "extract": ["mode", "max_rows"],
@@ -398,7 +384,8 @@ RUN_OPTIONS = {
 def test_run_options_are_the_commands_flags():
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert {name: {action.dest for action in sub._actions} & set(CONFIG_SCHEMA)
+    run_options = {"mode", "seed", "max_rows", "test_fraction", "cv", "k"}
+    assert {name: {action.dest for action in sub._actions} & run_options
             for name, sub in commands.choices.items()} == {
         name: set(options) for name, options in RUN_OPTIONS.items()}
 
@@ -406,11 +393,9 @@ def test_run_options_are_the_commands_flags():
 @pytest.mark.parametrize("command", list(RUN_OPTIONS))
 def test_resolved_options_name_only_the_commands_run_options(sld_model, tmp_path, capsys,
                                                              command):
-    # the config sets every run option; a command resolves and logs only its own
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("mode = sld\nseed = 3\nmax_rows = 9\ntest_fraction = 0.5\ncv = 2\nk = 2\n")
+    # no run option is given, so each is its flag's default; a command logs only its own
     missing = str(tmp_path / "missing.txt")
-    argv = [command, "--out", str(tmp_path / "o"), "--config", str(cfg), *{
+    argv = [command, "--out", str(tmp_path / "o"), *{
         "generate": ["--n-legit", "5", "--n-dga", "5", "--census-n", "5"],
         "predict": ["--in", missing, "--model", sld_model],
         "reputation-check": ["--in", missing, "--badlist", missing],
@@ -422,7 +407,9 @@ def test_resolved_options_name_only_the_commands_run_options(sld_model, tmp_path
     assert len(logged) == 1
     resolved = ast.literal_eval(logged[0].split(": ", 2)[2])
     assert list(resolved) == RUN_OPTIONS[command]
-    assert {"mode": "sld", "seed": 3, "max_rows": 9, "test_fraction": 0.5, "cv": 2,
+    # predict takes the sld model's mode
+    mode = "full" if command == "cluster" else "sld"
+    assert {"mode": mode, "seed": 42, "max_rows": None, "test_fraction": 0.3, "cv": 0,
             "k": 2}.items() >= resolved.items()
 
 
@@ -438,7 +425,9 @@ class TestExitCodes:
         ["analyze", "--seed", "3"],
         ["predict", "--model", "m.dsmodel", "--seed", "3"],
         ["reputation-check", "--badlist", "bad.txt", "--mode", "full"],
-    ], ids=["extract_seed", "analyze_seed", "predict_seed", "reputation_check_mode"])
+        ["train", "--config", "run.cfg"],
+    ], ids=["extract_seed", "analyze_seed", "predict_seed", "reputation_check_mode",
+            "train_config"])
     def test_option_the_command_never_reads_is_usage_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--in", "in.txt", "--out", str(tmp_path / "o")]) == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
@@ -478,19 +467,15 @@ class TestExitCodes:
         assert err.startswith("ERROR") and len(err.splitlines()) == 1, err
         assert f"format version {version}" in err
 
-    @pytest.mark.parametrize("argv,config", [
-        (["extract", "--max-rows", "-2"], None),
-        (["extract", "--max-rows", "0"], None),
-        (["extract"], "max_rows = 0\n"),
-        (["reputation-check", "--max-rows", "-1", "--badlist", "{in}"], None),
-    ], ids=["extract_-2", "extract_0", "config_0", "reputation_check_-1"])
-    def test_max_rows_below_1_refused(self, workdir, tmp_path, capsys, argv, config):
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--max-rows", "-2"],
+        ["extract", "--max-rows", "0"],
+        ["reputation-check", "--max-rows", "-1", "--badlist", "{in}"],
+    ], ids=["extract_-2", "extract_0", "reputation_check_-1"])
+    def test_max_rows_below_1_refused(self, workdir, tmp_path, capsys, argv):
         labeled = str(workdir / "gen" / "labeled.csv")
         argv = [a.format(**{"in": labeled}) for a in argv]
         argv += ["--in", labeled, "--out", str(tmp_path / "o.csv")]
-        if config is not None:
-            (tmp_path / "run.cfg").write_text(config)
-            argv += ["--config", str(tmp_path / "run.cfg")]
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -521,26 +506,18 @@ class TestExitCodes:
         assert flag in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,config,message", [
-        (["cluster", "--k", "0"], None, "--k must be at least 1, got 0"),
-        (["cluster"], "k = -2\n", "--k must be at least 1, got -2"),
-        (["evaluate", "--cv", "-3"], None, "--cv must be 0 or at least 2, got -3"),
-        (["evaluate", "--cv", "1"], None, "--cv must be 0 or at least 2, got 1"),
-        (["evaluate"], "cv = 1\n", "--cv must be 0 or at least 2, got 1"),
-        (["evaluate", "--test-fraction", "2"], None, "--test-fraction must be in (0, 1), got 2.0"),
-        (["evaluate", "--test-fraction", "0"], None, "--test-fraction must be in (0, 1), got 0.0"),
-        (["evaluate", "--test-fraction", "nan"], None,
-         "--test-fraction must be in (0, 1), got nan"),
-        (["evaluate"], "test_fraction = 1\n", "--test-fraction must be in (0, 1), got 1.0"),
-    ], ids=["k_0", "config_k", "cv_negative", "cv_1", "config_cv", "test_fraction_2",
-            "test_fraction_0", "test_fraction_nan", "config_test_fraction"])
-    def test_bad_option_refused_before_reading(self, workdir, tmp_path, capsys, argv, config,
-                                               message):
+    @pytest.mark.parametrize("argv,message", [
+        (["cluster", "--k", "0"], "--k must be at least 1, got 0"),
+        (["evaluate", "--cv", "-3"], "--cv must be 0 or at least 2, got -3"),
+        (["evaluate", "--cv", "1"], "--cv must be 0 or at least 2, got 1"),
+        (["evaluate", "--test-fraction", "2"], "--test-fraction must be in (0, 1), got 2.0"),
+        (["evaluate", "--test-fraction", "0"], "--test-fraction must be in (0, 1), got 0.0"),
+        (["evaluate", "--test-fraction", "nan"], "--test-fraction must be in (0, 1), got nan"),
+    ], ids=["k_0", "cv_negative", "cv_1", "test_fraction_2", "test_fraction_0",
+            "test_fraction_nan"])
+    def test_bad_option_refused_before_reading(self, workdir, tmp_path, capsys, argv, message):
         corpus = "census.tsv" if argv[0] == "cluster" else "labeled.csv"
         argv = argv + ["--in", str(workdir / "gen" / corpus), "--out", str(tmp_path / "o")]
-        if config is not None:
-            (tmp_path / "run.cfg").write_text(config)
-            argv += ["--config", str(tmp_path / "run.cfg")]
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -548,44 +525,21 @@ class TestExitCodes:
         assert "parsed" not in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("argv", [
         ["generate", "--n-legit", "20", "--n-dga", "20", "--census-n", "20"],
         ["train", "--in", "{missing}"],
         ["evaluate", "--in", "{missing}"],
         ["cluster", "--in", "{missing}"],
         ["reputation-check", "--in", "{missing}", "--badlist", "{missing}", "--sample", "1"],
-    ], ids=lambda argv: argv[0])
-    def test_negative_seed_refused_before_reading(self, tmp_path, capsys, argv, source):
+    ], ids=lambda argv: f"{argv[0]}-flag")
+    def test_negative_seed_refused_before_reading(self, tmp_path, capsys, argv):
         # the input does not exist, so reading it first would give another error
         argv = [a.format(missing=tmp_path / "missing.txt") for a in argv]
-        argv += ["--out", str(tmp_path / "o")]
-        if source == "flag":
-            argv += ["--seed", "-1"]
-        else:
-            (tmp_path / "run.cfg").write_text("seed = -1\n")
-            argv += ["--config", str(tmp_path / "run.cfg")]
+        argv += ["--out", str(tmp_path / "o"), "--seed", "-1"]
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == "ERROR domainsift: --seed must be at least 0, got -1\n"
         assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("line,message", [
-        *((f"{key} = 1", f"unknown config key {key!r}; known keys: ") for key in FORMER_KEYS),
-        ("mode = bogus", "mode: unknown normalization mode 'bogus'; expected one of "),
-        ("mode = full\x00", "mode: unknown normalization mode 'full\\x00'; expected one of "),
-    ], ids=[*FORMER_KEYS, "mode_bogus", "mode_nul"])
-    def test_bad_config_line_refused_before_reading(self, tmp_path, capsys, line, message):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"seed = 3\n{line}\n")
-        out = tmp_path / "m.dsmodel"
-        capsys.readouterr()
-        assert main(["train", "--in", str(tmp_path / "missing.csv"), "--out", str(out),
-                     "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"ERROR domainsift: {cfg}:2: {message}"), err
-        assert len(err.splitlines()) == 1, err
-        assert not out.exists()
 
     def test_k_above_distinct_feature_vectors_refused(self, tmp_path, capsys):
         # abc.com and cab.com share one feature vector: 4 rows, 3 distinct vectors
@@ -625,12 +579,6 @@ class TestExitCodes:
         _one_error_line(err)
         assert (f"ERROR domainsift: corpus error: {labeled}: labeled CSV row 3: "
                 "field larger than field limit (131072)") in err.splitlines()
-
-    def test_bad_config_is_data_error(self, workdir, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nonsense_key = 1\n")
-        assert main(["extract", "--in", str(workdir / "gen" / "labeled.csv"),
-                     "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 1
 
     @pytest.mark.parametrize("command", ["extract", "analyze", "train", "evaluate", "cluster",
                                          "predict"])
@@ -741,35 +689,17 @@ class TestCorpusEncoding:
         assert main(["reputation-check", "--in", str(flagged), "--badlist", str(badlist)]) == 0
         assert capsys.readouterr().out == "suspicious: 1, unknown: 2\n"
 
-    def test_bom_config_is_read(self, tmp_path, capsys):
+    def test_non_utf8_badlist_is_one_error_line(self, tmp_path, capsys):
         domains = tmp_path / "domains.txt"
         domains.write_text("example.com\n")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes("\ufeffmode = full\n".encode())
+        badlist = tmp_path / "badlist.txt"
+        badlist.write_bytes(b"example.com\n\xff\n")
         capsys.readouterr()
-        assert main(["extract", "--in", str(domains), "--out", str(tmp_path / "f.csv"),
-                     "--config", str(cfg)]) == 0
-        assert ("INFO domainsift: resolved options: {'mode': 'full', 'max_rows': None}"
-                in capsys.readouterr().err.splitlines())
-
-    @pytest.mark.parametrize("which", ["badlist", "config"])
-    def test_non_utf8_user_file_is_one_error_line(self, tmp_path, capsys, which):
-        domains = tmp_path / "domains.txt"
-        domains.write_text("example.com\n")
-        user_file = tmp_path / f"{which}.txt"
-        argv = {
-            "badlist": ["reputation-check", "--badlist", str(user_file)],
-            "config": ["extract", "--out", str(tmp_path / "f.csv"), "--config", str(user_file)],
-        }[which]
-        user_file.write_bytes({"badlist": b"example.com\n", "config": b"seed = 4\n"}[which]
-                              + b"\xff\n")
-        capsys.readouterr()
-        assert main([*argv, "--in", str(domains)]) == 1
+        assert main(["reputation-check", "--badlist", str(badlist), "--in", str(domains)]) == 1
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("ERROR")]
         assert len(errors) == 1 and "Traceback" not in err, err
-        role = {"badlist": "bad-list", "config": "config"}[which]
-        assert errors == [f"ERROR domainsift: {role} error: {user_file}: "
+        assert errors == [f"ERROR domainsift: bad-list error: {badlist}: "
                           "not UTF-8 text: byte 0xff: invalid start byte"]
 
 
@@ -828,19 +758,6 @@ class TestInputsReadOnce:
         assert by_path.stdout == b"suspicious: 3, unknown: 5997\n"
         assert (got.returncode, got.stdout) == (0, by_path.stdout), got.stderr
 
-    def test_config_from_stdin(self, tmp_path):
-        domains, cfg = tmp_path / "d.txt", tmp_path / "run.cfg"
-        domains.write_text("www.example.co.uk\nqxz07k.net\n")
-        cfg.write_text("# run settings\n\nmode = full\n")
-        by_path = _cli("extract", "--in", str(domains), "--out", str(tmp_path / "a.csv"),
-                       "--config", str(cfg))
-        piped = _cli("extract", "--in", str(domains), "--out", str(tmp_path / "b.csv"),
-                     "--config", "/dev/stdin", stdin=cfg.read_bytes())
-        assert by_path.returncode == piped.returncode == 0, piped.stderr
-        assert b"resolved options: {'mode': 'full', 'max_rows': None}" in piped.stderr
-        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
-
-
 # census lines the parser keeps, skips or normalizes, for the extract fuzz test
 FUZZ_LINES = [
     "example.com\t1.2.3.4",
@@ -874,13 +791,6 @@ FUZZ_DOMAIN_LINES = [
 
 # bad-list lines: names, comments and blanks
 FUZZ_BADLIST_LINES = ["evil.com", "EVIL.com  # seen in 2020", "# a comment", "ümlaut.de", ""]
-
-# config lines with run options: extract reads mode, which is checked where the file is
-# parsed, and takes any value of the types of seed, k, cv and test_fraction. max_rows is
-# left out: an out-of-range value is an option error that names the option, not the file
-FUZZ_CONFIG_LINES = ["seed = 4", "mode = full  # trailing", "k = 3", "cv = 5",
-                     "test_fraction = 0.25", "# run settings", ""]
-
 
 # labeled-CSV heads, one of which starts each file of the labeled-CSV fuzz test: a
 # header, in one of three column orders, and eight good rows, four of each class
@@ -1007,31 +917,6 @@ def test_reputation_check_on_mutated_badlist(tmp_path, capsys, data):
     else:
         assert code == 1
         assert len(errors) == 1 and str(badlist) in errors[0], captured.err
-
-
-@settings(max_examples=200, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=mutated_bytes(FUZZ_CONFIG_LINES))
-def test_extract_on_mutated_config(tmp_path, capsys, data):
-    """extract with a damaged --config either writes a feature CSV that reads back,
-    or exits 1 with one ERROR line that names the config file."""
-    domains, cfg, out = tmp_path / "domains.txt", tmp_path / "run.cfg", tmp_path / "f.csv"
-    domains.write_text("example.com\nqxz07k.net\n")
-    cfg.write_bytes(data)
-    out.unlink(missing_ok=True)
-    capsys.readouterr()
-    code = main(["extract", "--in", str(domains), "--out", str(out), "--config", str(cfg)])
-    err = capsys.readouterr().err
-    assert "Traceback" not in err, err
-    errors = [line for line in err.splitlines() if line.startswith("ERROR")]
-    if code == 0:
-        assert errors == []
-        with open(out, newline="", encoding="utf-8") as fh:
-            X, _ = read_back_features(fh)
-        assert X.shape[0] == 2
-    else:
-        assert code == 1
-        assert len(errors) == 1 and str(cfg) in errors[0], err
 
 
 def _one_error_line(err):

@@ -4,8 +4,8 @@ import re
 import shlex
 from pathlib import Path
 
+import domainsift
 from domainsift.cli import main
-from domainsift.config import parse_config
 from domainsift.model_io import MODEL_FORMAT_VERSION
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -28,10 +28,13 @@ def _section(title):
     return found.group(1)
 
 
-def test_config_example_parses():
-    found = re.search(r"```\n(.*?)```", _section("Config files"), re.S)
-    assert found, "README.md has no config example"
-    assert parse_config(found.group(1).splitlines(), source="README.md")
+def test_layout_names_every_module():
+    found = re.search(r"## Layout\n\n```\nsrc/domainsift/\n(.*?)```",
+                      README.read_text(encoding="utf-8"), re.S)
+    assert found, "README.md has no Layout block"
+    listed = re.findall(r"^  (\w+\.py) ", found.group(1), re.M)
+    modules = Path(domainsift.__file__).parent.glob("*.py")
+    assert sorted(listed) == sorted(path.name for path in modules)
 
 
 def test_model_files_name_the_current_format_version():
