@@ -223,7 +223,8 @@ def histogram_pdf(values, y=None, binning=None, feature_name="", weights=None):
         groups = {None: (values, weights)}
     else:
         y = check_labels(y, n_samples=values.shape[0])
-        groups = {int(cls): (values[y == cls], weights[y == cls]) for cls in np.unique(y)}
+        groups = {int(cls): (values[y == cls], weights[y == cls])
+                  for cls in np.flatnonzero(np.bincount(y))}
 
     centers = binning.origin + (np.arange(binning.count) + 0.5) * binning.width
     densities = {}

@@ -39,9 +39,8 @@ def check_labels(y, n_samples=None, name="y"):
         raise ValueError(f"{name} must be 1-dimensional")
     if n_samples is not None and y.shape[0] != n_samples:
         raise ValueError(f"{name} has {y.shape[0]} entries, expected {n_samples}")
-    values = np.unique(y)
-    if not np.all(np.isin(values, (0, 1))):
-        raise ValueError(f"{name} must contain only 0/1 labels, got {values!r}")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError(f"{name} must contain only 0/1 labels, got {np.unique(y)!r}")
     return y.astype(np.int64)
 
 

@@ -120,7 +120,12 @@ def _require_labels(table, path):
 
 
 def _prepare(args):
-    """Check the run options the command's own flags name, before any input is read."""
+    """Check and log the run options the command's own flags name, before any input is read."""
+    log.info("resolved options: %s", _checked_options(args))
+
+
+def _checked_options(args):
+    """The run options the command's own flags name, by name, each checked."""
     opt = {name: getattr(args, name) for name in
            ("mode", "seed", "max_rows", "test_fraction", "cv", "k") if hasattr(args, name)}
     if opt.get("max_rows") is not None and opt["max_rows"] < 1:
@@ -133,12 +138,13 @@ def _prepare(args):
         raise ValueError(f"--cv must be 0 or at least 2, got {opt['cv']}")
     if "k" in opt and opt["k"] < 1:
         raise ValueError(f"--k must be at least 1, got {opt['k']}")
-    log.info("resolved options: %s", opt)
+    return opt
 
 
 def _prepare_with_model(args):
-    """Load the ``--model`` ensemble, if one is named, and check the run options. Without
+    """Check the run options, then load the ``--model`` ensemble, if one is named. Without
     ``--mode``, the mode is the one the model records, else sld; another one is refused."""
+    opt = _checked_options(args)
     model = trained_mode = None
     if args.model:
         model = load_model(args.model, expected_kind="ensemble")
@@ -150,7 +156,8 @@ def _prepare_with_model(args):
                                                                                  trained_mode)
     if args.mode is None:
         args.mode = trained_mode or "sld"
-    _prepare(args)
+    opt["mode"] = args.mode
+    log.info("resolved options: %s", opt)
     if trained_mode and args.mode != corpus.resolve_mode(trained_mode):
         raise ValueError(
             f"mode {args.mode!r} does not match {args.model}, trained in {trained_mode!r} mode"

@@ -170,7 +170,7 @@ def cluster_feature_histogram(distinct, labels, feature_index):
     column = distinct.rows[:, feature_index]
     binning = default_binning(column)
     densities = {}
-    for c in np.unique(labels).tolist():
+    for c in np.flatnonzero(np.bincount(labels)).tolist():
         mine = labels == c
         part = histogram_pdf(
             column[mine], binning=binning, feature_name=name, weights=distinct.counts[mine]

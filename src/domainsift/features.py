@@ -120,13 +120,14 @@ def distinct_features(domains):
         for count in counts[1:]:
             packed = packed << _KEY_BITS | count
         key[block] = packed
-    # np.unique(key, return_inverse=True) keeps several more n-sized temporaries
-    keys = np.unique(key)
+    # np.unique(key, return_inverse=True) keeps several more n-sized temporaries;
+    # asking for the counts takes its sort path, which never imports numpy.ma
+    keys, counts = np.unique(key, return_counts=True)
     inverse = np.searchsorted(keys, key)
     shifts = range(_KEY_BITS * 5, -1, -_KEY_BITS)
     rows = np.empty((keys.size, N_FEATURES), dtype=np.float64)
     _fill_features(rows, *(keys >> shift & ((1 << _KEY_BITS) - 1) for shift in shifts))
-    return DistinctRows(rows, inverse, np.bincount(inverse))
+    return DistinctRows(rows, inverse, counts)
 
 
 def _count_blocks(domains):

@@ -67,13 +67,8 @@ class _Node:
     __slots__ = ("feature", "threshold", "left", "right", "prediction", "n_samples", "n_errors")
 
     def __init__(self, prediction, n_samples, n_errors):
-        self.feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-        self.prediction = prediction
-        self.n_samples = n_samples
-        self.n_errors = n_errors
+        self.feature = self.threshold = self.left = self.right = None
+        self.prediction, self.n_samples, self.n_errors = prediction, n_samples, n_errors
 
     @property
     def is_leaf(self):
@@ -82,18 +77,13 @@ class _Node:
 
 def _entropy_from_counts(c0, c1):
     """Shannon entropy (bits) of two-class counts; vectorized, 0*log0 = 0."""
-    c0 = np.asarray(c0, dtype=np.float64)
-    c1 = np.asarray(c1, dtype=np.float64)
+    c0, c1 = np.asarray(c0, dtype=np.float64), np.asarray(c1, dtype=np.float64)
     n = c0 + c1
     out = np.zeros_like(n)
-    valid = n > 0
-    for c in (c0, c1):
-        p = np.zeros_like(n)
-        np.divide(c, n, out=p, where=valid)
-        term = np.zeros_like(n)
-        pos = p > 0
-        term[pos] = p[pos] * np.log2(p[pos])
-        out -= term
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in (c0, c1):
+            p = c / n
+            out -= np.where(p > 0, p * np.log2(p), 0.0)
     return out
 
 
@@ -107,8 +97,7 @@ def pessimistic_extra_errors(n, e, z):
     normal bound on the binomial error rate, with a closed form for the
     zero-error case.
     """
-    n = float(n)
-    e = float(e)
+    n, e = float(n), float(e)
     if n <= 0:
         return 0.0
     if e == 0.0:
@@ -117,19 +106,64 @@ def pessimistic_extra_errors(n, e, z):
     if e + 0.5 >= n:
         return max(n - e, 0.0)
     f = (e + 0.5) / n
-    r = (f + z * z / (2.0 * n) + z * math.sqrt(f / n - f * f / n + z * z / (4.0 * n * n))) / (
-        1.0 + z * z / n
-    )
-    return r * n - e
+    r = f + z * z / (2.0 * n) + z * math.sqrt(f / n - f * f / n + z * z / (4.0 * n * n))
+    return r / (1.0 + z * z / n) * n - e
+
+
+def _best_split(X, y, block, min_leaf):
+    """``(feature, threshold, rows left)`` of the best split of the node whose rows,
+    sorted by feature j, are ``block[j]``, or None. All cuts that leave ``min_leaf``
+    rows a side are scored at once; each feature offers its first cut of highest
+    gain ratio, and beats lower features only by more than ``_EPS``."""
+    d, n = block.shape
+    lo, hi = min_leaf - 1, n - min_leaf  # cut c sends the first c + 1 rows left
+    xs = X[block, np.arange(d)[:, None]]
+    feature, c = np.nonzero(xs[:, lo + 1 : hi + 1] != xs[:, lo:hi])
+    del xs  # the node's largest array; the cumsum takes its place
+    c += lo
+    ones = np.cumsum(y[block], axis=1, dtype=np.int32)
+    total1 = ones[0, -1]
+    parent = float(_entropy_from_counts(n - total1, total1))
+    left_n, left1 = c + 1, ones[feature, c].astype(np.float64)
+    right_n, right1 = n - left_n, float(total1) - left1
+    left_h, right_h, split_info = _entropy_from_counts(
+        np.stack([left_n - left1, right_n - right1, left_n]), np.stack([left1, right1, right_n]))
+    gain = parent - (left_n * left_h + right_n * right_h) / n
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(split_info > 0, gain / np.maximum(split_info, _EPS), -1.0)
+    ratio = np.where(gain >= -_EPS, np.maximum(ratio, 0.0), -1.0)
+    top = np.full(d, -1.0)
+    np.maximum.at(top, feature, ratio)
+    best = None
+    for j, r in enumerate(top.tolist()):
+        if r >= 0 and (best is None or r > top[best] + _EPS):
+            best = j
+    if best is None:
+        return None
+    k = c[np.argmax(np.where(feature == best, ratio, -2.0))]  # its lowest cut at the max
+    low, high = X[block[best, k : k + 2], best].tolist()
+    mid = (low + high) / 2.0  # can round up to high (adjacent floats) or overflow
+    return best, mid if low <= mid < high else low, int(k) + 1
+
+
+def _partition(block, left_rows, mask):
+    """Reorder each row of ``block`` stably in place, ``left_rows`` first. ``mask``
+    is an all-False row mask, and is left so."""
+    mask[left_rows] = True
+    left = mask[block]
+    mask[left_rows] = False
+    d = len(block)
+    block[:] = np.hstack((block[left].reshape(d, -1), block[~left].reshape(d, -1)))
 
 
 class C45Tree:
     """Binary decision tree with gain-ratio splits and pessimistic pruning.
 
     Numeric thresholds are midpoints between consecutive distinct sorted
-    values; the split maximizing gain ratio wins, with ties broken toward
-    the lowest feature index and then the lowest threshold. Zero-gain splits
-    are permitted (required for parity problems, where no single feature has
+    values, or the lower value where the midpoint rounds up to the upper one;
+    the split maximizing gain ratio wins, with ties broken toward the lowest
+    feature index and then the lowest threshold. Zero-gain splits are
+    permitted (required for parity problems, where no single feature has
     positive gain) and pruning later removes the useless ones. Pruning
     replaces a subtree by a leaf when the leaf's pessimistic error estimate
     at confidence ``TREE_CF`` does not exceed the subtree's. No split is
@@ -147,7 +181,7 @@ class C45Tree:
 
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y)
-        self.tree_ = self._build(X, y, depth=0)
+        self.tree_ = self._grow(X, y)
         self._prune_node(self.tree_)
         return self
 
@@ -164,62 +198,30 @@ class C45Tree:
 
     # -- construction
 
-    def _build(self, X, y, depth):
-        counts = np.bincount(y, minlength=2)
+    def _grow(self, X, y):
+        """The unpruned tree of ``(X, y)``, grown from one stable sort of each column
+        (SLIQ: Mehta, Agrawal and Rissanen, EDBT 1996)."""
+        order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T, dtype=np.int32)
+        return self._grow_node(X, y.astype(np.int8), order, np.zeros(y.size, dtype=bool), 0)
+
+    def _grow_node(self, X, y, block, mask, depth):
+        """The unpruned subtree of the rows in ``block``, whose row j lists them by
+        feature j's value, ties by row number; its split partitions them stably in
+        place, left first, so each child's block is a part of it."""
+        n = block.shape[1]
+        counts = np.bincount(y[block[0]], minlength=2)
         pred = 0 if counts[0] >= counts[1] else 1
-        node = _Node(prediction=pred, n_samples=y.size, n_errors=int(y.size - counts[pred]))
-        if counts[pred] == y.size or y.size < 2 or depth >= TREE_MAX_DEPTH:
+        node = _Node(prediction=pred, n_samples=n, n_errors=int(n - counts[pred]))
+        if counts[pred] == n or n < 2 or depth >= TREE_MAX_DEPTH:
             return node
-        split = self._best_split(X, y, max(1, min(TREE_MIN_LEAF, y.size // 2)))
+        split = _best_split(X, y, block, max(1, min(TREE_MIN_LEAF, n // 2)))
         if split is None:
             return node
-        feature, threshold = split
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
+        node.feature, node.threshold, n_left = split
+        _partition(block, block[node.feature, :n_left], mask)
+        node.left = self._grow_node(X, y, block[:, :n_left], mask, depth + 1)
+        node.right = self._grow_node(X, y, block[:, n_left:], mask, depth + 1)
         return node
-
-    def _best_split(self, X, y, min_leaf):
-        n = y.size
-        parent = float(_entropy_from_counts(np.sum(y == 0), np.sum(y == 1)))
-        best = None  # (ratio, feature, threshold)
-        for j in range(X.shape[1]):
-            order = np.argsort(X[:, j], kind="stable")
-            xs = X[order, j]
-            ys = y[order]
-            cut = np.nonzero(xs[1:] != xs[:-1])[0]  # split between cut and cut+1
-            if cut.size == 0:
-                continue
-            left_n = cut + 1
-            right_n = n - left_n
-            usable = (left_n >= min_leaf) & (right_n >= min_leaf)
-            if not usable.any():
-                continue
-            cum_ones = np.cumsum(ys)
-            left1 = cum_ones[cut].astype(np.float64)
-            left0 = left_n - left1
-            right1 = float(cum_ones[-1]) - left1
-            right0 = right_n - right1
-            child = (
-                left_n * _entropy_from_counts(left0, left1)
-                + right_n * _entropy_from_counts(right0, right1)
-            ) / n
-            gain = parent - child
-            split_info = _entropy_from_counts(left_n, right_n)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(split_info > 0, gain / np.maximum(split_info, _EPS), -1.0)
-            ratio = np.where(usable & (gain >= -_EPS), np.maximum(ratio, 0.0), -1.0)
-            k = int(np.argmax(ratio))  # first max: lowest threshold wins ties
-            if ratio[k] < 0:
-                continue
-            if best is None or ratio[k] > best[0] + _EPS:
-                threshold = float((xs[cut[k]] + xs[cut[k] + 1]) / 2.0)
-                best = (float(ratio[k]), j, threshold)
-        if best is None:
-            return None
-        return best[1], best[2]
 
     # -- pruning
 
@@ -232,10 +234,7 @@ class C45Tree:
         subtree = self._prune_node(node.left) + self._prune_node(node.right)
         if as_leaf > subtree + 1e-9:
             return subtree
-        node.feature = None
-        node.threshold = None
-        node.left = None
-        node.right = None
+        node.feature = node.threshold = node.left = node.right = None
         return as_leaf
 
     # -- introspection

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domainsift.base import distinct_rows
+from domainsift.base import check_labels, distinct_rows
 
 
 def _matrices():
@@ -54,3 +55,18 @@ class TestDistinctRows:
         rows, inverse, counts = distinct_rows(np.array([[4.0, -1.0]]))
         np.testing.assert_array_equal(rows, [[4.0, -1.0]])
         assert inverse.tolist() == [0] and counts.tolist() == [1]
+
+
+@pytest.mark.parametrize("y,message", [
+    ([0, 2, 1, 2], "y must contain only 0/1 labels, got array([0, 1, 2])"),
+    ([0.5, 1.0], "y must contain only 0/1 labels, got array([0.5, 1. ])"),
+])
+def test_check_labels_names_the_distinct_values(y, message):
+    with pytest.raises(ValueError) as exc:
+        check_labels(np.array(y))
+    assert str(exc.value) == message
+
+
+def test_check_labels_accepts_0_1_values_of_any_dtype():
+    for y in ([0, 1, 1], [0.0, 1.0], [True, False], []):
+        assert check_labels(np.array(y)).dtype == np.int64

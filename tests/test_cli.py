@@ -483,6 +483,18 @@ class TestExitCodes:
         assert "max_rows must be at least 1" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["predict", "--max-rows", "0"], "max_rows must be at least 1, got 0"),
+        (["evaluate", "--test-fraction", "2"], "--test-fraction must be in (0, 1), got 2.0"),
+    ], ids=["predict_max_rows_0", "evaluate_test_fraction_2"])
+    def test_bad_option_refused_before_the_model_is_read(self, workdir, tmp_path, capsys,
+                                                         argv, message):
+        argv = argv + ["--in", str(workdir / "gen" / "labeled.csv"), "--out",
+                       str(tmp_path / "o"), "--model", str(tmp_path / "missing.dsmodel")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"ERROR domainsift: {message}\n"
+
     @pytest.mark.parametrize("flag,argv", [
         ("--n-legit", ["generate", "--n-legit", "-1", "--n-dga", "20", "--census-n", "20"]),
         ("--n-dga", ["generate", "--n-legit", "20", "--n-dga", "-1", "--census-n", "20"]),
@@ -709,6 +721,25 @@ def _cli(*argv, stdin=None):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-m", "domainsift.cli", *argv], input=stdin,
                           capture_output=True, env=env, check=False)
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "cluster"])
+def test_command_never_imports_numpy_ma(workdir, sld_model, tmp_path, command):
+    # numpy 2's np.unique imports numpy.ma (about 10 ms) unless asked for indices or counts
+    gen = workdir / "gen"
+    argv = {
+        "train": ["--in", gen / "labeled.csv", "--out", tmp_path / "m.dsmodel"],
+        "predict": ["--in", gen / "census.tsv", "--model", sld_model, "--out", tmp_path / "p"],
+        "cluster": ["--in", gen / "census.tsv", "--out", tmp_path / "c"],
+    }[command]
+    script = ("import sys\nfrom domainsift.cli import main\n"
+              "rc = main(sys.argv[1:])\nprint('numpy.ma' in sys.modules)\nsys.exit(rc)")
+    src = str(Path(domainsift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, command, *map(str, argv)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestInputsReadOnce:

@@ -128,6 +128,52 @@ def subtree_estimate(node, z):
     return subtree_estimate(node.left, z) + subtree_estimate(node.right, z)
 
 
+def _c45_reference(X, y, depth=0):
+    """The unpruned tree that C45Tree._grow must reproduce, grown the direct way:
+    each node sorts each feature of its own rows again (stable argsort), scores
+    that feature's cuts, and hands copies of its rows to the children."""
+    counts = np.bincount(y, minlength=2)
+    pred = 0 if counts[0] >= counts[1] else 1
+    node = learners._Node(pred, y.size, int(y.size - counts[pred]))
+    if counts[pred] == y.size or y.size < 2 or depth >= learners.TREE_MAX_DEPTH:
+        return node
+    n, eps, entropy = y.size, learners._EPS, learners._entropy_from_counts
+    min_leaf = max(1, min(learners.TREE_MIN_LEAF, n // 2))
+    parent = float(entropy(np.sum(y == 0), np.sum(y == 1)))
+    best = None  # (ratio, feature, threshold)
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs, ys = X[order, j], y[order]
+        cut = np.nonzero(xs[1:] != xs[:-1])[0]  # split between cut and cut + 1
+        left_n = cut + 1
+        right_n = n - left_n
+        usable = (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not usable.any():
+            continue
+        cum_ones = np.cumsum(ys)
+        left1 = cum_ones[cut].astype(np.float64)
+        right1 = float(cum_ones[-1]) - left1
+        child = (left_n * entropy(left_n - left1, left1)
+                 + right_n * entropy(right_n - right1, right1)) / n
+        gain = parent - child
+        split_info = entropy(left_n, right_n)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(split_info > 0, gain / np.maximum(split_info, eps), -1.0)
+        ratio = np.where(usable & (gain >= -eps), np.maximum(ratio, 0.0), -1.0)
+        k = int(np.argmax(ratio))  # first max: lowest threshold wins ties
+        if ratio[k] >= 0 and (best is None or ratio[k] > best[0] + eps):
+            low, high = float(xs[cut[k]]), float(xs[cut[k] + 1])
+            mid = (low + high) / 2.0
+            best = (float(ratio[k]), j, mid if low <= mid < high else low)
+    if best is None:
+        return node
+    _, node.feature, node.threshold = best
+    mask = X[:, node.feature] <= node.threshold
+    node.left = _c45_reference(X[mask], y[mask], depth + 1)
+    node.right = _c45_reference(X[~mask], y[~mask], depth + 1)
+    return node
+
+
 def depth(node):
     """Edges on the longest root-to-leaf path of the tree at ``node``."""
     if node.is_leaf:
@@ -180,14 +226,14 @@ class TestC45Tree:
         y = rng.integers(0, 2, size=200)
         y[:2] = [0, 1]
         monkeypatch.setattr(learners, "TREE_MAX_DEPTH", 3)
-        assert depth(C45Tree()._build(X, y, depth=0)) == 3
+        assert depth(C45Tree()._grow(X, y)) == 3
         assert depth(C45Tree().fit(X, y).tree_) <= 3
 
     def test_min_leaf_respected_on_large_nodes(self, rng, monkeypatch):
         X = rng.normal(size=(300, 3))
         y = (X[:, 0] + 0.3 * rng.normal(size=300) > 0).astype(np.int64)
         monkeypatch.setattr(learners, "TREE_MIN_LEAF", 20)
-        unpruned = C45Tree()._build(X, y, depth=0)
+        unpruned = C45Tree()._grow(X, y)
 
         def check(node, n):
             if node.is_leaf:
@@ -204,7 +250,7 @@ class TestC45Tree:
         y = rng.integers(0, 2, size=300)  # pure noise
         y[:2] = [0, 1]
         pruned = C45Tree().fit(X, y)
-        assert pruned.n_nodes_ < pruned._count_nodes(C45Tree()._build(X, y, depth=0))
+        assert pruned.n_nodes_ < pruned._count_nodes(C45Tree()._grow(X, y))
 
     def test_pruning_keeps_real_structure(self):
         X = np.array([[1.0], [2.0], [8.0], [9.0]] * 10)
@@ -233,10 +279,54 @@ class TestC45Tree:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learners, "TREE_MIN_LEAF", min_leaf)
             mp.setattr(learners, "TREE_Z", deviate(cf))
-            expected = C45Tree()._build(X, y, depth=0)
+            expected = C45Tree()._grow(X, y)
             two_walk_prune(expected, deviate(cf))
             pruned = C45Tree().fit(X, y)
         assert node_fields(pruned.tree_) == node_fields(expected)
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_grow_matches_per_node_sort_reference(self, data):
+        n = data.draw(st.integers(1, 60), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        # rows drawn from a pool of few distinct rows on a small integer grid: many
+        # ties in every column and many duplicate rows
+        top = data.draw(st.integers(0, 6), label="top")
+        row = st.lists(st.integers(-top, top).map(float), min_size=d, max_size=d)
+        pool = data.draw(st.lists(row, min_size=1, max_size=n), label="pool")
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        X = np.array([pool[i] for i in picks])
+        if data.draw(st.booleans(), label="twin"):
+            X[:, -1] = X[:, 0]  # equal ratios in two features: the lower one wins
+        classes = data.draw(st.sampled_from([[0], [1], [0, 1]]), label="classes")
+        y = np.array(data.draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n)))
+        if data.draw(st.booleans(), label="mirror"):
+            # each cut has a mirror image of equal gain ratio: the lower one wins
+            X, y = np.vstack([X, -X]), np.concatenate([y, y])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learners, "TREE_MIN_LEAF", data.draw(st.integers(1, 6), label="min_leaf"))
+            mp.setattr(learners, "TREE_MAX_DEPTH", data.draw(st.integers(0, 8), label="depth"))
+            assert node_fields(C45Tree()._grow(X, y)) == node_fields(_c45_reference(X, y))
+
+    def test_fit_sorts_once(self, blobs, monkeypatch):
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(a) or argsort(*a, **k))
+        tree = C45Tree().fit(*blobs)
+        assert tree.n_nodes_ > 1 and len(calls) == 1
+
+    @pytest.mark.parametrize("low,high", [
+        (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),  # mid rounds up
+        (1.7e308, 1.75e308),  # the sum overflows to inf
+        (-1.75e308, -1.7e308),  # the sum overflows to -inf
+    ], ids=["adjacent", "overflow", "negative_overflow"])
+    def test_threshold_separates_the_scored_cut(self, low, high):
+        X = np.array([[low]] * 6 + [[high]] * 6)
+        y = np.array([0] * 6 + [1] * 6)
+        tree = C45Tree().fit(X, y)
+        assert tree.n_nodes_ == 3 and low <= tree.tree_.threshold < high
+        assert tree.predict(X).tolist() == y.tolist()
 
 
 class TestKNN:
