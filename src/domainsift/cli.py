@@ -214,13 +214,8 @@ def cmd_analyze(args):
 def cmd_train(args):
     _prepare(args)
     table, X = _load_data(args.in_path, args.mode, args.max_rows)
-    model = MajorityVoteEnsemble(seed=args.seed).fit(X, _require_labels(table, args.in_path))
-    meta = {
-        "source": os.path.basename(args.in_path),
-        "mode": args.mode,
-        "seed": args.seed,
-        "n_rows": int(X.shape[0]),
-    }
+    model = MajorityVoteEnsemble().fit(X, _require_labels(table, args.in_path))
+    meta = {"source": os.path.basename(args.in_path), "mode": args.mode, "n_rows": int(X.shape[0])}
     info = save_model(model, args.out, metadata=meta)
     log.info("saved ensemble (%d training rows) to %s", X.shape[0], args.out)
     print(f"{info['path']}  sha256:{info['sha256'][:16]}  {info['bytes']} bytes")
@@ -255,7 +250,7 @@ def cmd_evaluate(args):
         y, test_fraction=args.test_fraction, seed=args.seed
     )
     if model is None:
-        model = MajorityVoteEnsemble(seed=args.seed).fit(X[train_idx], y[train_idx])
+        model = MajorityVoteEnsemble().fit(X[train_idx], y[train_idx])
     rows = _member_rows(model, X[test_idx], y[test_idx])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -267,7 +262,7 @@ def cmd_evaluate(args):
 def _cross_validate_members(args, X, y):
     per_name = {}
     for train_idx, test_idx in evaluate.stratified_kfold(y, args.cv, seed=args.seed):
-        model = MajorityVoteEnsemble(seed=args.seed).fit(X[train_idx], y[train_idx])
+        model = MajorityVoteEnsemble().fit(X[train_idx], y[train_idx])
         for name, _, m in _member_rows(model, X[test_idx], y[test_idx]):
             per_name.setdefault(name, []).append(m)
     return [(name, evaluate.summarize_folds(folds)) for name, folds in per_name.items()]
@@ -420,7 +415,7 @@ def build_parser():
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("train", help="train the 5-member voting ensemble")
-    _add_common(sp, out_help="model file to write (.dsmodel)")
+    _add_common(sp, out_help="model file to write (.dsmodel)", with_seed=False)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("evaluate", help="train/test metrics for all classifiers")

@@ -40,18 +40,14 @@ class MajorityVoteEnsemble:
     """Five classifiers voting; 3 or more positive votes predict DGA.
 
     The members are the canonical five (c45, knn, logreg, nb, svm), each
-    at the hyperparameters fixed in :mod:`~domainsift.learners`; ``seed``
-    seeds the svm. A member sees standardized inputs when its name is in
-    ``SCALED_KINDS``.
+    at the hyperparameters fixed in :mod:`~domainsift.learners`. A member
+    sees standardized inputs when its name is in ``SCALED_KINDS``.
     """
 
     FITTED_FIELDS = (
         ("standardizer_", "standardizer", ()),
         ("members_", "members", ()),
     )
-
-    def __init__(self, seed=0):
-        self.seed = seed
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
@@ -61,7 +57,7 @@ class MajorityVoteEnsemble:
             ("knn", KNNClassifier()),
             ("logreg", LogisticRegressionGD()),
             ("nb", GaussianNaiveBayes()),
-            ("svm", PegasosSVM(seed=self.seed)),
+            ("svm", PegasosSVM()),
         ]
         scaler = Standardizer().fit(X)
         Xs = scaler.transform(X)

@@ -3,7 +3,7 @@
 All operate on numeric feature matrices and 0/1 labels (1 = DGA). Each is
 implemented directly on numpy: a C4.5-style decision tree, k-nearest
 neighbours, full-batch logistic regression, Gaussian naive Bayes, and a
-linear SVM trained with the Pegasos stochastic subgradient method.
+linear SVM trained with full-batch Pegasos subgradient steps.
 
 The tree and naive Bayes are scale-free; the distance- and margin-based
 learners (knn, logreg, svm) expect standardized inputs, which the ensemble
@@ -13,7 +13,6 @@ layer applies for them.
 from __future__ import annotations
 
 import math
-from operator import add, mul
 
 import numpy as np
 
@@ -43,7 +42,7 @@ LOGREG_L2 = 1e-4  # weight of the L2 penalty
 LOGREG_TOL = 1e-6  # gradient norm at which descent stops
 NB_VAR_FLOOR = 1e-9  # variance floor, as a share of the largest feature variance
 SVM_LAMBDA = 1e-4  # Pegasos regularization strength
-SVM_EPOCHS = 50  # passes over the training rows
+SVM_STEPS = 5_000  # full-batch subgradient steps
 
 
 def _validate_fit(estimator, X, y, require_both_classes=False):
@@ -496,49 +495,47 @@ class GaussianNaiveBayes:
 
 
 class PegasosSVM:
-    """Linear soft-margin SVM trained with the Pegasos subgradient method.
+    """Linear soft-margin SVM trained with full-batch Pegasos.
 
-    Pegasos (Shalev-Shwartz, Singer, Srebro and Cotter, ICML 2007; Math.
-    Prog. 2011) visits one row per step t with step size 1/(lambda*t), so the
-    shrink factor 1 - 1/t = (t-1)/t telescopes into lambda*t*w_t = u_t, the
-    running sum of the signed rows r = y_i*[x_i, 1] over the steps whose
-    margin fell below one. Training keeps only u, with no vector scaling or
-    division per step: step t+1 updates when r.u_t < lambda*t, which is
-    r.w_t < 1, and always at the first step, where w_0 = 0.
+    Pegasos (Shalev-Shwartz, Singer, Srebro and Cotter, Math. Prog. 2011,
+    section 2.3) with every row in every batch: step t shrinks w by
+    1 - 1/t and adds 1/(lambda*t) times the mean of the signed rows
+    r = y_i*[x_i, 1] whose margin r.w_t fell below one. That telescopes into
+    lambda*t*w_t = u_t, the running sum of each step's violator mean, so
+    training keeps only u: step t adds the violators of r.u < lambda*(t-1),
+    and step 1, where w = 0, adds every row. The mean is a count-weighted sum
+    over the distinct signed rows.
 
     The bias rides along as an extra always-on input inside the regularized
     weight vector; a separately updated bias is unstable at the 1/(lambda*t)
-    step sizes Pegasos uses. Training runs ``SVM_EPOCHS`` passes at lambda =
-    ``SVM_LAMBDA``; the visit order is reshuffled every pass from ``seed``,
-    so training is reproducible. Expects standardized features.
+    step sizes Pegasos uses. Training runs ``SVM_STEPS`` steps at lambda =
+    ``SVM_LAMBDA``. It draws no random numbers, and its sums are elementwise
+    numpy adds in a fixed order, with no BLAS call, so the weights do not
+    depend on the row order or the BLAS kernel. Expects standardized features.
     """
 
     FITTED_FIELDS = (("coef_", "float", ("d",)), ("intercept_", "float", ()))
-
-    def __init__(self, seed=0):
-        self.seed = seed
 
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y, require_both_classes=True)
         n = X.shape[0]
         # each row signed by its label, with the always-on bias input last
         signed = (2.0 * y - 1.0)[:, None] * np.column_stack([X, np.ones(n)])
-        rows, inverse, _ = distinct_rows(signed)
-        rows = rows.tolist()
+        rows, _, counts = distinct_rows(signed)
+        weighted = rows * (counts / n)[:, None]
+        columns = rows.T.copy()
         lam = SVM_LAMBDA
-        u = [0.0] * len(rows[0])
-        rng = np.random.default_rng(self.seed)
-        t = 0  # steps taken so far
-        for _ in range(SVM_EPOCHS):
-            for i in inverse[rng.permutation(n)].tolist():
-                r = rows[i]
-                if t == 0 or sum(map(mul, r, u)) < lam * t:
-                    u = list(map(add, u, r))
-                t += 1
-        w = np.asarray(u) / (lam * t)
+        u = weighted.sum(axis=0)  # step 1: w = 0, so every row violates
+        for t in range(1, SVM_STEPS):
+            # rows @ u, a column at a time, so that no BLAS kernel sets its last bits
+            margin = columns[0] * u[0]
+            for column, weight in zip(columns[1:], u[1:].tolist()):
+                margin += column * weight
+            u += weighted[margin < lam * t].sum(axis=0)
+        w = u / (lam * SVM_STEPS)
         self.coef_ = w[:-1]
         self.intercept_ = float(w[-1])
-        self.n_iter_ = t
+        self.n_iter_ = SVM_STEPS
         return self
 
     def decision_function(self, X):

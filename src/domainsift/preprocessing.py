@@ -22,7 +22,8 @@ class Standardizer:
     FITTED_FIELDS = (("mean_", "float", ("d",)), ("scale_", "positive", ("d",)))
 
     def fit(self, X, y=None):
-        X = check_matrix(X)
+        # the column sums run in value order, so the row order cannot move their last bits
+        X = np.sort(check_matrix(X), axis=0)
         self.mean_ = X.mean(axis=0)
         self.scale_ = np.maximum(X.std(axis=0), STD_FLOOR)
         self.n_features_in_ = X.shape[1]

@@ -70,14 +70,14 @@ def corpus():
 def split_fit(corpus):
     _, X, y = corpus
     train, test = stratified_split(y, test_fraction=0.3, seed=SEED)
-    model = MajorityVoteEnsemble(seed=SEED).fit(X[train], y[train])
+    model = MajorityVoteEnsemble().fit(X[train], y[train])
     return model, train, test
 
 
 @pytest.fixture(scope="module")
 def full_fit(corpus):
     _, X, y = corpus
-    return MajorityVoteEnsemble(seed=SEED).fit(X, y)
+    return MajorityVoteEnsemble().fit(X, y)
 
 
 def _load_env_labeled():
@@ -101,7 +101,7 @@ def test_labeled_corpus_benchmark():
     X, y = loaded
     started = time.perf_counter()
     train, test = stratified_split(y, test_fraction=0.3, seed=SEED)
-    model = MajorityVoteEnsemble(seed=SEED).fit(X[train], y[train])
+    model = MajorityVoteEnsemble().fit(X[train], y[train])
     labels, votes, names = model.predict_with_votes(X[test])
     m = metrics(confusion(labels, y[test]))
     linear_acc = {
@@ -293,7 +293,7 @@ def test_oracle_equivalences():
 
     X_fit = np.random.default_rng(SEED).normal(size=(20, 8))
     y_fit = np.repeat([0, 1], 10)
-    model = MajorityVoteEnsemble(seed=0).fit(X_fit, y_fit)
+    model = MajorityVoteEnsemble().fit(X_fit, y_fit)
     votes_ok = True
     for pattern in range(32):
         bits = [(pattern >> i) & 1 for i in range(5)]
@@ -350,8 +350,8 @@ def test_determinism_and_persistence(corpus, tmp_path):
     _, X, y = corpus
     X_sub, y_sub = X[:2000], y[:2000]
 
-    first = MajorityVoteEnsemble(seed=SEED).fit(X_sub, y_sub)
-    second = MajorityVoteEnsemble(seed=SEED).fit(X_sub, y_sub)
+    first = MajorityVoteEnsemble().fit(X_sub, y_sub)
+    second = MajorityVoteEnsemble().fit(X_sub, y_sub)
     path_a, path_b = tmp_path / "a.dsmodel", tmp_path / "b.dsmodel"
     save_model(first, path_a)
     save_model(second, path_b)
@@ -371,8 +371,8 @@ def test_determinism_and_persistence(corpus, tmp_path):
     train, test = split_one
     reports = []
     for model in (
-        MajorityVoteEnsemble(seed=SEED).fit(X_sub[train], y_sub[train]),
-        MajorityVoteEnsemble(seed=SEED).fit(X_sub[train], y_sub[train]),
+        MajorityVoteEnsemble().fit(X_sub[train], y_sub[train]),
+        MajorityVoteEnsemble().fit(X_sub[train], y_sub[train]),
     ):
         rows = evaluate_all(
             [("ensemble", model)], X_sub[test], y_sub[test]

@@ -52,7 +52,7 @@ def sld_model(workdir):
     """An ensemble trained on the generated corpus in the default sld mode."""
     path = workdir / "sld.dsmodel"
     assert main(["train", "--in", str(workdir / "gen" / "labeled.csv"),
-                 "--out", str(path), "--seed", "5"]) == 0
+                 "--out", str(path)]) == 0
     return str(path)
 
 
@@ -102,7 +102,7 @@ def test_analyze_requires_labels(workdir, tmp_path):
 def test_train_then_evaluate_and_predict(workdir, capsys):
     labeled = str(workdir / "gen" / "labeled.csv")
     model = str(workdir / "model.dsmodel")
-    assert main(["train", "--in", labeled, "--out", model, "--seed", "5"]) == 0
+    assert main(["train", "--in", labeled, "--out", model]) == 0
     capsys.readouterr()
 
     report = workdir / "report.csv"
@@ -149,8 +149,8 @@ def test_evaluate_cv(workdir):
 def test_train_deterministic_bytes(workdir, tmp_path):
     labeled = str(workdir / "gen" / "labeled.csv")
     a, b = tmp_path / "a.dsmodel", tmp_path / "b.dsmodel"
-    assert main(["train", "--in", labeled, "--out", str(a), "--seed", "3"]) == 0
-    assert main(["train", "--in", labeled, "--out", str(b), "--seed", "3"]) == 0
+    assert main(["train", "--in", labeled, "--out", str(a)]) == 0
+    assert main(["train", "--in", labeled, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -258,7 +258,7 @@ class TestPredictMode:
     def full_model(self, workdir):
         path = workdir / "full.dsmodel"
         assert main(["train", "--in", str(workdir / "gen" / "labeled.csv"),
-                     "--out", str(path), "--mode", "full", "--seed", "5"]) == 0
+                     "--out", str(path), "--mode", "full"]) == 0
         return str(path)
 
     def test_mode_defaults_to_models(self, workdir, full_model, tmp_path):
@@ -372,7 +372,7 @@ def test_skipped_row_reasons_logged(tmp_path, capsys):
 RUN_OPTIONS = {
     "extract": ["mode", "max_rows"],
     "analyze": ["mode", "max_rows"],
-    "train": ["mode", "seed", "max_rows"],
+    "train": ["mode", "max_rows"],
     "evaluate": ["mode", "seed", "max_rows", "test_fraction", "cv"],
     "cluster": ["mode", "seed", "max_rows", "k"],
     "predict": ["mode", "max_rows"],
@@ -426,8 +426,9 @@ class TestExitCodes:
         ["predict", "--model", "m.dsmodel", "--seed", "3"],
         ["reputation-check", "--badlist", "bad.txt", "--mode", "full"],
         ["train", "--config", "run.cfg"],
+        ["train", "--seed", "3"],
     ], ids=["extract_seed", "analyze_seed", "predict_seed", "reputation_check_mode",
-            "train_config"])
+            "train_config", "train_seed"])
     def test_option_the_command_never_reads_is_usage_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--in", "in.txt", "--out", str(tmp_path / "o")]) == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
@@ -466,6 +467,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("ERROR") and len(err.splitlines()) == 1, err
         assert f"format version {version}" in err
+
+    @pytest.mark.parametrize("command, corpus", [("predict", "census.tsv"),
+                                                 ("evaluate", "labeled.csv")])
+    def test_format_8_model_is_data_error(self, workdir, tmp_path, capsys, command, corpus):
+        # written by format 8's train on `generate --seed 8 --n-legit 30 --n-dga 20`
+        old = str(Path(__file__).parent / "data" / "format8.dsmodel")
+        capsys.readouterr()
+        assert main([command, "--in", str(workdir / "gen" / corpus), "--model", old,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (f"ERROR domainsift: model error: model file {old!r} "
+                                           "has format version 8; this build reads version 9\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["extract", "--max-rows", "-2"],
@@ -539,7 +552,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--n-legit", "20", "--n-dga", "20", "--census-n", "20"],
-        ["train", "--in", "{missing}"],
         ["evaluate", "--in", "{missing}"],
         ["cluster", "--in", "{missing}"],
         ["reputation-check", "--in", "{missing}", "--badlist", "{missing}", "--sample", "1"],
@@ -648,7 +660,7 @@ class TestCorpusEncoding:
         labeled = tmp_path / "labeled.csv"  # the basename is in the model's metadata
         labeled.write_bytes(b"\xef\xbb\xbf" + (workdir / "gen" / "labeled.csv").read_bytes())
         model = tmp_path / "m.dsmodel"
-        assert main(["train", "--in", str(labeled), "--out", str(model), "--seed", "5"]) == 0
+        assert main(["train", "--in", str(labeled), "--out", str(model)]) == 0
         assert model.read_bytes() == Path(sld_model).read_bytes()
 
     @pytest.mark.parametrize("damage", ["truncated", "flipped"])
@@ -715,12 +727,27 @@ class TestCorpusEncoding:
                           "not UTF-8 text: byte 0xff: invalid start byte"]
 
 
-def _cli(*argv, stdin=None):
-    """``python -m domainsift.cli`` in a child process, with ``stdin`` bytes on a pipe."""
+def _cli(*argv, stdin=None, **env):
+    """``python -m domainsift.cli`` in a child process, with ``stdin`` bytes on a pipe
+    and ``env`` added to its environment."""
     src = str(Path(domainsift.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-m", "domainsift.cli", *argv], input=stdin,
                           capture_output=True, env=env, check=False)
+
+
+def test_svm_weights_do_not_depend_on_the_blas_kernel(workdir, tmp_path):
+    # the svm sums with elementwise numpy adds, not BLAS, so every OpenBLAS kernel gives its bits
+    svm = {}
+    for kernel in ["default", "Haswell", "Prescott"]:
+        path = tmp_path / f"{kernel}.dsmodel"
+        env = {} if kernel == "default" else {"OPENBLAS_CORETYPE": kernel}
+        proc = _cli("train", "--in", str(workdir / "gen" / "labeled.csv"), "--out", str(path),
+                    **env)
+        assert proc.returncode == 0, proc.stderr
+        svm[kernel] = read_model_document(path)["payload"]["members"]["svm"]
+    assert svm["Haswell"] == svm["default"] == svm["Prescott"]
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "cluster"])
@@ -767,7 +794,7 @@ class TestInputsReadOnce:
     def test_train_labeled_from_stdin(self, workdir, sld_model, tmp_path):
         labeled = workdir / "gen" / "labeled.csv"
         piped = _cli("train", "--in", "/dev/stdin", "--out", str(tmp_path / "m.dsmodel"),
-                     "--seed", "5", stdin=labeled.read_bytes())
+                     stdin=labeled.read_bytes())
         assert piped.returncode == 0, piped.stderr
         got = read_model_document(tmp_path / "m.dsmodel")
         want = read_model_document(Path(sld_model))
@@ -1094,7 +1121,7 @@ def test_labeled_commands_on_mutated_csv(sld_model, tmp_path, capsys, command, d
     shutil.rmtree(out, ignore_errors=True)
     out.unlink(missing_ok=True)
     argv, check = {
-        "train": (["--seed", "3"], _check_written_model),
+        "train": ([], _check_written_model),
         "evaluate": (["--model", sld_model], _check_evaluate_report),
         "analyze": ([], _check_analysis),
         "predict": (["--model", sld_model], _check_predictions),

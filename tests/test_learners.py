@@ -512,24 +512,18 @@ def _logreg_reference(X, y, lr=0.1, epochs=500, l2=1e-4, tol=1e-6):
     return w, b, n_iter
 
 
-def _pegasos_reference(X, y, lam=1e-4, epochs=50, seed=0):
-    """The per-step Pegasos loop, scaling w at every step, that
+def _pegasos_reference(X, y, lam=1e-4, steps=5_000):
+    """Full-batch Pegasos over all n rows, scaling w at every step, that
     PegasosSVM.fit must reproduce: ``(coef, intercept, n_iter)``."""
     n, d = X.shape
-    y_pm = 2.0 * y - 1.0
+    signed = (2.0 * y - 1.0)[:, None] * np.column_stack([X, np.ones(n)])
     w = np.zeros(d + 1)  # trailing slot is the bias weight
-    rng = np.random.default_rng(seed)
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (lam * t)
-            margin = y_pm[i] * (X[i] @ w[:-1] + w[-1])
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w[:-1] += eta * y_pm[i] * X[i]
-                w[-1] += eta * y_pm[i]
-    return w[:-1], float(w[-1]), t
+    for t in range(1, steps + 1):
+        eta = 1.0 / (lam * t)
+        violators = signed[signed @ w < 1.0]
+        w *= 1.0 - eta * lam
+        w += eta * violators.sum(axis=0) / n
+    return w[:-1], float(w[-1]), steps
 
 
 def _hinge_objective(model, X, y):
@@ -692,26 +686,40 @@ class TestPegasosSVM:
         assert (model.predict(SEP_X) == SEP_Y).all()
 
     def test_label_flip_flips_outputs(self):
-        a = PegasosSVM(seed=3).fit(SEP_X, SEP_Y).predict(SEP_X)
-        b = PegasosSVM(seed=3).fit(SEP_X, 1 - SEP_Y).predict(SEP_X)
+        a = PegasosSVM().fit(SEP_X, SEP_Y).predict(SEP_X)
+        b = PegasosSVM().fit(SEP_X, 1 - SEP_Y).predict(SEP_X)
         np.testing.assert_array_equal(b, 1 - a)
 
     def test_objective_improves_over_zero_weights(self, rng):
-        for seed in range(5):
+        for _ in range(5):
             X = rng.normal(size=(40, 3))
             y = (X @ np.array([1.0, -2.0, 0.5]) > 0).astype(np.int64)
             if y.min() == y.max():
                 y[0] = 1 - y[0]
-            model = PegasosSVM(seed=seed).fit(X, y)
+            model = PegasosSVM().fit(X, y)
             # objective at w=0 is exactly 1 (all margins are 0)
             assert _hinge_objective(model, X, y) < 1.0
 
-    def test_seed_determinism(self, blobs):
+    def test_determinism(self, blobs):
         X, y = blobs
-        a = PegasosSVM(seed=9).fit(X, y)
-        b = PegasosSVM(seed=9).fit(X, y)
+        a = PegasosSVM().fit(X, y)
+        b = PegasosSVM().fit(X, y)
         np.testing.assert_array_equal(a.coef_, b.coef_)
         assert a.intercept_ == b.intercept_
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_row_order_does_not_move_the_weights(self, data):
+        # few values per column, so rows repeat and the distinct-row counts matter
+        n = data.draw(st.integers(2, 40))
+        X = np.array(data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+                                        min_size=n, max_size=n)), dtype=np.float64) / 2.0
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        y[:2] = 0, 1
+        order = np.array(data.draw(st.permutations(range(n))))
+        a, b = PegasosSVM().fit(X, y), PegasosSVM().fit(X[order], y[order])
+        assert a.coef_.tobytes() == b.coef_.tobytes()
+        assert a.intercept_.hex() == b.intercept_.hex()
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
@@ -721,11 +729,12 @@ class TestPegasosSVM:
         "case",
         [
             ("blobs", {}),
-            ("blobs", {"epochs": 1, "seed": 4}),
+            ("blobs", {"steps": 1}),
             ("two_rows", {}),
-            ("two_rows", {"epochs": 1}),
-            ("repeated", {"epochs": 5, "lam": 1e-2}),
+            ("two_rows", {"steps": 1}),
+            ("repeated", {"steps": 300, "lam": 1e-2}),
         ],
+        # a full-batch step is one pass over the rows, so one epoch is one step
         ids=["blobs", "blobs-1-epoch", "two-rows", "two-rows-1-epoch", "repeated"],
     )
     def test_matches_per_step_loop(self, blobs, case, monkeypatch):
@@ -733,16 +742,18 @@ class TestPegasosSVM:
         if data == "blobs":
             X, y = blobs
         elif data == "two_rows":
-            # one epoch of two rows: the first step must update from w = 0
+            # one step over two rows: the first step must update from w = 0
             X, y = np.array([[0.5, 2.0], [1.5, -1.0]]), np.array([0, 1])
         else:
+            # 300 rows repeating 12 distinct ones, off any lattice: on integer rows
+            # a margin can land exactly on 1, where the two sums round apart
             g = np.random.default_rng(3)
-            X = g.integers(-2, 3, size=(300, 2)).astype(np.float64)
+            X = g.normal(size=(12, 2))[g.integers(0, 12, size=300)]
             y = (X[:, 0] - X[:, 1] + g.normal(size=300) > 0).astype(np.int64)
-        for name, constant in (("epochs", "SVM_EPOCHS"), ("lam", "SVM_LAMBDA")):
+        for name, constant in (("steps", "SVM_STEPS"), ("lam", "SVM_LAMBDA")):
             if name in params:
                 monkeypatch.setattr(learners, constant, params[name])
-        model = PegasosSVM(seed=params.get("seed", 0)).fit(X, y)
+        model = PegasosSVM().fit(X, y)
         coef, intercept, n_iter = _pegasos_reference(X, y, **params)
         np.testing.assert_allclose(model.coef_, coef, rtol=1e-9)
         assert model.intercept_ == pytest.approx(intercept, rel=1e-9)

@@ -51,8 +51,8 @@ MODEL_LABELS = {
     KNNClassifier: "KNNClassifier(k=5)",
     LogisticRegressionGD: "LogisticRegressionGD(lr=0.1, epochs=500, l2=0.0001, tol=1e-06)",
     GaussianNaiveBayes: "GaussianNaiveBayes(var_floor=1e-09)",
-    PegasosSVM: "PegasosSVM(lam=0.0001, epochs=50, seed=0)",
-    MajorityVoteEnsemble: "MajorityVoteEnsemble(seed=0)",
+    PegasosSVM: "PegasosSVM(lam=0.0001, steps=5000)",
+    MajorityVoteEnsemble: "MajorityVoteEnsemble()",
     KMeans: "KMeans(k=2, seed=0, max_iter=300, tol=0.0001)",
 }
 
@@ -66,16 +66,16 @@ def fitted_models():
     yield "standardizer", Standardizer().fit(X), X
     for cls in (C45Tree, KNNClassifier, LogisticRegressionGD, GaussianNaiveBayes, PegasosSVM):
         yield cls.__name__, cls().fit(X, y), X
-    yield "ensemble", MajorityVoteEnsemble(seed=0).fit(X, y), X
+    yield "ensemble", MajorityVoteEnsemble().fit(X, y), X
     yield "kmeans", KMeans(k=2, seed=0).fit(X), X
 
 
 def test_constructor_parameters_of_registered_kinds():
-    # hyperparameters are constants: a seed, and k-means' k, are all a caller can set
+    # hyperparameters are constants: k-means' seed and k are all a caller can set
     parameters = {kind: list(inspect.signature(cls).parameters)
                   for kind, cls in KIND_REGISTRY.items()}
     assert parameters == {"standardizer": [], "c45": [], "knn": [], "logreg": [], "nb": [],
-                          "svm": ["seed"], "ensemble": ["seed"], "kmeans": ["k", "seed"]}
+                          "svm": [], "ensemble": [], "kmeans": ["k", "seed"]}
 
 
 @pytest.mark.parametrize("name,model,X", list(fitted_models()), ids=model_id)
@@ -135,7 +135,7 @@ class TestDocumentShape:
     def test_ensemble_state_fields(self, tmp_path):
         X, y = make_blobs(n_per_class=20, seed=1)
         path = tmp_path / "ens.dsmodel"
-        save_model(MajorityVoteEnsemble(seed=0).fit(X, y), path)
+        save_model(MajorityVoteEnsemble().fit(X, y), path)
         payload = read_model_document(path)["payload"]
         assert sorted(payload) == ["members", "n_features_in", "standardizer"]
         assert sorted(payload["members"]["svm"]) == ["coef", "intercept", "n_features_in"]
@@ -154,7 +154,7 @@ class TestDocumentShape:
         monkeypatch.setattr(model_io, "_canonical", lambda obj: calls.append(1) or encode(obj))
         X, y = make_blobs(n_per_class=20, seed=1)
         path = tmp_path / "ens.dsmodel"
-        save_model(MajorityVoteEnsemble(seed=0).fit(X, y), path)
+        save_model(MajorityVoteEnsemble().fit(X, y), path)
         assert len(calls) == 1
         load_model(path)
         assert len(calls) == 1
@@ -307,7 +307,7 @@ class TestMalformedPayload:
 
     def test_version_4_file_refused(self, fitted, tmp_path):
         path = tmp_path / "ens.dsmodel"
-        save_model(MajorityVoteEnsemble(seed=0).fit(*fitted), path)
+        save_model(MajorityVoteEnsemble().fit(*fitted), path)
         doc = as_format_4(read_model_document(path))
         assert [m["name"] for m in doc["payload"]["state"]["members"]] == list(MEMBER_KINDS)
         write_model_document(path, doc, version=4)
@@ -316,7 +316,7 @@ class TestMalformedPayload:
 
     def test_version_5_file_refused(self, fitted, tmp_path):
         path = tmp_path / "ens.dsmodel"
-        save_model(MajorityVoteEnsemble(seed=0).fit(*fitted), path)
+        save_model(MajorityVoteEnsemble().fit(*fitted), path)
         doc = as_format_5(read_model_document(path))
         assert doc["payload"]["state"]["fingerprint"]["n_rows"] == 40
         write_model_document(path, doc, version=5)
@@ -325,7 +325,7 @@ class TestMalformedPayload:
 
     def test_version_6_file_refused(self, fitted, tmp_path):
         path = tmp_path / "ens.dsmodel"
-        save_model(MajorityVoteEnsemble(seed=0).fit(*fitted), path)
+        save_model(MajorityVoteEnsemble().fit(*fitted), path)
         doc = as_format_6(read_model_document(path))
         assert doc["payload"]["params"] == {"member_params": None, "members": None, "seed": 0}
         write_model_document(path, doc, version=6)
@@ -339,7 +339,7 @@ class TestMalformedPayload:
 
     def test_version_7_file_refused(self, fitted, tmp_path):
         path = tmp_path / "ens.dsmodel"
-        save_model(MajorityVoteEnsemble(seed=0).fit(*fitted), path)
+        save_model(MajorityVoteEnsemble().fit(*fitted), path)
         doc = as_format_7(read_model_document(path))
         assert doc["payload"]["params"] == {"seed": 0}
         assert doc["payload"]["state"]["members"]["knn"]["params"] == {"k": 5}
@@ -377,7 +377,7 @@ class TestMalformedPayload:
 
     def test_missing_member_field_is_format_error(self, fitted, tmp_path):
         path = tmp_path / "ens.dsmodel"
-        save_model(MajorityVoteEnsemble(seed=0).fit(*fitted), path)
+        save_model(MajorityVoteEnsemble().fit(*fitted), path)
         rewrite_payload(path, lambda p: p["members"]["c45"].pop("tree"))
         with pytest.raises(ModelFormatError):
             load_model(path, expected_kind="ensemble")
@@ -586,7 +586,7 @@ class TestFuzz:
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("fuzz") / "ens.dsmodel"
-        save_model(MajorityVoteEnsemble(seed=0).fit(self.X, self.y), path)
+        save_model(MajorityVoteEnsemble().fit(self.X, self.y), path)
         doc = read_model_document(path)
         return doc, sorted(_payload_paths(doc["payload"]), key=str)
 
@@ -637,7 +637,7 @@ class TestByteEdits:
     def raw(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("bytes") / "ens.dsmodel"
         X, y = make_blobs(n_per_class=8, d=3, seed=9)
-        save_model(MajorityVoteEnsemble(seed=0).fit(X, y), path, metadata={"mode": "sld"})
+        save_model(MajorityVoteEnsemble().fit(X, y), path, metadata={"mode": "sld"})
         return path.read_bytes()
 
     @settings(max_examples=400, deadline=None, derandomize=True,

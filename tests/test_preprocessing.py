@@ -20,6 +20,12 @@ class TestStandardizer:
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-6)
 
+    def test_row_order_does_not_move_the_fit(self, rng):
+        X = rng.normal(loc=5.0, scale=3.0, size=(200, 4))
+        a, b = Standardizer().fit(X), Standardizer().fit(X[rng.permutation(200)])
+        assert a.mean_.tobytes() == b.mean_.tobytes()
+        assert a.scale_.tobytes() == b.scale_.tobytes()
+
     def test_constant_column_floor(self):
         X = np.full((5, 1), 7.0)
         s = Standardizer().fit(X)
