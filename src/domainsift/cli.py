@@ -149,16 +149,11 @@ def _prepare_with_model(args):
     if args.model:
         model = load_model(args.model, expected_kind="ensemble")
         trained_mode = model.metadata_.get("mode")
-        if isinstance(trained_mode, str):
-            # a model file records the mode name its run was given, and earlier
-            # releases also took these long names
-            trained_mode = {"full_name": "full", "second_level_label": "sld"}.get(trained_mode,
-                                                                                 trained_mode)
     if args.mode is None:
-        args.mode = trained_mode or "sld"
+        args.mode = "sld" if trained_mode is None else trained_mode
     opt["mode"] = args.mode
     log.info("resolved options: %s", opt)
-    if trained_mode and args.mode != corpus.resolve_mode(trained_mode):
+    if trained_mode is not None and args.mode != corpus.resolve_mode(trained_mode):
         raise ValueError(
             f"mode {args.mode!r} does not match {args.model}, trained in {trained_mode!r} mode"
         )

@@ -253,65 +253,63 @@ class C45Tree:
 class KNNClassifier:
     """Majority vote over the k = ``KNN_K`` nearest training points (Euclidean).
 
-    Neighbour ties at the k-th distance resolve toward lower training-set
-    indices, so predictions are deterministic. Expects standardized features.
+    The training set is stored as its m distinct rows ``X_``, the number of
+    training rows at each, ``counts_``, and how many of those are DGA,
+    ``ones_``, so neither the model nor a prediction depends on the order of
+    the training rows. Expects standardized features.
 
-    The training set is stored as its m distinct rows ``X_`` plus, for each
-    of the n training rows in order, its row number ``row_`` and label
-    ``y_``: training row i is ``X_[row_[i]]``. A query measures its distance
-    to the m distinct rows only; rows strictly closer than the k-th distance
-    vote with all their labels, and the free slots go to the lowest training
-    indices among the rows at exactly the k-th distance.
+    A query measures its distance to the m stored rows only. With C the
+    training rows closer than the k-th distance, T those at exactly that
+    distance and f = k - |C| the slots left, the vote is 1 iff
+    ``2 * (ones(C) * |T| + f * ones(T)) > k * |T|``: the expected vote when the
+    f slots go to f rows of T drawn at random. That is plain k-NN whenever T
+    fits in the free slots or holds one label. A NaN k-th distance, from
+    overflowed inputs, holds no training row, and votes 0.
 
     Queries are scored in blocks of ``KNN_BLOCK_CELLS // m`` rows (256 KB of
-    distances), each voted with whole-array operations. The per-row rule
-    runs only for a query whose k-th distance is held by more than one
-    stored row, or is NaN.
+    distances), each voted with whole-array operations.
     """
 
     FITTED_FIELDS = (
         ("X_", "float", ("m", "d")),
-        ("row_", "count", ("n",)),
-        ("y_", "label", ("n",)),
+        ("counts_", "count", ("m",)),
+        ("ones_", "count", ("m",)),
     )
 
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y)
-        _check_k(X.shape[0])
-        self.X_, self.row_, _ = distinct_rows(X)
-        self.y_ = y
+        if KNN_K > y.size:
+            raise ValueError(f"knn needs at least k={KNN_K} training rows, got {y.size}")
+        self.X_, row, self.counts_ = distinct_rows(X)
+        self.ones_ = np.bincount(row[y == 1], minlength=self.counts_.size)
         return self
 
     def _check_state(self):
-        """The rule on ``k`` that fit enforces, and every row number naming a stored row."""
-        _check_k(self.y_.size)
-        m = self.X_.shape[0]
-        if (self.row_ >= m).any():
-            raise ValueError(f"row: values must be below the {m} stored rows")
+        """The rules fit's state keeps: each stored row holds at least one training row,
+        and no more DGA rows than it holds, and k training rows are held in all; and
+        few enough that the vote's products of counts fit in int64."""
+        if (self.counts_ < 1).any():
+            raise ValueError("counts: values must be >= 1")
+        if (self.ones_ > self.counts_).any():
+            raise ValueError("ones: values must not exceed counts")
+        n = sum(self.counts_.tolist())
+        if n < KNN_K:
+            raise ValueError(f"counts: knn needs at least k={KNN_K} training rows, got {n}")
+        if 4 * KNN_K * n > np.iinfo(np.int64).max:
+            raise ValueError(f"counts: {n} training rows overflow the vote's int64 sums")
 
     def predict(self, X):
         X = _validate_predict(self, X)
-        m = self.X_.shape[0]
-        counts = np.bincount(self.row_, minlength=m)
-        # the training indices grouped by stored row, each group ascending from start[j]
-        order = np.argsort(self.row_, kind="stable")
-        start = np.cumsum(counts) - counts
-        # firsts[j, f]: the labels of the f lowest training indices of stored row j, summed
-        labels = np.concatenate([[0], np.cumsum(self.y_[order])])
-        ends = start[:, None] + np.minimum(np.arange(KNN_K + 1), counts[:, None])
-        firsts = labels[ends] - labels[start[:, None]]
-        # a stored row that no training row uses (only an edited file has one) cannot vote
-        used = np.flatnonzero(counts)
-        X_ = self.X_[used]
-        stored = X_, np.sum(X_ * X_, axis=1), counts[used], firsts[used], order, start[used]
-        rows = max(1, KNN_BLOCK_CELLS // used.size)
+        sq = np.sum(self.X_ * self.X_, axis=1)
+        held = np.column_stack([self.counts_, self.ones_])
+        rows = max(1, KNN_BLOCK_CELLS // self.X_.shape[0])
         return np.concatenate([
-            self._predict_block(X[i : i + rows], *stored) for i in range(0, X.shape[0], rows)
+            self._predict_block(X[i : i + rows], sq, held) for i in range(0, X.shape[0], rows)
         ])
 
-    def _predict_block(self, X, X_, sq, counts, firsts, order, start):
+    def _predict_block(self, X, sq, held):
         # squared distances |q|^2 - 2 q.x + |x|^2, computed in place; monotone in distance
-        d2 = X @ X_.T
+        d2 = X @ self.X_.T
         d2 *= -2.0
         d2 += np.sum(X * X, axis=1)[:, None]
         d2 += sq
@@ -322,47 +320,15 @@ class KNNClassifier:
         # reach the k-th distance, and every row closer than it is among them
         near = np.argpartition(d2, last, axis=1)[:, : last + 1]
         near = np.take_along_axis(near, np.argsort(np.take_along_axis(d2, near, 1), 1), 1)
-        held = np.cumsum(counts[near], axis=1)
+        near_d2 = np.take_along_axis(d2, near, 1)
         # at: the place in near of the stored row that holds the k-th neighbour
-        at = (held < k).sum(axis=1)[:, None]
-        kth_row = np.take_along_axis(near, at, 1)[:, 0]
-        kth = d2[np.arange(d2.shape[0]), kth_row]
-        # the rows before it hold fewer than k training rows, so firsts[:, k] is all
-        # their labels; they vote with all of them, and the k-th row's lowest training
-        # indices fill the free slots
-        ones = firsts[near, k]
-        closer = np.take_along_axis(held - counts[near], at, 1)[:, 0]
-        closer_ones = np.take_along_axis(np.cumsum(ones, axis=1) - ones, at, 1)[:, 0]
-        votes_for_1 = closer_ones + firsts[kth_row, k - closer]
-        out = (2 * votes_for_1 > k).astype(np.int64)
-        # that is the vote only when the k-th row is alone at the k-th distance; a tie
-        # there, or a NaN distance from overflowed inputs, takes the full rule
-        for i in np.flatnonzero((d2 == kth[:, None]).sum(axis=1) != 1):
-            out[i] = self._vote_row(d2[i], counts, firsts[:, k], order, start)
-        return out
-
-    def _vote_row(self, row, counts, ones, order, start):
-        """One query's vote from its distances ``row`` to the stored rows, with any
-        number of stored rows at the k-th distance. ``ones`` is read only for the
-        stored rows closer than that distance, which hold fewer than k training rows."""
-        k = KNN_K
-        last = min(k, row.size) - 1
-        near = np.argpartition(row, last)[: last + 1]
-        near = near[np.argsort(row[near])]
-        kth = row[near[np.searchsorted(np.cumsum(counts[near]), k)]]
-        closer = near[row[near] < kth]
-        free = k - int(counts[closer].sum())
-        # fill the free slots with the lowest training indices at the k-th distance
-        # (tied is empty only when that distance is NaN, from overflowed inputs)
-        tied = [order[start[j] : start[j] + counts[j]][:free] for j in np.flatnonzero(row == kth)]
-        taken = np.sort(np.concatenate([order[:0], *tied]))[:free]
-        votes_for_1 = int(ones[closer].sum()) + int(self.y_[taken].sum())
-        return 1 if 2 * votes_for_1 > k else 0
-
-
-def _check_k(n_train):
-    if KNN_K > n_train:
-        raise ValueError(f"knn needs at least k={KNN_K} training rows, got {n_train}")
+        at = (np.cumsum(self.counts_[near], axis=1) < k).sum(axis=1, keepdims=True)
+        kth = np.take_along_axis(near_d2, at, 1)
+        # the training rows, and the DGA ones, of C (all in near) and of T
+        closer_n, closer_ones = (held[near] * (near_d2 < kth)[:, :, None]).sum(axis=1).T
+        tied_n, tied_ones = ((d2 == kth) @ held).T
+        free = k - closer_n
+        return (2 * (closer_ones * tied_n + free * tied_ones) > k * tied_n).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +417,8 @@ class GaussianNaiveBayes:
 
     Per-class feature means and population variances, with every variance
     floored by ``NB_VAR_FLOOR`` times the largest overall feature variance so
-    constant columns stay usable.
+    constant columns stay usable. Every column is summed in value order, so the
+    row order cannot move the fitted bits.
     """
 
     FITTED_FIELDS = (
@@ -462,14 +429,14 @@ class GaussianNaiveBayes:
 
     def fit(self, X, y):
         X, y = _validate_fit(self, X, y, require_both_classes=True)
-        eps = NB_VAR_FLOOR * float(X.var(axis=0).max())
+        eps = NB_VAR_FLOOR * float(np.sort(X, axis=0).var(axis=0).max())
         if eps <= 0.0:
             eps = NB_VAR_FLOOR
         self.theta_ = np.empty((2, X.shape[1]))
         self.var_ = np.empty((2, X.shape[1]))
         self.class_prior_ = np.empty(2)
         for cls in (0, 1):
-            sub = X[y == cls]
+            sub = np.sort(X[y == cls], axis=0)
             self.theta_[cls] = sub.mean(axis=0)
             self.var_[cls] = sub.var(axis=0) + eps
             self.class_prior_[cls] = sub.shape[0] / X.shape[0]

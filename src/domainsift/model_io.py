@@ -1,6 +1,6 @@
 """Versioned JSON serialization for every trained model kind.
 
-A file is a one-line header, ``{"format_version":9,"sha256":"<hex>"}``,
+A file is a one-line header, ``{"format_version":10,"sha256":"<hex>"}``,
 then a body: the canonical JSON of ``{"kind", "metadata", "payload"}``. The
 sha256 covers the body bytes exactly as written, so any edit to the kind,
 the metadata or the payload that does not recompute it is refused. Writing
@@ -52,8 +52,9 @@ from .preprocessing import Standardizer
 # versions 1 to 5 store the fingerprint of the ensemble's training corpus;
 # versions 1 to 6 store the ensemble's member_params and members parameters;
 # versions 1 to 7 store each model's constructor parameters next to its state;
-# versions 1 to 8 hold svm weights from seeded per-row Pegasos steps
-MODEL_FORMAT_VERSION = 9
+# versions 1 to 8 hold svm weights from seeded per-row Pegasos steps;
+# versions 1 to 9 store each kNN training row's stored-row number and label
+MODEL_FORMAT_VERSION = 10
 MODEL_EXTENSION = ".dsmodel"
 
 KIND_REGISTRY = {

@@ -104,10 +104,24 @@ FORMAT_7_PARAMS = {
 }
 
 
+def as_format_9(document):
+    """``document`` in the layout of format 9: each kNN state holds ``row`` and ``y``,
+    one entry per training row, in place of ``counts`` and ``ones``."""
+    document = copy.deepcopy(document)
+    state = document["payload"]
+    if document["kind"] == "ensemble":
+        state = state["members"]["knn"]
+    if document["kind"] in ("knn", "ensemble"):
+        counts, ones = state.pop("counts"), state.pop("ones")
+        state["row"] = [j for j, count in enumerate(counts) for _ in range(count)]
+        state["y"] = [int(i < one) for count, one in zip(counts, ones) for i in range(count)]
+    return document
+
+
 def as_format_7(document):
     """``document`` in the layout of format 7: every payload, each nested one too, is
-    ``{"params", "state"}``, with the state as format 8 stores it."""
-    document = copy.deepcopy(document)
+    ``{"params", "state"}``, with the state as formats 8 and 9 store it."""
+    document = as_format_9(document)
     seed = document["metadata"].get("seed", 0)
 
     def wrap(kind, state):

@@ -154,6 +154,19 @@ def test_train_deterministic_bytes(workdir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_train_bytes_do_not_depend_on_row_order(workdir, tmp_path):
+    header, *rows = (workdir / "gen" / "labeled.csv").read_text().splitlines(keepends=True)
+    random.Random(3).shuffle(rows)
+    # the same file name, since the model records it
+    shuffled = tmp_path / "shuffled" / "labeled.csv"
+    shuffled.parent.mkdir()
+    shuffled.write_text(header + "".join(rows))
+    a, b = tmp_path / "a.dsmodel", tmp_path / "b.dsmodel"
+    assert main(["train", "--in", str(workdir / "gen" / "labeled.csv"), "--out", str(a)]) == 0
+    assert main(["train", "--in", str(shuffled), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_cluster_outputs(workdir, capsys):
     out = workdir / "clusters"
     rc = main(["cluster", "--in", str(workdir / "gen" / "census.tsv"),
@@ -280,25 +293,23 @@ class TestPredictMode:
 
     @pytest.mark.parametrize("short, long", [("sld", "second_level_label"),
                                              ("full", "full_name")])
-    def test_model_may_record_a_long_mode_name(self, workdir, full_model, sld_model, tmp_path,
-                                               capsys, short, long):
-        """A model file may record its mode by the long name, which no option takes."""
+    def test_model_recording_a_long_mode_name_refused(self, workdir, full_model, sld_model,
+                                                      tmp_path, capsys, short, long):
+        """A long mode name, which only format 8 and earlier wrote, is not a mode name."""
         census = str(workdir / "gen" / "census.tsv")
-        trained = {"sld": sld_model, "full": full_model}[short]
-        doc = read_model_document(Path(trained))
+        doc = read_model_document(Path({"sld": sld_model, "full": full_model}[short]))
         doc["metadata"]["mode"] = long
         edited = tmp_path / "long.dsmodel"
         write_model_document(edited, doc)
-        for model, out in ((trained, tmp_path / "short"), (edited, tmp_path / "long")):
-            assert main(["predict", "--in", census, "--model", str(model), "--out", str(out)]) == 0
-        assert _prediction_rows(tmp_path / "long") == _prediction_rows(tmp_path / "short")
-        other = {"sld": "full", "full": "sld"}[short]
-        capsys.readouterr()
-        assert main(["predict", "--in", census, "--model", str(edited), "--mode", other,
-                     "--out", str(tmp_path / "other")]) == 1
-        assert f"trained in {short!r} mode" in capsys.readouterr().err
-        assert main(["predict", "--in", census, "--model", str(edited), "--mode", long,
-                     "--out", str(tmp_path / "other")]) == 2
+        for mode in ([], ["--mode", short]):
+            capsys.readouterr()
+            assert main(["predict", "--in", census, "--model", str(edited), *mode,
+                         "--out", str(tmp_path / "p")]) == 1
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+            assert len(errors) == 1 and "Traceback" not in err, err
+            assert f"unknown normalization mode {long!r}" in errors[0]
+            assert not (tmp_path / "p").exists()
 
 
 @pytest.fixture(scope="module")
@@ -471,14 +482,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, corpus", [("predict", "census.tsv"),
                                                  ("evaluate", "labeled.csv")])
     def test_format_8_model_is_data_error(self, workdir, tmp_path, capsys, command, corpus):
-        # written by format 8's train on `generate --seed 8 --n-legit 30 --n-dga 20`
-        old = str(Path(__file__).parent / "data" / "format8.dsmodel")
-        capsys.readouterr()
-        assert main([command, "--in", str(workdir / "gen" / corpus), "--model", old,
-                     "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == (f"ERROR domainsift: model error: model file {old!r} "
-                                           "has format version 8; this build reads version 9\n")
-        assert not (tmp_path / "o").exists()
+        # each written by its format's train on `generate --seed 8 --n-legit 30 --n-dga 20`
+        for version in (8, 9):
+            old = str(Path(__file__).parent / "data" / f"format{version}.dsmodel")
+            capsys.readouterr()
+            assert main([command, "--in", str(workdir / "gen" / corpus), "--model", old,
+                         "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err == (
+                f"ERROR domainsift: model error: model file {old!r} "
+                f"has format version {version}; this build reads version 10\n")
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["extract", "--max-rows", "-2"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domainsift.base import NotFittedError
+from domainsift.base import NotFittedError, distinct_rows
 from domainsift.ensemble import MEMBER_KINDS, SCALED_KINDS, MajorityVoteEnsemble
 from domainsift.learners import (
     C45Tree,
@@ -100,9 +100,11 @@ class TestFit:
 
     def test_scaled_members_see_standardized_features(self, fitted):
         ens, X, y = fitted
-        # knn stores its training matrix as distinct rows; it must be the standardized one
+        # knn stores its training matrix as distinct rows; they must be the standardized ones
         knn = dict(ens.members_)["knn"]
-        np.testing.assert_allclose(knn.X_[knn.row_], ens.standardizer_.transform(X), atol=1e-12)
+        rows, _, counts = distinct_rows(ens.standardizer_.transform(X))
+        np.testing.assert_allclose(knn.X_, rows, atol=1e-12)
+        np.testing.assert_array_equal(knn.counts_, counts)
 
     def test_member_failure_names_member(self):
         # 4 training rows are fewer than knn's k=5 neighbours

@@ -77,10 +77,10 @@ GOLDEN = {
         "cluster/hist_uniq_chars.csv": "ddd806e4264c8f45",
         "cluster/hist_uniq_letters.csv": "f7e0a517d7b290fa",
         "cluster/hist_uniq_numbers.csv": "a466ccc39205e862",
-        "km.dsmodel": "9d08f55a76357f36",
+        "km.dsmodel": "a961041fe9636559",
     },
     (42, "full", "evaluate"): {
-        "report.csv": "72b4c048bcc81709",
+        "report.csv": "e9b58e9085dd778d",
     },
     (42, "full", "extract"): {
         "features.csv": "1ace97f1f9489856",
@@ -95,10 +95,10 @@ GOLDEN = {
         "predict/hist_uniq_chars.csv": "b2225a02b9ddd322",
         "predict/hist_uniq_letters.csv": "9e49bc9fe4bf250a",
         "predict/hist_uniq_numbers.csv": "d59df67cda45748e",
-        "predict/predictions.csv": "b030104558558014",
+        "predict/predictions.csv": "4d0537943431b1f9",
     },
     (42, "full", "train"): {
-        "model.dsmodel": "701cf865719ac0d5",
+        "model.dsmodel": "dd8224f0cd49ab0b",
     },
     (42, "sld", "analyze"): {
         "analysis/correlation.csv": "0f94c04c4033b277",
@@ -122,10 +122,10 @@ GOLDEN = {
         "cluster/hist_uniq_chars.csv": "e213c72dff329851",
         "cluster/hist_uniq_letters.csv": "9657066479aee83e",
         "cluster/hist_uniq_numbers.csv": "3cd40437198cba0a",
-        "km.dsmodel": "effe8ec39febb0cb",
+        "km.dsmodel": "51eb5766037cb766",
     },
     (42, "sld", "evaluate"): {
-        "report.csv": "72b4c048bcc81709",
+        "report.csv": "e9b58e9085dd778d",
     },
     (42, "sld", "extract"): {
         "features.csv": "1ace97f1f9489856",
@@ -140,10 +140,10 @@ GOLDEN = {
         "predict/hist_uniq_chars.csv": "acf141cfdb462584",
         "predict/hist_uniq_letters.csv": "0cc5a6916ba455ab",
         "predict/hist_uniq_numbers.csv": "db7ffeb7d3cb405a",
-        "predict/predictions.csv": "a8b392651bcd27ab",
+        "predict/predictions.csv": "57fcb17e76e808f6",
     },
     (42, "sld", "train"): {
-        "model.dsmodel": "b453bbc13529d4f8",
+        "model.dsmodel": "4fc7fd2bb220890a",
     },
     (20201224, "full", "predict"): {
         "predict/flagged.txt": "00ed959baf81dd1c",

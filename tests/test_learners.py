@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -354,12 +355,16 @@ class TestKNN:
         with pytest.raises(ValueError, match=r"^knn needs at least k=5 training rows, got 4$"):
             KNNClassifier().fit(SEP_X, SEP_Y)
 
-    def test_distance_tie_prefers_lower_index(self, monkeypatch):
-        # four identical points; k=3 must take indices 0,1,2 -> labels 0,0,1 -> 0
-        X = np.zeros((4, 2))
-        y = np.array([0, 0, 1, 1])
+    def test_distance_tie_takes_the_expected_vote(self, monkeypatch):
+        # five identical points, three of them DGA; k=3 slots drawn at random from
+        # them hold 3 * 3/5 = 1.8 DGA rows on average, more than half of 3
+        X = np.zeros((5, 2))
+        y = np.array([0, 0, 1, 1, 1])
         monkeypatch.setattr(learners, "KNN_K", 3)
         model = KNNClassifier().fit(X, y)
+        assert model.predict(np.zeros((1, 2)))[0] == 1
+        # with two of four DGA the expectation is exactly half, which is not a majority
+        model = KNNClassifier().fit(X[1:], np.array([0, 1, 0, 1]))
         assert model.predict(np.zeros((1, 2)))[0] == 0
 
     def test_chunked_matches_unchunked(self, blobs, monkeypatch):
@@ -375,8 +380,8 @@ class TestKNN:
         y = np.array([1, 0, 0, 1, 0])
         model = KNNClassifier().fit(X, y)
         np.testing.assert_array_equal(model.X_, [[0.0, 0.0], [1.0, 2.0]])
-        np.testing.assert_array_equal(model.X_[model.row_], X)
-        np.testing.assert_array_equal(model.y_, y)
+        np.testing.assert_array_equal(model.counts_, [2, 3])
+        np.testing.assert_array_equal(model.ones_, [0, 2])
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -388,25 +393,15 @@ class TestKNN:
         X = np.array(data.draw(st.lists(st.lists(cells, min_size=d, max_size=d),
                                         min_size=n, max_size=n), label="X"))
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-        order = np.array(data.draw(st.permutations(range(n)), label="order"))
         k = data.draw(st.integers(1, min(9, n)), label="k")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learners, "KNN_K", k)
-            model = KNNClassifier().fit(X[order], y[order])
+            model = KNNClassifier().fit(X, y)
             if data.draw(st.booleans(), label="edited"):
-                # what a hand-edited file may hold: stored row 0 duplicated and used by
-                # some of its training rows, plus a stored row no training row uses
-                m = model.X_.shape[0]
-                model.X_ = np.vstack([model.X_, model.X_[:1], np.full((1, d), 7.0)])
-                moved = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-                model.row_ = np.where(moved & (model.row_ == 0), m, model.row_)
+                _split_a_stored_row(model, data)
             queries = np.vstack([X, np.array(data.draw(st.lists(
                 st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=10), label="Q"))])
-            np.testing.assert_array_equal(
-                model.predict(queries),
-                _knn_reference(model.X_[model.row_], model.y_, k, queries),
-            )
-
+            np.testing.assert_array_equal(model.predict(queries), _knn_reference(X, y, k, queries))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -431,52 +426,86 @@ class TestKNN:
             mp.setattr(learners, "KNN_K", k)
             model = KNNClassifier().fit(X, y)
             if data.draw(st.booleans(), label="edited"):
-                # the hand-edited state of test_matches_all_rows_oracle
-                m = model.X_.shape[0]
-                model.X_ = np.vstack([model.X_, model.X_[:1], np.full((1, d), 7.0)])
-                moved = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-                model.row_ = np.where(moved & (model.row_ == 0), m, model.row_)
-            used = np.unique(model.row_).size  # the stored rows a distance is measured to
+                _split_a_stored_row(model, data)
+            m = model.X_.shape[0]
             mp.setattr(KNNClassifier, "_predict_block",
                        lambda self, Q, *stored: sizes.append(len(Q)) or block(self, Q, *stored))
             predictions = []
             # one query row per block, a few, and the default
-            for block_cells in (1, 3 * used, default_cells):
+            for block_cells in (1, 3 * m, default_cells):
                 mp.setattr(learners, "KNN_BLOCK_CELLS", block_cells)
                 sizes.clear()
                 predictions.append(model.predict(queries))
                 assert sum(sizes) == len(queries)
-                assert max(sizes) <= max(1, block_cells // used)
+                assert max(sizes) <= max(1, block_cells // m)
         np.testing.assert_array_equal(predictions[0], predictions[1])
         np.testing.assert_array_equal(predictions[0], predictions[2])
 
-    def test_ties_and_nan_take_the_full_rule(self, monkeypatch):
-        # stored rows -1 (indices 0, 1), 1 (2, 3, 4), 4 (5, 6) and 1e200 (7)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_row_order_does_not_matter(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        d = data.draw(st.integers(1, 3), label="d")
+        # few values per cell, so rows repeat and distances tie often
+        cells = st.integers(-2, 2).map(float)
+        X = np.array(data.draw(st.lists(st.lists(cells, min_size=d, max_size=d),
+                                        min_size=n, max_size=n), label="X"))
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        order = np.array(data.draw(st.permutations(range(n)), label="order"))
+        k = data.draw(st.integers(1, min(9, n)), label="k")
+        queries = np.vstack([X, np.array(data.draw(st.lists(
+            st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=10), label="Q"))])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learners, "KNN_K", k)
+            a, b = KNNClassifier().fit(X, y), KNNClassifier().fit(X[order], y[order])
+            for attr in ("X_", "counts_", "ones_"):
+                assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes(), attr
+            assert a.predict(queries).tobytes() == b.predict(queries).tobytes()
+
+    def test_ties_and_nan_take_the_full_rule(self):
+        # stored rows -1 (2 rows, 2 DGA), 1 (3, 1), 4 (2, 1) and 1e200 (1, 0)
         X = np.array([[-1.0], [-1.0], [1.0], [1.0], [1.0], [4.0], [4.0], [1e200]])
         y = np.array([1, 1, 0, 0, 1, 0, 1, 0])
         model = KNNClassifier().fit(X, y)
-        full_rule = []
-        vote_row = KNNClassifier._vote_row
-        monkeypatch.setattr(KNNClassifier, "_vote_row",
-                            lambda self, row, *a: full_rule.append(row) or vote_row(self, row, *a))
-        # 0 and 2.5 lie midway between two stored rows that share the k-th distance;
-        # +-1e200 overflow |q|^2, so every distance is inf (NaN against 1e200) and
-        # all stored rows tie; at 3 the k-th distance is held by stored row 1 alone
-        queries = np.array([[0.0], [1e200], [2.5], [-1e200], [3.0]])
+        # 0 and 2.5 lie midway between two stored rows, whose 5 training rows all
+        # fit the 5 slots (3 and 2 of them DGA); at 3, stored row 4 is closer (1 DGA)
+        # and the 3 slots left take all of stored row 1 (1 DGA). 1e200 overflows
+        # |q|^2: 7 training rows are at distance inf (4 DGA) and stored row 1e200 at
+        # NaN, so 5 slots drawn from the 7 hold 20/7 DGA rows on average, a majority;
+        # from -1e200 all 8 rows are at inf, and 5 * 4/8 is exactly half of 5
+        queries = np.array([[0.0], [2.5], [3.0], [1e200], [-1e200]])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert model.predict(queries).tolist() == [1, 1, 0, 1, 0]
-        assert len(full_rule) == 4
-        # a k-th distance that is NaN: no stored row sits at it, so none fills a slot
+            assert model.predict(queries).tolist() == [1, 0, 0, 1, 0]
+        # a k-th distance that is NaN holds no training row, and votes 0
         model = KNNClassifier().fit(np.array([[1e200]] * 3 + [[-1e200]] * 2), np.array([1, 1, 1, 0, 0]))
-        full_rule.clear()
         with np.errstate(over="ignore", invalid="ignore"):
             assert model.predict(np.array([[1e200]])).tolist() == [0]
-        assert len(full_rule) == 1 and np.isnan(full_rule[0]).any()
+
+
+def _split_a_stored_row(model, data):
+    """What a hand-edited file may hold: a stored row of more than one training row
+    stored twice, with its counts split between the two copies."""
+    split = np.flatnonzero(model.counts_ > 1)
+    if not split.size:
+        return
+    j = split[0]
+    count, ones = int(model.counts_[j]), int(model.ones_[j])
+    moved = data.draw(st.integers(1, count - 1), label="moved")
+    moved_ones = data.draw(st.integers(max(0, ones - (count - moved)), min(moved, ones)),
+                           label="moved_ones")
+    model.X_ = np.vstack([model.X_, model.X_[j : j + 1]])
+    model.counts_ = np.append(model.counts_, moved)
+    model.ones_ = np.append(model.ones_, moved_ones)
+    model.counts_[j] -= moved
+    model.ones_[j] -= moved_ones
+    model._check_state()
 
 
 def _knn_reference(X_train, y_train, k, X):
     """The vote over every training row, scored one by one, that
-    KNNClassifier.predict must reproduce from its distinct rows."""
+    KNNClassifier.predict must reproduce from its distinct rows: with C the rows
+    closer than the k-th distance and T those at it, 1 iff the DGA rows of C plus
+    the expected DGA rows of k - |C| drawn at random from T are more than k/2."""
     d2 = (
         np.sum(X * X, axis=1)[:, None]
         - 2.0 * (X @ X_train.T)
@@ -485,12 +514,13 @@ def _knn_reference(X_train, y_train, k, X):
     np.maximum(d2, 0.0, out=d2)
     out = np.empty(X.shape[0], dtype=np.int64)
     for i, row in enumerate(d2):
-        kth = np.partition(row, k - 1)[k - 1] if k < row.size else row.max()
-        closer = row < kth
-        at_kth = row == kth
-        # fill remaining slots with the lowest-index points at the k-th distance
-        take = at_kth & (np.cumsum(at_kth) <= k - int(closer.sum()))
-        out[i] = 1 if 2 * int(y_train[closer | take].sum()) > k else 0
+        kth = np.sort(row)[k - 1]
+        closer, tied = row < kth, row == kth
+        expected = Fraction(int(y_train[closer].sum()))
+        if tied.any():
+            free = k - int(closer.sum())
+            expected += Fraction(free * int(y_train[tied].sum()), int(tied.sum()))
+        out[i] = 1 if expected > Fraction(k, 2) else 0
     return out
 
 
@@ -668,6 +698,15 @@ class TestGaussianNB:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             GaussianNaiveBayes().fit(SEP_X, np.ones(4, dtype=np.int64))
+
+    def test_row_order_does_not_move_the_fit(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(loc=5.0, scale=3.0, size=(200, 4))
+        y = (rng.random(200) < 0.4).astype(np.int64)
+        order = rng.permutation(200)
+        a, b = GaussianNaiveBayes().fit(X, y), GaussianNaiveBayes().fit(X[order], y[order])
+        for attr in ("theta_", "var_", "class_prior_"):
+            assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes(), attr
 
     def test_proba_agrees_with_predictions(self, blobs):
         X, y = blobs

@@ -37,6 +37,7 @@ from conftest import (
     as_format_5,
     as_format_6,
     as_format_7,
+    as_format_9,
     make_blobs,
     read_model_document,
     write_model_document,
@@ -347,6 +348,21 @@ class TestMalformedPayload:
         with pytest.raises(ModelVersionError, match="version 7"):
             load_model(path)
 
+    def test_version_9_file_refused(self, fitted, tmp_path):
+        path = tmp_path / "ens.dsmodel"
+        save_model(MajorityVoteEnsemble().fit(*fitted), path)
+        doc = as_format_9(read_model_document(path))
+        knn = doc["payload"]["members"]["knn"]
+        assert len(knn["row"]) == len(knn["y"]) == 40 and sum(knn["y"]) == 20
+        write_model_document(path, doc, version=9)
+        with pytest.raises(ModelVersionError, match="version 9"):
+            load_model(path)
+        # under the current header, the per-row fields are refused
+        write_model_document(path, doc)
+        with pytest.raises(ModelFormatError, match=r"knn: missing \['counts', 'ones'\], "
+                                                   r"unknown \['row', 'y'\]"):
+            load_model(path)
+
     @pytest.mark.parametrize("edit", [
         lambda p: {"params": {"k": 5}, "state": p},
         lambda p: {**p, "params": {"k": 5}},
@@ -432,22 +448,10 @@ def _drop_knn_columns(payload):
     state["X"] = [row[:7] for row in state["X"]]
 
 
-def _shorten_knn_y(payload):
-    del _member(payload, "knn")["y"][-50:]
-
-
-def _set_knn_row(value):
-    """An edit setting one kNN ``row`` entry to ``value(m)``, m the stored row count."""
-    def edit(payload):
-        state = _member(payload, "knn")
-        state["row"][3] = value(len(state["X"]))
-    return edit
-
-
 def _knn_rows_below_k(payload):
-    # 4 training rows, consistent with each other, are fewer than the 5 neighbours that vote
+    # 4 training rows, in one stored row, are fewer than the 5 neighbours that vote
     state = _member(payload, "knn")
-    del state["row"][4:], state["y"][4:]
+    state.update(X=state["X"][:1], counts=[4], ones=[0])
 
 
 def _negative_nb_variance(payload):
@@ -463,11 +467,18 @@ def _sixth_member(payload):
     payload["members"]["knn2"] = _member(payload, "knn")
 
 
+def _knn_entry(field, value):
+    """An edit setting kNN ``field``'s entry 3 to ``value(state)``."""
+    def edit(payload):
+        state = _member(payload, "knn")
+        state[field][3] = value(state)
+    return edit
+
+
 # checksum-valid edits of a trained ensemble that used to load and then crash,
 # mispredict or misreport; each must now be refused when the file is loaded
 STATE_EDITS = {
     "c45_root_feature_99": _set_root_feature,
-    "knn_y_50_short": _shorten_knn_y,
     # k is a constant: a file cannot set it
     "knn_k_string": lambda p: _member(p, "knn").update(k="5"),
     "knn_k_zero": lambda p: _member(p, "knn").update(k=0),
@@ -480,14 +491,28 @@ STATE_EDITS = {
     "knn_X_7_columns": _drop_knn_columns,
     "logreg_coef_7_entries": lambda p: _member(p, "logreg")["coef"].pop(),
     "ensemble_version_9": lambda p: p.update(version=9),
-    "knn_row_equal_to_m": _set_knn_row(lambda m: m),
-    "knn_row_negative": _set_knn_row(lambda m: -1),
-    "knn_row_one_short": lambda p: _member(p, "knn")["row"].pop(),
-    "knn_k_above_n": lambda p: _member(p, "knn").update(k=len(_member(p, "knn")["y"]) + 1),
+    "knn_k_above_n": lambda p: _member(p, "knn").update(k=sum(_member(p, "knn")["counts"]) + 1),
+    "knn_counts_zero": _knn_entry("counts", lambda s: 0),
+    "knn_counts_negative": _knn_entry("counts", lambda s: -1),
+    "knn_ones_above_counts": _knn_entry("ones", lambda s: s["counts"][3] + 1),
+    "knn_counts_one_short": lambda p: _member(p, "knn")["counts"].pop(),
+    "knn_ones_one_long": lambda p: _member(p, "knn")["ones"].append(0),
     "knn_rows_below_k": _knn_rows_below_k,
+    # the largest int64: summed with the other counts, it would wrap around
+    "knn_counts_overflow": _knn_entry("counts", lambda s: 2**63 - 1),
     "fingerprint": lambda p: p.update(fingerprint={"n_rows": 500, "sha256": "0" * 64}),
     "ensemble_params": lambda p: p.update(params={"seed": 0}),
     "svm_params": lambda p: _member(p, "svm").update(params={"seed": 0}),
+}
+# the error of each kNN count edit, which names the field
+STATE_ERRORS = {
+    "knn_counts_zero": r"counts: values must be >= 1",
+    "knn_counts_negative": r"knn\.counts: values must be >= 0",
+    "knn_ones_above_counts": r"ones: values must not exceed counts",
+    "knn_counts_one_short": r"knn\.counts: shape",
+    "knn_ones_one_long": r"knn\.ones: shape",
+    "knn_rows_below_k": r"counts: knn needs at least k=5 training rows, got 4",
+    "knn_counts_overflow": r"counts: \d+ training rows overflow the vote's int64 sums",
 }
 
 
@@ -506,7 +531,7 @@ class TestStateChecks:
         path = tmp_path / "edited.dsmodel"
         path.write_bytes((trained / "model.dsmodel").read_bytes())
         rewrite_payload(path, STATE_EDITS[edit])
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match=STATE_ERRORS.get(edit)):
             load_model(path)
         capsys.readouterr()
         assert main(["predict", "--in", str(trained / "census.tsv"), "--model", str(path),
@@ -520,9 +545,10 @@ class TestStateChecks:
 
     def test_knn_stores_distinct_rows(self, trained):
         state = _member(read_model_document(trained / "model.dsmodel")["payload"], "knn")
-        assert len(state["row"]) == len(state["y"]) == 500
+        assert sum(state["counts"]) == 500
         assert len(state["X"]) == len(set(map(tuple, state["X"]))) < 500
-        assert sorted(set(state["row"])) == list(range(len(state["X"])))
+        assert len(state["counts"]) == len(state["ones"]) == len(state["X"])
+        assert all(0 <= one <= count for one, count in zip(state["ones"], state["counts"]))
 
     def _predict_error(self, trained, path, tmp_path, capsys):
         """The one ERROR line of a ``predict`` that must exit 1 without a traceback."""
@@ -546,10 +572,12 @@ class TestStateChecks:
     def test_non_string_mode_refused(self, trained, tmp_path, capsys):
         path = tmp_path / "edited.dsmodel"
         doc = read_model_document(trained / "model.dsmodel")
-        doc["metadata"]["mode"] = ["sld"]
-        write_model_document(path, doc)
-        err = self._predict_error(trained, path, tmp_path, capsys)
-        assert "mode" in err
+        # a false value is no mode name either, and does not stand for an absent one
+        for mode in (["sld"], "", 0, False):
+            doc["metadata"]["mode"] = mode
+            write_model_document(path, doc)
+            err = self._predict_error(trained, path, tmp_path, capsys)
+            assert f"unknown normalization mode {mode!r}" in err
 
 
 def _payload_paths(node, prefix=()):
@@ -621,7 +649,7 @@ class TestFuzz:
                             data.draw(st.sampled_from(MUTATIONS)), tmp_path)
 
     @pytest.mark.parametrize("how", MUTATIONS)
-    @pytest.mark.parametrize("field", ["X", "row", "y"])
+    @pytest.mark.parametrize("field", ["X", "counts", "ones"])
     def test_mutated_knn_field(self, saved, tmp_path, field, how):
         # every kNN state field, whole and at one entry, whichever paths the sample draws
         doc, _ = saved

@@ -4,6 +4,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 import domainsift
 from domainsift.cli import main
 from domainsift.model_io import MODEL_FORMAT_VERSION
@@ -44,13 +46,37 @@ def test_model_files_name_the_current_format_version():
     assert f"`{header}`" in section
 
 
-def test_walkthrough_train_output(tmp_path, monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    """The CLI walkthrough section, and a directory holding the corpus its
+    ``generate`` writes; the census is read by neither train nor evaluate, so a
+    small one will do."""
     section = _section("CLI walkthrough")
-    commands = dict(re.findall(r"\$ domainsift (generate|train) (.*)\n", section))
-    printed = re.search(r"\$ domainsift train .*\n(.*)\n", section).group(1)
-    monkeypatch.chdir(tmp_path)
-    # the census is not read by train, so a small one will do
-    assert main(["generate", *shlex.split(commands["generate"]), "--census-n", "10"]) == 0
+    generate = re.search(r"\$ domainsift generate (.*)\n", section).group(1)
+    root = tmp_path_factory.mktemp("walkthrough")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        assert main(["generate", *shlex.split(generate), "--census-n", "10"]) == 0
+    return section, root
+
+
+def _printed_by(walkthrough, command, monkeypatch, capsys):
+    """What the walkthrough shows ``command`` printing, and what it prints, run in
+    the walkthrough's directory."""
+    section, root = walkthrough
+    found = re.search(rf"\$ domainsift {command} ([^\n]*)\n(.*?)\n```", section, re.S)
+    argv, printed = found.groups()
+    monkeypatch.chdir(root)
     capsys.readouterr()
-    assert main(["train", *shlex.split(commands["train"])]) == 0
-    assert capsys.readouterr().out == printed + "\n"
+    assert main([command, *shlex.split(argv)]) == 0
+    return printed + "\n", capsys.readouterr().out
+
+
+def test_walkthrough_train_output(walkthrough, monkeypatch, capsys):
+    printed, out = _printed_by(walkthrough, "train", monkeypatch, capsys)
+    assert out == printed
+
+
+def test_walkthrough_evaluate_table(walkthrough, monkeypatch, capsys):
+    printed, out = _printed_by(walkthrough, "evaluate", monkeypatch, capsys)
+    assert out == printed
