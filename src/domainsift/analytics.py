@@ -27,7 +27,9 @@ def correlation(x, y):
 
     With a 0/1 label vector this is the point-biserial correlation. Constant
     inputs have no defined correlation and raise
-    :class:`UndefinedCorrelationError`.
+    :class:`UndefinedCorrelationError`. The mean and the sums of products are
+    taken with :func:`math.fsum`, correctly rounded, so the order of the
+    values cannot move a bit of the result.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -37,15 +39,15 @@ def correlation(x, y):
         raise ValueError("correlation needs at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("feature column contains non-finite values")
-    xd = x - x.mean()
-    yd = y - y.mean()
-    sxx = float(xd @ xd)
-    syy = float(yd @ yd)
+    xd = x - math.fsum(x.tolist()) / x.size
+    yd = y - math.fsum(y.tolist()) / y.size
+    sxx = math.fsum((xd * xd).tolist())
+    syy = math.fsum((yd * yd).tolist())
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError(
             "undefined correlation: constant input has no variance"
         )
-    return float(abs(xd @ yd) / math.sqrt(sxx * syy))
+    return abs(math.fsum((xd * yd).tolist())) / math.sqrt(sxx * syy)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,13 +128,16 @@ def summarize(X, y=None):
 
 
 def _column_summaries(X):
+    # the column sums run in value order, so the row order cannot move their last bits
+    X = np.sort(X, axis=0)
+    mean, std = X.mean(axis=0), X.std(axis=0)
     return [
         FeatureSummary(
             name=name,
-            mean=float(X[:, j].mean()),
-            std=float(X[:, j].std()),
-            min=float(X[:, j].min()),
-            max=float(X[:, j].max()),
+            mean=float(mean[j]),
+            std=float(std[j]),
+            min=float(X[0, j]),
+            max=float(X[-1, j]),
         )
         for j, name in enumerate(FEATURE_NAMES)
     ]

@@ -1,9 +1,10 @@
 """K-means clustering of feature matrices in raw (unscaled) units.
 
-Lloyd iterations with k-means++ seeding. Cluster indices are canonicalized
-after fitting by sorting centroids on the first feature column (domain
-length), so cluster 0 is always the short-domain cluster and results are
-comparable across runs.
+Lloyd iterations with k-means++ seeding, run on the distinct rows, each
+weighted by its count of rows. Cluster indices are canonicalized after
+fitting by sorting centroids on the first feature column (domain length),
+so cluster 0 is always the short-domain cluster and results are comparable
+across runs.
 """
 
 from __future__ import annotations
@@ -21,20 +22,14 @@ TOL = 1e-4  # relative centroid displacement at which the passes stop
 
 
 def _pairwise_sq(X, C):
-    d2 = (
-        np.sum(X * X, axis=1)[:, None]
-        - 2.0 * (X @ C.T)
-        + np.sum(C * C, axis=1)[None, :]
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    """Squared distance of each row of X to each centroid, from the differences."""
+    return np.column_stack([np.sum((X - c) ** 2, axis=1) for c in C])
 
 
-def _assign(rows, inverse, centroids):
-    """Each row's nearest centroid and squared distance to it, found per distinct row."""
+def _assign(rows, centroids):
+    """Each row's nearest centroid (ties to the lower index) and squared distance to it."""
     d2 = _pairwise_sq(rows, centroids)
-    near = np.argmin(d2, axis=1)
-    return near[inverse], d2[np.arange(rows.shape[0]), near][inverse]
+    return np.argmin(d2, axis=1), np.min(d2, axis=1)
 
 
 class KMeans:
@@ -42,8 +37,8 @@ class KMeans:
 
     Convergence: the largest relative centroid displacement
     ``|new - old| / (1 + |old|)`` drops below ``TOL``, or ``MAX_ITER`` update
-    passes run. An emptied cluster is re-seeded with the point farthest from
-    its assigned centroid.
+    passes run. An emptied cluster is re-seeded with the distinct row
+    farthest from its assigned centroid.
 
     Fitted attributes: ``centroids_`` (k x d, raw units), ``labels_``,
     ``sizes_``, ``inertia_``, ``inertia_path_`` (one value per assignment
@@ -65,15 +60,14 @@ class KMeans:
     def fit(self, X):
         """Fit on a matrix X, or on its :func:`~domainsift.base.distinct_rows`.
 
-        Distances and assignments run once per distinct row. The sums whose
-        rounding depends on row order (centroid coordinates, inertia, the
-        k-means++ draw) still run over every row in order, so every fitted
-        attribute is bit-identical to assigning each row on its own. There
-        must be at least k distinct rows, or some cluster can never be filled.
+        Every pass and draw runs over the distinct rows, each weighted by its
+        count of rows, in their canonical order, so the order of the rows
+        cannot move a bit of the fit. There must be at least k distinct rows,
+        or some cluster can never be filled.
         """
         if not isinstance(X, DistinctRows):
             X = distinct_rows(check_matrix(X))
-        rows, inverse, _ = X
+        rows, inverse, counts = X
         rows = check_matrix(rows)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
@@ -83,25 +77,23 @@ class KMeans:
                 f" among {inverse.size} rows"
             )
 
-        rng = np.random.default_rng(self.seed)
-        centroids = self._init_kmeanspp(rows, inverse, rng)
+        centroids = self._init_kmeanspp(rows, counts, np.random.default_rng(self.seed))
         path = []
         n_iter = 0
         for _ in range(MAX_ITER):
-            labels, own = _assign(rows, inverse, centroids)
-            path.append(float(own.sum()))
+            labels, own = _assign(rows, centroids)
+            path.append(float((own * counts).sum()))
             n_iter += 1
 
-            counts = np.bincount(labels, minlength=self.k)
-            new = np.empty_like(centroids)
-            for col, column in enumerate(rows.T):
-                sums = np.bincount(labels, weights=column[inverse], minlength=self.k)
-                new[:, col] = sums / np.maximum(counts, 1)
-            empties = np.nonzero(counts == 0)[0]
+            sizes = np.bincount(labels, weights=counts, minlength=self.k)
+            new = np.column_stack([
+                np.bincount(labels, weights=column * counts, minlength=self.k)
+                / np.maximum(sizes, 1)
+                for column in rows.T
+            ])
+            empties = np.flatnonzero(sizes == 0)
             if empties.size:
-                farthest = np.argsort(-own)
-                for slot, j in enumerate(empties):
-                    new[j] = rows[inverse[farthest[slot]]]
+                new[empties] = rows[np.argsort(-own, kind="stable")[: empties.size]]
 
             shift = np.sqrt(np.sum((new - centroids) ** 2, axis=1))
             scale = 1.0 + np.sqrt(np.sum(centroids**2, axis=1))
@@ -109,37 +101,34 @@ class KMeans:
             if empties.size == 0 and float(np.max(shift / scale)) < TOL:
                 break
 
-        labels, own = _assign(rows, inverse, centroids)
-        path.append(float(own.sum()))
+        labels, own = _assign(rows, centroids)
+        path.append(float((own * counts).sum()))
 
         order = np.lexsort([centroids[:, j] for j in range(rows.shape[1] - 1, -1, -1)])
         rank = np.empty(self.k, dtype=np.int64)
         rank[order] = np.arange(self.k)
+        labels = rank[labels]
         self.centroids_ = centroids[order]
-        self.labels_ = rank[labels]
-        self.sizes_ = np.bincount(self.labels_, minlength=self.k)
+        self.labels_ = labels[inverse]
+        self.sizes_ = np.bincount(labels, weights=counts, minlength=self.k).astype(np.int64)
         self.inertia_ = path[-1]
         self.inertia_path_ = np.asarray(path)
         self.n_iter_ = n_iter
         self.n_features_in_ = rows.shape[1]
         return self
 
-    def _init_kmeanspp(self, rows, inverse, rng):
-        n = inverse.size
+    def _init_kmeanspp(self, rows, counts, rng):
+        """k-means++ over the distinct rows: the first centroid drawn with probability
+        proportional to a row's count, each next one to its count times its squared
+        distance to the nearest centroid drawn so far (to its count alone once those
+        distances underflow to 0)."""
         centroids = np.empty((self.k, rows.shape[1]))
-        centroids[0] = rows[inverse[rng.integers(n)]]
-        if self.k == 1:
-            return centroids
-        near = np.sum((rows - centroids[0]) ** 2, axis=1)
-        for j in range(1, self.k):
-            d2 = near[inverse]
-            total = float(d2.sum())
-            if total <= 0.0:
-                idx = int(rng.integers(n))  # all remaining mass on duplicates
-            else:
-                idx = int(rng.choice(n, p=d2 / total))
-            centroids[j] = rows[inverse[idx]]
+        near = np.full(rows.shape[0], np.inf)
+        weights = counts
+        for j in range(self.k):
+            centroids[j] = rows[rng.choice(rows.shape[0], p=weights / weights.sum())]
             near = np.minimum(near, np.sum((rows - centroids[j]) ** 2, axis=1))
+            weights = counts * near if near.any() else counts
         return centroids
 
     def predict(self, X):

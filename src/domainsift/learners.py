@@ -287,7 +287,7 @@ class KNNClassifier:
     def _check_state(self):
         """The rules fit's state keeps: each stored row holds at least one training row,
         and no more DGA rows than it holds, and k training rows are held in all; and
-        few enough that the vote's products of counts fit in int64."""
+        at most 2**53, so the vote's float sums of counts are exact integers."""
         if (self.counts_ < 1).any():
             raise ValueError("counts: values must be >= 1")
         if (self.ones_ > self.counts_).any():
@@ -295,13 +295,16 @@ class KNNClassifier:
         n = sum(self.counts_.tolist())
         if n < KNN_K:
             raise ValueError(f"counts: knn needs at least k={KNN_K} training rows, got {n}")
-        if 4 * KNN_K * n > np.iinfo(np.int64).max:
-            raise ValueError(f"counts: {n} training rows overflow the vote's int64 sums")
+        if n > 2**53:
+            raise ValueError(f"counts: {n} training rows exceed 2**53, past which the "
+                             "vote's float sums are not exact")
 
     def predict(self, X):
         X = _validate_predict(self, X)
         sq = np.sum(self.X_ * self.X_, axis=1)
-        held = np.column_stack([self.counts_, self.ones_])
+        # float64, so the tie count is a BLAS product and not numpy's integer loop; its
+        # sums are integers of at most 2**53 (_check_state), so exact on any kernel
+        held = np.column_stack([self.counts_, self.ones_]).astype(np.float64)
         rows = max(1, KNN_BLOCK_CELLS // self.X_.shape[0])
         return np.concatenate([
             self._predict_block(X[i : i + rows], sq, held) for i in range(0, X.shape[0], rows)
@@ -325,8 +328,9 @@ class KNNClassifier:
         at = (np.cumsum(self.counts_[near], axis=1) < k).sum(axis=1, keepdims=True)
         kth = np.take_along_axis(near_d2, at, 1)
         # the training rows, and the DGA ones, of C (all in near) and of T
-        closer_n, closer_ones = (held[near] * (near_d2 < kth)[:, :, None]).sum(axis=1).T
-        tied_n, tied_ones = ((d2 == kth) @ held).T
+        closer = (held[near] * (near_d2 < kth)[:, :, None]).sum(axis=1)
+        tied = (d2 == kth) @ held
+        closer_n, closer_ones, tied_n, tied_ones = np.hstack([closer, tied]).astype(np.int64).T
         free = k - closer_n
         return (2 * (closer_ones * tied_n + free * tied_ones) > k * tied_n).astype(np.int64)
 

@@ -53,8 +53,9 @@ from .preprocessing import Standardizer
 # versions 1 to 6 store the ensemble's member_params and members parameters;
 # versions 1 to 7 store each model's constructor parameters next to its state;
 # versions 1 to 8 hold svm weights from seeded per-row Pegasos steps;
-# versions 1 to 9 store each kNN training row's stored-row number and label
-MODEL_FORMAT_VERSION = 10
+# versions 1 to 9 store each kNN training row's stored-row number and label;
+# versions 1 to 10 hold k-means fits whose draws and sums ran over every row in row order
+MODEL_FORMAT_VERSION = 11
 MODEL_EXTENSION = ".dsmodel"
 
 KIND_REGISTRY = {

@@ -154,13 +154,25 @@ def test_train_deterministic_bytes(workdir, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_train_bytes_do_not_depend_on_row_order(workdir, tmp_path):
-    header, *rows = (workdir / "gen" / "labeled.csv").read_text().splitlines(keepends=True)
+def _shuffled_copy(path, tmp_path, header):
+    """A copy of the corpus at ``path`` with its lines after the first ``header``
+    in shuffled order, under the same file name, since a model records it."""
+    lines = path.read_text().splitlines(keepends=True)
+    rows = lines[header:]
     random.Random(3).shuffle(rows)
-    # the same file name, since the model records it
-    shuffled = tmp_path / "shuffled" / "labeled.csv"
+    shuffled = tmp_path / "shuffled" / path.name
     shuffled.parent.mkdir()
-    shuffled.write_text(header + "".join(rows))
+    shuffled.write_text("".join(lines[:header] + rows))
+    return shuffled
+
+
+def _outputs(root):
+    """``{relative path: bytes}`` of every file under ``root``."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_train_bytes_do_not_depend_on_row_order(workdir, tmp_path):
+    shuffled = _shuffled_copy(workdir / "gen" / "labeled.csv", tmp_path, header=1)
     a, b = tmp_path / "a.dsmodel", tmp_path / "b.dsmodel"
     assert main(["train", "--in", str(workdir / "gen" / "labeled.csv"), "--out", str(a)]) == 0
     assert main(["train", "--in", str(shuffled), "--out", str(b)]) == 0
@@ -179,6 +191,31 @@ def test_cluster_outputs(workdir, capsys):
     assert read_model_document(workdir / "km.dsmodel")["metadata"] == {"source": "census.tsv",
                                                                        "seed": 1}
     assert "inertia" in capsys.readouterr().out
+
+
+def test_cluster_outputs_do_not_depend_on_row_order(workdir, tmp_path, capsys):
+    census = workdir / "gen" / "census.tsv"
+
+    def run(corpus, out):
+        capsys.readouterr()
+        assert main(["cluster", "--in", str(corpus), "--out", str(out / "clusters"),
+                     "--model-out", str(out / "km.dsmodel")]) == 0
+        return _outputs(out), capsys.readouterr().out
+
+    shuffled = _shuffled_copy(census, tmp_path, header=0)
+    assert run(shuffled, tmp_path / "b") == run(census, tmp_path / "a")
+
+
+def test_analyze_outputs_do_not_depend_on_row_order(workdir, tmp_path, capsys):
+    labeled = workdir / "gen" / "labeled.csv"
+
+    def run(corpus, out):
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(corpus), "--out", str(out)]) == 0
+        return _outputs(out), capsys.readouterr().out
+
+    shuffled = _shuffled_copy(labeled, tmp_path, header=1)
+    assert run(shuffled, tmp_path / "b") == run(labeled, tmp_path / "a")
 
 
 def test_cluster_builds_no_per_row_feature_matrix(workdir, capsys, monkeypatch):
@@ -483,14 +520,14 @@ class TestExitCodes:
                                                  ("evaluate", "labeled.csv")])
     def test_format_8_model_is_data_error(self, workdir, tmp_path, capsys, command, corpus):
         # each written by its format's train on `generate --seed 8 --n-legit 30 --n-dga 20`
-        for version in (8, 9):
+        for version in (8, 9, 10):
             old = str(Path(__file__).parent / "data" / f"format{version}.dsmodel")
             capsys.readouterr()
             assert main([command, "--in", str(workdir / "gen" / corpus), "--model", old,
                          "--out", str(tmp_path / "o")]) == 1
             assert capsys.readouterr().err == (
                 f"ERROR domainsift: model error: model file {old!r} "
-                f"has format version {version}; this build reads version 10\n")
+                f"has format version {version}; this build reads version 11\n")
             assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -144,20 +144,32 @@ class TestClusterReporting:
 
 
 # ---------------------------------------------------------------------------
-# the all-rows k-means that fitting on distinct rows must reproduce bit for bit
+# k-means done row by row, which the weighted fit on distinct rows must match
 
 
 def _fit_reference(model, X):
-    """What ``KMeans.fit`` returned when it assigned every row on its own."""
+    """``KMeans.fit`` done one row at a time: k-means++ draws a row of X, taken in
+    lexicographic order, with probability proportional to its squared distance;
+    Lloyd's passes assign and sum every row on its own. ``reseeds`` counts the
+    emptied clusters re-seeded."""
     n, d = X.shape
     rng = np.random.default_rng(model.seed)
-    centroids = _init_reference(model, X, rng)
+    rows = X[np.lexsort(X.T[::-1])]
+    centroids = np.empty((model.k, d))
+    near = np.full(n, np.inf)
+    weights = np.ones(n)
+    for j in range(model.k):
+        centroids[j] = rows[rng.choice(n, p=weights / weights.sum())]
+        near = np.minimum(near, np.sum((rows - centroids[j]) ** 2, axis=1))
+        weights = near if near.any() else np.ones(n)
+
     path = []
-    n_iter = 0
+    n_iter = reseeds = 0
     for _ in range(cluster.MAX_ITER):
         d2 = _pairwise_sq(X, centroids)
         labels = np.argmin(d2, axis=1)
-        path.append(float(d2[np.arange(n), labels].sum()))
+        own = d2[np.arange(n), labels]
+        path.append(float(own.sum()))
         n_iter += 1
 
         counts = np.bincount(labels, minlength=model.k)
@@ -167,10 +179,11 @@ def _fit_reference(model, X):
             new[:, col] = sums / np.maximum(counts, 1)
         empties = np.nonzero(counts == 0)[0]
         if empties.size:
-            own = d2[np.arange(n), labels]
-            farthest = np.argsort(-own)
-            for slot, j in enumerate(empties):
-                new[j] = X[farthest[slot]]
+            reseeds += empties.size
+            # farthest first, equal distances in lexicographic order, each distinct row once
+            by_distance = X[np.lexsort([*X.T[::-1], -own])]
+            _, first = np.unique(by_distance, axis=0, return_index=True)
+            new[empties] = by_distance[np.sort(first)[: empties.size]]
 
         shift = np.sqrt(np.sum((new - centroids) ** 2, axis=1))
         scale = 1.0 + np.sqrt(np.sum(centroids**2, axis=1))
@@ -190,28 +203,10 @@ def _fit_reference(model, X):
         "centroids_": centroids[order],
         "labels_": labels,
         "sizes_": np.bincount(labels, minlength=model.k),
-        "inertia_": path[-1],
         "inertia_path_": np.asarray(path),
         "n_iter_": n_iter,
+        "reseeds": reseeds,
     }
-
-
-def _init_reference(model, X, rng):
-    n = X.shape[0]
-    centroids = np.empty((model.k, X.shape[1]))
-    centroids[0] = X[rng.integers(n)]
-    if model.k == 1:
-        return centroids
-    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
-    for j in range(1, model.k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = X[idx]
-        d2 = np.minimum(d2, np.sum((X - centroids[j]) ** 2, axis=1))
-    return centroids
 
 
 def _histogram_reference(model, X, feature_index):
@@ -240,12 +235,20 @@ def _duplicated_matrices(draw):
     return np.array([pool[i] for i in picks], dtype=np.float64)
 
 
-def _assert_same_fit(model, X):
+def _assert_matches_reference(model, X):
+    """The fit agrees with :func:`_fit_reference` up to the rounding of its weighted
+    sums; returns the reference."""
     want = _fit_reference(model, X)
-    for name, value in want.items():
-        got = getattr(model, name)
-        np.testing.assert_array_equal(got, value, err_msg=name)
-        assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), name
+    np.testing.assert_allclose(model.centroids_, want["centroids_"], rtol=1e-12)
+    np.testing.assert_allclose(model.inertia_path_, want["inertia_path_"], rtol=1e-12)
+    assert model.inertia_ == model.inertia_path_[-1]
+    for name in ("labels_", "sizes_", "n_iter_"):
+        np.testing.assert_array_equal(getattr(model, name), want[name], err_msg=name)
+    return want
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestDistinctRowFit:
@@ -256,27 +259,45 @@ class TestDistinctRowFit:
         k = data.draw(st.integers(1, min(5, len(distinct_rows(X).rows))), label="k")
         seed = data.draw(st.integers(0, 2**16), label="seed")
         model = KMeans(k=k, seed=seed).fit(X)
-        _assert_same_fit(model, X)
+        _assert_matches_reference(model, X)
         again = KMeans(k=k, seed=seed).fit(distinct_rows(X))
         for name in ("centroids_", "labels_", "sizes_", "inertia_path_", "n_iter_"):
-            np.testing.assert_array_equal(getattr(again, name), getattr(model, name))
+            assert _same_bits(getattr(again, name), getattr(model, name)), name
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_row_order_and_copies_do_not_move_the_fit(self, data):
+        X = data.draw(_duplicated_matrices(), label="X")
+        k = data.draw(st.integers(1, min(5, len(distinct_rows(X).rows))), label="k")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        perm = np.array(data.draw(st.permutations(range(len(X))), label="perm"))
+        model = KMeans(k=k, seed=seed).fit(X)
+        shuffled = KMeans(k=k, seed=seed).fit(X[perm])
+        for name in ("centroids_", "sizes_", "inertia_path_", "n_iter_"):
+            assert _same_bits(getattr(shuffled, name), getattr(model, name)), name
+        np.testing.assert_array_equal(shuffled.labels_, model.labels_[perm])
+        doubled = KMeans(k=k, seed=seed).fit(np.vstack([X, X]))
+        assert _same_bits(doubled.centroids_, model.centroids_)
+        assert doubled.n_iter_ == model.n_iter_
+        assert _same_bits(doubled.sizes_, 2 * model.sizes_)
+        assert _same_bits(doubled.inertia_path_, 2 * model.inertia_path_)
 
     def test_emptied_cluster_reseed(self):
-        # the first update moves a centroid away from every row: it empties and is re-seeded
+        # at this seed an update moves a centroid away from every row: it empties and is re-seeded
         X = np.array([[2.0, 9.0], [1.0, 1.0], [8.0, 3.0], [8.0, 3.0],
                       [5.0, 9.0], [7.0, 2.0], [5.0, 9.0], [8.0, 1.0]])
-        model = KMeans(k=3, seed=0).fit(X)
-        _assert_same_fit(model, X)
+        model = KMeans(k=3, seed=214).fit(X)
+        assert _assert_matches_reference(model, X)["reseeds"] > 0
 
     def test_no_distance_mass_left(self):
         # distinct rows whose squared distances underflow to 0: the k-means++
-        # draw finds no distance mass left and picks uniformly
+        # draw finds no distance mass left and draws by the counts alone
         X = np.array([[0.0], [1e-200], [2e-200]])[np.arange(12) % 3]
         model = KMeans(k=3, seed=5).fit(X)
-        _assert_same_fit(model, X)
+        _assert_matches_reference(model, X)
 
     def test_random_rows_with_copies(self, rng):
         base = rng.normal(size=(40, 8)) * rng.uniform(0.1, 30.0, size=8)
         X = base[rng.integers(0, 40, size=500)]
         model = KMeans(k=3, seed=11).fit(X)
-        _assert_same_fit(model, X)
+        _assert_matches_reference(model, X)

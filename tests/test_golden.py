@@ -1,11 +1,17 @@
 """Every file a command writes is byte-stable: digests (sha256, first 16 hex
 digits) of the outputs of extract, analyze, train, evaluate, predict and
-cluster, in both modes, on small seeded corpora from ``generate``."""
+cluster, in both modes, on small seeded corpora from ``generate``; those of
+analyze and cluster also under older OpenBLAS kernels."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import domainsift
 from domainsift.cli import main
 
 CORPUS_SIZES = ["--n-legit", "600", "--n-dga", "400", "--census-n", "3000"]
@@ -40,23 +46,28 @@ def digests(tmp_path_factory):
                          *CORPUS_SIZES]) == 0
             out = root / "out"
             out.mkdir()
-            done[seed, mode] = {}
-            for command, argv in commands(root / "gen", out):
-                before = {p for p in out.rglob("*") if p.is_file()}
-                assert main([*argv, "--mode", mode]) == 0, command
-                written = sorted(p for p in out.rglob("*") if p.is_file() and p not in before)
-                done[seed, mode][command] = {
-                    p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()[:16]
-                    for p in written
-                }
+            done[seed, mode] = {
+                command: _written(out, lambda: main([*argv, "--mode", mode]) == 0)
+                for command, argv in commands(root / "gen", out)
+            }
         return done[seed, mode]
 
     return get
 
 
+def _written(out, run):
+    """The ``{file: digest}`` of the files under ``out`` that ``run()`` writes,
+    relative to ``out``; ``run`` returns whether the command succeeded."""
+    before = {p for p in out.rglob("*") if p.is_file()}
+    assert run()
+    written = sorted(p for p in out.rglob("*") if p.is_file() and p not in before)
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in written}
+
+
 GOLDEN = {
     (42, "full", "analyze"): {
-        "analysis/correlation.csv": "0f94c04c4033b277",
+        "analysis/correlation.csv": "31fd4612179d5d85",
         "analysis/hist_len.csv": "3f68d6af1d9d0518",
         "analysis/hist_ratio_letters.csv": "af0e6cded3fc35a3",
         "analysis/hist_ratio_numbers.csv": "3787ef7df13bbbba",
@@ -68,16 +79,16 @@ GOLDEN = {
         "analysis/summary.csv": "a9101c2b2d6caad2",
     },
     (42, "full", "cluster"): {
-        "cluster/centroids.csv": "aca3dc406dfd8df7",
-        "cluster/hist_len.csv": "66f191af1e4ba2da",
-        "cluster/hist_ratio_letters.csv": "7d868082f3443ac1",
-        "cluster/hist_ratio_numbers.csv": "07d7c3cc720249a6",
-        "cluster/hist_ratio_uniq_letters.csv": "27bf007267e98f15",
-        "cluster/hist_ratio_uniq_numbers.csv": "ce344797b6b16970",
-        "cluster/hist_uniq_chars.csv": "ddd806e4264c8f45",
-        "cluster/hist_uniq_letters.csv": "f7e0a517d7b290fa",
-        "cluster/hist_uniq_numbers.csv": "a466ccc39205e862",
-        "km.dsmodel": "a961041fe9636559",
+        "cluster/centroids.csv": "dc1a23942f85e6dc",
+        "cluster/hist_len.csv": "3cf886f06295c71d",
+        "cluster/hist_ratio_letters.csv": "057bcce94b39941b",
+        "cluster/hist_ratio_numbers.csv": "3834173081e51b31",
+        "cluster/hist_ratio_uniq_letters.csv": "65a7124aa8d5c372",
+        "cluster/hist_ratio_uniq_numbers.csv": "061078be1b27401b",
+        "cluster/hist_uniq_chars.csv": "151db04f3bc24aeb",
+        "cluster/hist_uniq_letters.csv": "d5fa123c8fc337b3",
+        "cluster/hist_uniq_numbers.csv": "3a9e57e78a39c421",
+        "km.dsmodel": "dd1c38baa0538720",
     },
     (42, "full", "evaluate"): {
         "report.csv": "e9b58e9085dd778d",
@@ -98,10 +109,10 @@ GOLDEN = {
         "predict/predictions.csv": "4d0537943431b1f9",
     },
     (42, "full", "train"): {
-        "model.dsmodel": "dd8224f0cd49ab0b",
+        "model.dsmodel": "2a3cb653cc37d4a7",
     },
     (42, "sld", "analyze"): {
-        "analysis/correlation.csv": "0f94c04c4033b277",
+        "analysis/correlation.csv": "31fd4612179d5d85",
         "analysis/hist_len.csv": "3f68d6af1d9d0518",
         "analysis/hist_ratio_letters.csv": "af0e6cded3fc35a3",
         "analysis/hist_ratio_numbers.csv": "3787ef7df13bbbba",
@@ -122,7 +133,7 @@ GOLDEN = {
         "cluster/hist_uniq_chars.csv": "e213c72dff329851",
         "cluster/hist_uniq_letters.csv": "9657066479aee83e",
         "cluster/hist_uniq_numbers.csv": "3cd40437198cba0a",
-        "km.dsmodel": "51eb5766037cb766",
+        "km.dsmodel": "49be86dc26196a54",
     },
     (42, "sld", "evaluate"): {
         "report.csv": "e9b58e9085dd778d",
@@ -143,7 +154,7 @@ GOLDEN = {
         "predict/predictions.csv": "57fcb17e76e808f6",
     },
     (42, "sld", "train"): {
-        "model.dsmodel": "4fc7fd2bb220890a",
+        "model.dsmodel": "0074e3da7c61c5bf",
     },
     (20201224, "full", "predict"): {
         "predict/flagged.txt": "00ed959baf81dd1c",
@@ -175,3 +186,24 @@ GOLDEN = {
 @pytest.mark.parametrize("seed, mode, command", sorted(GOLDEN))
 def test_digests(digests, seed, mode, command):
     assert digests(seed, mode)[command] == GOLDEN[seed, mode, command]
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_cluster_and_analyze_do_not_depend_on_the_blas_kernel(tmp_path, kernel):
+    """``cluster`` and ``analyze`` make no BLAS call that reaches an output byte: run
+    in child processes under an older OpenBLAS kernel, set for those children only,
+    they write the default kernel's files."""
+    assert main(["generate", "--out", str(tmp_path / "gen"), "--seed", "42",
+                 *CORPUS_SIZES]) == 0
+    src = str(Path(domainsift.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for mode in ("full", "sld"):
+        out = tmp_path / mode
+        out.mkdir()
+        for command, argv in commands(tmp_path / "gen", out):
+            if command in ("analyze", "cluster"):
+                argv = [sys.executable, "-m", "domainsift.cli", *argv, "--mode", mode]
+                written = _written(out, lambda: subprocess.run(
+                    argv, env=env, capture_output=True).returncode == 0)
+                assert written == GOLDEN[42, mode, command], (mode, command)

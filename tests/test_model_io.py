@@ -500,6 +500,8 @@ STATE_EDITS = {
     "knn_rows_below_k": _knn_rows_below_k,
     # the largest int64: summed with the other counts, it would wrap around
     "knn_counts_overflow": _knn_entry("counts", lambda s: 2**63 - 1),
+    # no int64 sum overflows, but float64 no longer counts every row
+    "knn_counts_past_2_53": _knn_entry("counts", lambda s: 2**53),
     "fingerprint": lambda p: p.update(fingerprint={"n_rows": 500, "sha256": "0" * 64}),
     "ensemble_params": lambda p: p.update(params={"seed": 0}),
     "svm_params": lambda p: _member(p, "svm").update(params={"seed": 0}),
@@ -512,7 +514,8 @@ STATE_ERRORS = {
     "knn_counts_one_short": r"knn\.counts: shape",
     "knn_ones_one_long": r"knn\.ones: shape",
     "knn_rows_below_k": r"counts: knn needs at least k=5 training rows, got 4",
-    "knn_counts_overflow": r"counts: \d+ training rows overflow the vote's int64 sums",
+    "knn_counts_overflow": r"counts: \d+ training rows exceed 2\*\*53",
+    "knn_counts_past_2_53": r"counts: \d+ training rows exceed 2\*\*53",
 }
 
 

@@ -49,14 +49,13 @@ def test_model_files_name_the_current_format_version():
 @pytest.fixture(scope="module")
 def walkthrough(tmp_path_factory):
     """The CLI walkthrough section, and a directory holding the corpus its
-    ``generate`` writes; the census is read by neither train nor evaluate, so a
-    small one will do."""
+    ``generate`` writes, at the default sizes that ``cluster`` prints for."""
     section = _section("CLI walkthrough")
     generate = re.search(r"\$ domainsift generate (.*)\n", section).group(1)
     root = tmp_path_factory.mktemp("walkthrough")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
-        assert main(["generate", *shlex.split(generate), "--census-n", "10"]) == 0
+        assert main(["generate", *shlex.split(generate)]) == 0
     return section, root
 
 
@@ -79,4 +78,16 @@ def test_walkthrough_train_output(walkthrough, monkeypatch, capsys):
 
 def test_walkthrough_evaluate_table(walkthrough, monkeypatch, capsys):
     printed, out = _printed_by(walkthrough, "evaluate", monkeypatch, capsys)
+    assert out == printed
+
+
+def test_walkthrough_analyze_table(walkthrough, monkeypatch, capsys):
+    # the walkthrough shows the top of the table, then "..."
+    printed, out = _printed_by(walkthrough, "analyze", monkeypatch, capsys)
+    shown, after = printed.split("...\n")
+    assert after == "" and out.startswith(shown)
+
+
+def test_walkthrough_cluster_output(walkthrough, monkeypatch, capsys):
+    printed, out = _printed_by(walkthrough, "cluster", monkeypatch, capsys)
     assert out == printed
