@@ -39,10 +39,18 @@ def correlation(x, y):
         raise ValueError("correlation needs at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("feature column contains non-finite values")
-    xd = x - math.fsum(x.tolist()) / x.size
-    yd = y - math.fsum(y.tolist()) / y.size
-    sxx = math.fsum((xd * xd).tolist())
-    syy = math.fsum((yd * yd).tolist())
+    return _centred_correlation(x, *_centred(y))
+
+
+def _centred(v):
+    """``v`` minus its mean, and the sum of squares of that, both taken with fsum."""
+    vd = v - math.fsum(v.tolist()) / v.size
+    return vd, math.fsum((vd * vd).tolist())
+
+
+def _centred_correlation(x, yd, syy):
+    """:func:`correlation` of ``x`` with the labels whose :func:`_centred` is ``(yd, syy)``."""
+    xd, sxx = _centred(x)
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError(
             "undefined correlation: constant input has no variance"
@@ -60,14 +68,18 @@ class CorrelationRow:
 def correlation_table(X, y):
     """Feature/label correlations sorted descending, undefined columns last.
 
-    Ties (and all undefined rows) keep the original feature order.
+    Ties (and all undefined rows) keep the original feature order. The labels
+    are centred once for all features.
     """
     X = check_matrix(X, n_features=len(FEATURE_NAMES))
     y = check_labels(y, n_samples=X.shape[0])
+    if X.shape[0] < 2:
+        raise ValueError("correlation needs at least 2 samples")
+    yd, syy = _centred(y.astype(np.float64))
     rows = []
     for j, name in enumerate(FEATURE_NAMES):
         try:
-            value = correlation(X[:, j], y)
+            value = _centred_correlation(X[:, j], yd, syy)
         except UndefinedCorrelationError:
             value = None
         rows.append(CorrelationRow(name=name, index=j, correlation=value))

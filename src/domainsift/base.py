@@ -1,4 +1,4 @@
-"""Shared estimator plumbing: input validation, distinct rows."""
+"""Shared estimator plumbing: input validation, distinct rows, weighted column moments."""
 
 from __future__ import annotations
 
@@ -50,9 +50,50 @@ def check_X_y(X, y, n_features=None):
     return X, y
 
 
+def check_counts(counts, n_samples):
+    """Coerce to a 1-D int64 array of row counts, each >= 1; None means 1 per row.
+
+    The total is at most 2**53, so float sums of counts are exact integers.
+    """
+    if counts is None:
+        return np.ones(n_samples, dtype=np.int64)
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.shape[0] != n_samples:
+        raise ValueError(f"counts must be 1-dimensional with {n_samples} entries, "
+                         f"got shape {counts.shape}")
+    if counts.dtype.kind not in "iuf" or not np.all(np.isfinite(counts)) or not np.all(
+            counts == np.floor(counts)):
+        raise ValueError("counts must be whole numbers")
+    if not np.all(counts >= 1):
+        raise ValueError(f"counts must be at least 1, got {counts.min()}")
+    if counts.sum(dtype=np.float64) > 2**53:
+        raise ValueError("counts add up to more than 2**53 rows")
+    return counts.astype(np.int64)
+
+
 def check_both_classes(y):
     if not (np.any(y == 0) and np.any(y == 1)):
         raise ValueError(f"y must contain both classes; got only class {int(y[0])}")
+
+
+def column_moments(X, counts):
+    """Each column's mean and population variance, row i of ``X`` taken ``counts[i]``
+    times: ``(mean, var)``, bit for bit those of ``np.sort(np.repeat(X, counts, 0), 0)``.
+
+    Each column is rebuilt in value order and summed sequentially (``cumsum``), so
+    neither the row order nor numpy's pairwise summation of a 1-D array can move
+    the last bits.
+    """
+    n = int(counts.sum())
+    mean, var = np.empty(X.shape[1]), np.empty(X.shape[1])
+    for j, column in enumerate(X.T):
+        order = np.argsort(column, kind="stable")
+        values = np.repeat(column[order], counts[order])
+        mean[j] = np.cumsum(values)[-1] / n
+        values -= mean[j]
+        values *= values
+        var[j] = np.cumsum(values)[-1] / n
+    return mean, var
 
 
 class DistinctRows(NamedTuple):

@@ -19,6 +19,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import analytics, corpus, evaluate, reputation, synthetic
 from .cluster import KMeans, cluster_feature_histogram, write_centroids_csv
 from .ensemble import MajorityVoteEnsemble
@@ -208,11 +210,17 @@ def cmd_analyze(args):
 
 def cmd_train(args):
     _prepare(args)
-    table, X = _load_data(args.in_path, args.mode, args.max_rows)
-    model = MajorityVoteEnsemble().fit(X, _require_labels(table, args.in_path))
-    meta = {"source": os.path.basename(args.in_path), "mode": args.mode, "n_rows": int(X.shape[0])}
+    table = _load_table(args.in_path, args.mode, args.max_rows)
+    y = _require_labels(table, args.in_path)
+    n_rows = len(table)
+    # from here on the rows are needed only as distinct (feature row, label) pairs
+    distinct = distinct_features(table.domain_part)
+    del table
+    pairs, counts = np.unique(distinct.inverse * 2 + y, return_counts=True)
+    model = MajorityVoteEnsemble().fit(distinct.rows[pairs // 2], pairs % 2, counts)
+    meta = {"source": os.path.basename(args.in_path), "mode": args.mode, "n_rows": n_rows}
     info = save_model(model, args.out, metadata=meta)
-    log.info("saved ensemble (%d training rows) to %s", X.shape[0], args.out)
+    log.info("saved ensemble (%d training rows) to %s", n_rows, args.out)
     print(f"{info['path']}  sha256:{info['sha256'][:16]}  {info['bytes']} bytes")
     return 0
 

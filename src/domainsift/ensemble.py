@@ -13,6 +13,7 @@ import numpy as np
 
 from .base import (
     check_both_classes,
+    check_counts,
     check_is_fitted,
     check_matrix,
     check_X_y,
@@ -42,6 +43,11 @@ class MajorityVoteEnsemble:
     The members are the canonical five (c45, knn, logreg, nb, svm), each
     at the hyperparameters fixed in :mod:`~domainsift.learners`. A member
     sees standardized inputs when its name is in ``SCALED_KINDS``.
+
+    ``fit(X, y, counts)`` takes row i as ``counts[i]`` training rows, and every
+    member and the standardizer fit from the rows and their counts alone. Without
+    ``counts``, ``(X, y)`` is first reduced to its distinct (row, label) pairs
+    with their counts, so both calls fit the same ensemble, bit for bit.
     """
 
     FITTED_FIELDS = (
@@ -49,9 +55,14 @@ class MajorityVoteEnsemble:
         ("members_", "members", ()),
     )
 
-    def fit(self, X, y):
+    def fit(self, X, y, counts=None):
         X, y = check_X_y(X, y)
         check_both_classes(y)
+        if counts is None:
+            pairs, _, counts = distinct_rows(np.column_stack([X, y]))
+            X, y = pairs[:, :-1], pairs[:, -1].astype(np.int64)
+        else:
+            counts = check_counts(counts, X.shape[0])
         members = [
             ("c45", C45Tree()),
             ("knn", KNNClassifier()),
@@ -59,11 +70,11 @@ class MajorityVoteEnsemble:
             ("nb", GaussianNaiveBayes()),
             ("svm", PegasosSVM()),
         ]
-        scaler = Standardizer().fit(X)
+        scaler = Standardizer().fit(X, counts=counts)
         Xs = scaler.transform(X)
         for name, estimator in members:
             try:
-                estimator.fit(Xs if name in SCALED_KINDS else X, y)
+                estimator.fit(Xs if name in SCALED_KINDS else X, y, counts)
             except Exception as exc:
                 raise RuntimeError(f"training ensemble member {name!r} failed: {exc}") from exc
         self.standardizer_ = scaler

@@ -8,6 +8,11 @@ linear SVM trained with full-batch Pegasos subgradient steps.
 The tree and naive Bayes are scale-free; the distance- and margin-based
 learners (knn, logreg, svm) expect standardized inputs, which the ensemble
 layer applies for them.
+
+Every ``fit(X, y, counts=None)`` takes row i as ``counts[i]`` training rows
+(None means 1 each) and gives, bit for bit, the fit of
+``np.repeat(X, counts, 0), np.repeat(y, counts)``; so a corpus can be fitted
+from its distinct (feature row, label) pairs alone.
 """
 
 from __future__ import annotations
@@ -18,9 +23,11 @@ import numpy as np
 
 from .base import (
     check_both_classes,
+    check_counts,
     check_is_fitted,
     check_matrix,
     check_X_y,
+    column_moments,
     distinct_rows,
 )
 
@@ -45,12 +52,20 @@ SVM_LAMBDA = 1e-4  # Pegasos regularization strength
 SVM_STEPS = 5_000  # full-batch subgradient steps
 
 
-def _validate_fit(estimator, X, y, require_both_classes=False):
+def _validate_fit(estimator, X, y, counts, require_both_classes=False):
     X, y = check_X_y(X, y)
+    counts = check_counts(counts, X.shape[0])
     if require_both_classes:
         check_both_classes(y)
     estimator.n_features_in_ = X.shape[1]
-    return X, y
+    return X, y, counts
+
+
+def _distinct_counts(X, counts):
+    """The distinct rows of ``X``, and the row numbers into them, with the training
+    rows each holds: ``(rows, inverse, held)``, ``held`` an int64 array."""
+    rows, inverse, _ = distinct_rows(X)
+    return rows, inverse, np.bincount(inverse, weights=counts).astype(np.int64)
 
 
 def _validate_predict(estimator, X):
@@ -109,21 +124,24 @@ def pessimistic_extra_errors(n, e, z):
     return r / (1.0 + z * z / n) * n - e
 
 
-def _best_split(X, y, block, min_leaf):
-    """``(feature, threshold, rows left)`` of the best split of the node whose rows,
-    sorted by feature j, are ``block[j]``, or None. All cuts that leave ``min_leaf``
-    rows a side are scored at once; each feature offers its first cut of highest
-    gain ratio, and beats lower features only by more than ``_EPS``."""
-    d, n = block.shape
-    lo, hi = min_leaf - 1, n - min_leaf  # cut c sends the first c + 1 rows left
+def _best_split(X, w, wy, block, n, min_leaf):
+    """``(feature, threshold, cases left)`` of the best split of the node whose
+    cases, sorted by feature j, are ``block[j]``, or None. Case i stands for
+    ``w[i]`` of the node's ``n`` rows, ``wy[i]`` of them DGA. All cuts between
+    two values that leave ``min_leaf`` rows a side are scored at once; each
+    feature offers its first cut of highest gain ratio, and beats lower features
+    only by more than ``_EPS``."""
+    d = block.shape[0]
     xs = X[block, np.arange(d)[:, None]]
-    feature, c = np.nonzero(xs[:, lo + 1 : hi + 1] != xs[:, lo:hi])
+    # cut c sends the first c + 1 cases, below[:, c] rows, left
+    below = np.cumsum(w[block], axis=1)[:, :-1]
+    feature, c = np.nonzero((xs[:, 1:] != xs[:, :-1]) & (below >= min_leaf)
+                            & (below <= n - min_leaf))
     del xs  # the node's largest array; the cumsum takes its place
-    c += lo
-    ones = np.cumsum(y[block], axis=1, dtype=np.int32)
+    ones = np.cumsum(wy[block], axis=1)
     total1 = ones[0, -1]
     parent = float(_entropy_from_counts(n - total1, total1))
-    left_n, left1 = c + 1, ones[feature, c].astype(np.float64)
+    left_n, left1 = below[feature, c], ones[feature, c].astype(np.float64)
     right_n, right1 = n - left_n, float(total1) - left1
     left_h, right_h, split_info = _entropy_from_counts(
         np.stack([left_n - left1, right_n - right1, left_n]), np.stack([left1, right1, right_n]))
@@ -173,14 +191,17 @@ class C45Tree:
     size, so tiny datasets can still be partitioned down to pure leaves.
 
     Single-class and even single-row training data are legal and produce a
-    constant predictor.
+    constant predictor. ``fit`` grows on weighted cases, as C4.5 does (Quinlan,
+    *C4.5: Programs for Machine Learning*, 1993): case i stands for ``counts[i]``
+    rows, and every size, class count and ``min_leaf`` check sums them, so the
+    distinct (row, label) pairs of a corpus grow its tree, node for node.
     """
 
     FITTED_FIELDS = (("tree_", "node", ()),)
 
-    def fit(self, X, y):
-        X, y = _validate_fit(self, X, y)
-        self.tree_ = self._grow(X, y)
+    def fit(self, X, y, counts=None):
+        X, y, counts = _validate_fit(self, X, y, counts)
+        self.tree_ = self._grow(X, y, counts)
         self._prune_node(self.tree_)
         return self
 
@@ -197,29 +218,31 @@ class C45Tree:
 
     # -- construction
 
-    def _grow(self, X, y):
-        """The unpruned tree of ``(X, y)``, grown from one stable sort of each column
-        (SLIQ: Mehta, Agrawal and Rissanen, EDBT 1996)."""
+    def _grow(self, X, y, counts=None):
+        """The unpruned tree of the cases ``(X, y)``, case i weighing ``counts[i]``
+        rows (None: 1 each), grown from one stable sort of each column (SLIQ: Mehta,
+        Agrawal and Rissanen, EDBT 1996)."""
+        counts = check_counts(counts, y.size)
         order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T, dtype=np.int32)
-        return self._grow_node(X, y.astype(np.int8), order, np.zeros(y.size, dtype=bool), 0)
+        mask = np.zeros(y.size, dtype=bool)
+        return self._grow_node(X, counts, counts * y, order, mask, 0)
 
-    def _grow_node(self, X, y, block, mask, depth):
-        """The unpruned subtree of the rows in ``block``, whose row j lists them by
-        feature j's value, ties by row number; its split partitions them stably in
+    def _grow_node(self, X, w, wy, block, mask, depth):
+        """The unpruned subtree of the cases in ``block``, whose row j lists them by
+        feature j's value, ties by case number; its split partitions them stably in
         place, left first, so each child's block is a part of it."""
-        n = block.shape[1]
-        counts = np.bincount(y[block[0]], minlength=2)
-        pred = 0 if counts[0] >= counts[1] else 1
-        node = _Node(prediction=pred, n_samples=n, n_errors=int(n - counts[pred]))
-        if counts[pred] == n or n < 2 or depth >= TREE_MAX_DEPTH:
+        n, ones = int(w[block[0]].sum()), int(wy[block[0]].sum())
+        pred = 0 if n - ones >= ones else 1
+        node = _Node(prediction=pred, n_samples=n, n_errors=n - ones if pred else ones)
+        if node.n_errors == 0 or n < 2 or depth >= TREE_MAX_DEPTH:
             return node
-        split = _best_split(X, y, block, max(1, min(TREE_MIN_LEAF, n // 2)))
+        split = _best_split(X, w, wy, block, n, max(1, min(TREE_MIN_LEAF, n // 2)))
         if split is None:
             return node
         node.feature, node.threshold, n_left = split
         _partition(block, block[node.feature, :n_left], mask)
-        node.left = self._grow_node(X, y, block[:, :n_left], mask, depth + 1)
-        node.right = self._grow_node(X, y, block[:, n_left:], mask, depth + 1)
+        node.left = self._grow_node(X, w, wy, block[:, :n_left], mask, depth + 1)
+        node.right = self._grow_node(X, w, wy, block[:, n_left:], mask, depth + 1)
         return node
 
     # -- pruning
@@ -276,12 +299,14 @@ class KNNClassifier:
         ("ones_", "count", ("m",)),
     )
 
-    def fit(self, X, y):
-        X, y = _validate_fit(self, X, y)
-        if KNN_K > y.size:
-            raise ValueError(f"knn needs at least k={KNN_K} training rows, got {y.size}")
-        self.X_, row, self.counts_ = distinct_rows(X)
-        self.ones_ = np.bincount(row[y == 1], minlength=self.counts_.size)
+    def fit(self, X, y, counts=None):
+        X, y, counts = _validate_fit(self, X, y, counts)
+        n = int(counts.sum())
+        if KNN_K > n:
+            raise ValueError(f"knn needs at least k={KNN_K} training rows, got {n}")
+        self.X_, row, self.counts_ = _distinct_counts(X, counts)
+        ones = np.bincount(row, weights=counts * y, minlength=self.counts_.size)
+        self.ones_ = ones.astype(np.int64)
         return self
 
     def _check_state(self):
@@ -368,10 +393,10 @@ class LogisticRegressionGD:
 
     FITTED_FIELDS = (("coef_", "float", ("d",)), ("intercept_", "float", ()))
 
-    def fit(self, X, y):
-        X, y = _validate_fit(self, X, y, require_both_classes=True)
-        rows, _, counts = distinct_rows(np.column_stack([X, y]))
-        X, y, share = rows[:, :-1], rows[:, -1], counts / y.size
+    def fit(self, X, y, counts=None):
+        X, y, counts = _validate_fit(self, X, y, counts, require_both_classes=True)
+        rows, _, held = _distinct_counts(np.column_stack([X, y]), counts)
+        X, y, share = rows[:, :-1], rows[:, -1], held / held.sum()
         w = np.zeros(X.shape[1])
         b = 0.0
         self.n_iter_ = 0
@@ -421,8 +446,9 @@ class GaussianNaiveBayes:
 
     Per-class feature means and population variances, with every variance
     floored by ``NB_VAR_FLOOR`` times the largest overall feature variance so
-    constant columns stay usable. Every column is summed in value order, so the
-    row order cannot move the fitted bits.
+    constant columns stay usable. Every column is summed sequentially in value
+    order (:func:`~domainsift.base.column_moments`), so the row order cannot
+    move the fitted bits.
     """
 
     FITTED_FIELDS = (
@@ -431,19 +457,19 @@ class GaussianNaiveBayes:
         ("class_prior_", "positive", (2,)),
     )
 
-    def fit(self, X, y):
-        X, y = _validate_fit(self, X, y, require_both_classes=True)
-        eps = NB_VAR_FLOOR * float(np.sort(X, axis=0).var(axis=0).max())
+    def fit(self, X, y, counts=None):
+        X, y, counts = _validate_fit(self, X, y, counts, require_both_classes=True)
+        eps = NB_VAR_FLOOR * float(column_moments(X, counts)[1].max())
         if eps <= 0.0:
             eps = NB_VAR_FLOOR
         self.theta_ = np.empty((2, X.shape[1]))
         self.var_ = np.empty((2, X.shape[1]))
         self.class_prior_ = np.empty(2)
         for cls in (0, 1):
-            sub = np.sort(X[y == cls], axis=0)
-            self.theta_[cls] = sub.mean(axis=0)
-            self.var_[cls] = sub.var(axis=0) + eps
-            self.class_prior_[cls] = sub.shape[0] / X.shape[0]
+            rows = y == cls
+            self.theta_[cls], var = column_moments(X[rows], counts[rows])
+            self.var_[cls] = var + eps
+            self.class_prior_[cls] = int(counts[rows].sum()) / int(counts.sum())
         return self
 
     def joint_log_likelihood(self, X):
@@ -487,13 +513,12 @@ class PegasosSVM:
 
     FITTED_FIELDS = (("coef_", "float", ("d",)), ("intercept_", "float", ()))
 
-    def fit(self, X, y):
-        X, y = _validate_fit(self, X, y, require_both_classes=True)
-        n = X.shape[0]
+    def fit(self, X, y, counts=None):
+        X, y, counts = _validate_fit(self, X, y, counts, require_both_classes=True)
         # each row signed by its label, with the always-on bias input last
-        signed = (2.0 * y - 1.0)[:, None] * np.column_stack([X, np.ones(n)])
-        rows, _, counts = distinct_rows(signed)
-        weighted = rows * (counts / n)[:, None]
+        signed = (2.0 * y - 1.0)[:, None] * np.column_stack([X, np.ones(X.shape[0])])
+        rows, _, held = _distinct_counts(signed, counts)
+        weighted = rows * (held / held.sum())[:, None]
         columns = rows.T.copy()
         lam = SVM_LAMBDA
         u = weighted.sum(axis=0)  # step 1: w = 0, so every row violates
@@ -502,7 +527,7 @@ class PegasosSVM:
             margin = columns[0] * u[0]
             for column, weight in zip(columns[1:], u[1:].tolist()):
                 margin += column * weight
-            u += weighted[margin < lam * t].sum(axis=0)
+            u += weighted.take(np.flatnonzero(margin < lam * t), axis=0).sum(axis=0)
         w = u / (lam * SVM_STEPS)
         self.coef_ = w[:-1]
         self.intercept_ = float(w[-1])

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import domainsift
+from domainsift import cli
 from domainsift.cli import main
 
 CORPUS_SIZES = ["--n-legit", "600", "--n-dga", "400", "--census-n", "3000"]
@@ -207,3 +208,20 @@ def test_cluster_and_analyze_do_not_depend_on_the_blas_kernel(tmp_path, kernel):
                 written = _written(out, lambda: subprocess.run(
                     argv, env=env, capture_output=True).returncode == 0)
                 assert written == GOLDEN[42, mode, command], (mode, command)
+
+
+def test_train_builds_no_per_row_feature_matrix(tmp_path, monkeypatch):
+    """``train`` fits from the distinct (feature row, label) pairs: with the per-row
+    ``extract_features`` made to fail, it still writes the golden model."""
+    assert main(["generate", "--out", str(tmp_path / "gen"), "--seed", "42",
+                 *CORPUS_SIZES]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("train built a per-row feature matrix")
+
+    monkeypatch.setattr(cli, "extract_features", refuse)
+    for mode in ("full", "sld"):
+        out = tmp_path / mode
+        out.mkdir()
+        argv = dict(commands(tmp_path / "gen", out))["train"]
+        assert _written(out, lambda: main([*argv, "--mode", mode]) == 0) == GOLDEN[42, mode, "train"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from statistics import NormalDist
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domainsift import learners
-from domainsift.base import NotFittedError
+from domainsift import learners, model_io
+from domainsift.base import NotFittedError, column_moments
+from domainsift.ensemble import MajorityVoteEnsemble
 from domainsift.learners import (
     TREE_CF,
     TREE_Z,
@@ -19,6 +21,7 @@ from domainsift.learners import (
     PegasosSVM,
     pessimistic_extra_errors,
 )
+from domainsift.preprocessing import STD_FLOOR, Standardizer
 
 from conftest import roundtrip, saved_bytes
 
@@ -806,3 +809,90 @@ class TestPegasosSVM:
         model.coef_ = np.zeros_like(model.coef_)
         model.intercept_ = 0.0
         assert (model.predict(X) == 0).all()
+
+
+# ---------------------------------------------------------------------------
+# counts: row i of X stands for counts[i] training rows
+
+COUNTED = [Standardizer, *ALL_LEARNERS, MajorityVoteEnsemble]
+
+
+def fitted_state(model):
+    """Every ``FITTED_FIELDS`` value of ``model`` (a tree node for node, an ensemble
+    member by member), as the exact text a model file stores: ``repr`` floats."""
+    return model_io._canonical(model_io._encode(model))
+
+
+@st.composite
+def counted_rows(draw):
+    """``(X, y, counts)``: a few rows from a small integer grid, scaled by 1, 1/3 or
+    1/7 so that sums round, with many equal rows, rows that repeat with the other
+    label, both classes and at least ``KNN_K`` rows in all."""
+    d = draw(st.integers(1, 4), label="d")
+    top = draw(st.integers(0, 4), label="top")
+    grid = st.lists(st.integers(-top, top).map(float), min_size=d, max_size=d)
+    pool = draw(st.lists(grid, min_size=1, max_size=6), label="pool")
+    m = draw(st.integers(2, 14), label="m")
+    X = np.array([pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                                 min_size=m, max_size=m))])
+    X /= draw(st.sampled_from([1.0, 3.0, 7.0]), label="scale")
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    y[:2] = [0, 1]
+    counts = np.array(draw(st.lists(st.integers(1, 6), min_size=m, max_size=m)))
+    counts[0] += max(0, learners.KNN_K - int(counts.sum()))
+    return X, y, counts
+
+
+@pytest.mark.parametrize("cls", COUNTED, ids=lambda cls: cls.__name__)
+class TestCounts:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=counted_rows())
+    def test_counts_fit_the_repeated_rows(self, cls, case):
+        X, y, counts = case
+        repeated = cls().fit(np.repeat(X, counts, 0), np.repeat(y, counts))
+        assert fitted_state(cls().fit(X, y, counts=counts)) == fitted_state(repeated)
+
+    @pytest.mark.parametrize("counts, message", [
+        ([1, 0, 2, 2, 1], "counts must be at least 1, got 0"),
+        ([1, -3, 2, 2, 1], "counts must be at least 1, got -3"),
+        ([1, 1.5, 2, 2, 1], "counts must be whole numbers"),
+        ([1, 1, 2, 2], r"counts must be 1-dimensional with 5 entries, got shape \(4,\)"),
+        ([[1, 1, 2, 2, 1]], r"counts must be 1-dimensional with 5 entries, got shape \(1, 5\)"),
+    ], ids=["zero", "negative", "fraction", "short", "2-d"])
+    def test_bad_counts_refused(self, cls, counts, message):
+        X, y = np.arange(10.0).reshape(5, 2), np.array([0, 1, 0, 1, 1])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls().fit(X, y, counts=counts)
+
+
+def sequential_mean(values):
+    """The mean of ``values`` summed one after the other, as plain float adds."""
+    return list(itertools.accumulate(values))[-1] / len(values)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=counted_rows())
+def test_counted_moments_sum_the_sorted_rows_in_order(case):
+    """The moments the standardizer and naive Bayes fit are, bit for bit, those of the
+    repeated rows, each column sorted and summed one value after the other. With two
+    columns or more that is also what numpy's axis-0 mean and var of the sorted rows
+    give; a single column numpy sums pairwise."""
+    X, _, counts = case
+    rows = np.sort(np.repeat(X, counts, 0), axis=0)
+    means = [sequential_mean(column.tolist()) for column in rows.T]
+    variances = [sequential_mean(((column - mean) ** 2).tolist())
+                 for column, mean in zip(rows.T, means)]
+    mean, var = column_moments(X, counts)
+    assert mean.tolist() == means and var.tolist() == variances
+    if X.shape[1] > 1:
+        assert mean.tobytes() == rows.mean(axis=0).tobytes()
+        assert var.tobytes() == rows.var(axis=0).tobytes()
+    scale = Standardizer().fit(X, counts=counts).scale_
+    assert scale.tolist() == np.maximum(np.sqrt(variances), STD_FLOOR).tolist()
+
+
+def test_knn_counts_below_k_refused():
+    with pytest.raises(ValueError, match=r"^knn needs at least k=5 training rows, got 4$"):
+        KNNClassifier().fit(SEP_X, SEP_Y, counts=[1, 1, 1, 1])
+    model = KNNClassifier().fit(SEP_X, SEP_Y, counts=[2, 1, 1, 1])
+    assert model.counts_.tolist() == [2, 1, 1, 1] and model.ones_.tolist() == [0, 0, 1, 1]
